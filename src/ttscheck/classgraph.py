@@ -5,16 +5,21 @@ the currently enabled transitions: a canonical DBM constraining how much
 longer each of them may stay enabled before firing.  Successor computation is
 the standard strongest-postcondition on firing domains; priorities contribute
 strict ordering constraints to firability.
+
+Domains are `zone.Domain`s: every interval constant of the model is scaled
+by the LCM of their denominators and each bound is one int, so firability is
+an O(n) test and a successor one incremental closure (see `zone`).  The
+rescaling is exact, and `Domain` decodes back to Fractions wherever a
+domain's values are read, so exports and reports see rational bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Optional
 
 from . import zone
 from .model import (
+    CapacityExceeded,  # re-exported: callers catch `classgraph.CapacityExceeded`
     ExplorationError,
     Marking,
     Store,
@@ -23,14 +28,14 @@ from .model import (
     fire,
     newly_enabled,
 )
-from .zone import Dbm
+from .zone import Domain
 
 
 @dataclass(frozen=True)
 class StateClass:
     marking: Marking
     store: Store
-    domain: Dbm
+    domain: Domain
 
     def key(self) -> tuple:
         return (
@@ -39,10 +44,6 @@ class StateClass:
             self.domain.names,
             self.domain.m,
         )
-
-
-class CapacityExceeded(ExplorationError):
-    pass
 
 
 class ClassBudgetExceeded(ExplorationError):
@@ -72,73 +73,29 @@ class ClassGraph:
 def initial_class(model: TtsModel) -> StateClass:
     marking = model.initial_marking()
     store = model.initial_store()
-    d = zone.trivial()
-    for name in sorted(enabled(model, marking, store)):
-        d = zone.add_variable(d, name, model.transitions[name].timing)
-        assert d is not None, "static intervals are nonempty"
-    return StateClass(marking, store, d)
-
-
-def _firability_constraints(model: TtsModel, c: StateClass, t: str):
-    """Constraints placing t's firing time first, priorities strict."""
-    ti = c.domain.index(t)
-    higher = set(model.higher_than(t))
-    for u in c.domain.names:
-        if u == t:
-            continue
-        strict = u in higher
-        yield (ti, c.domain.index(u), (Fraction(0), strict))
-
-
-def fire_window(model: TtsModel, c: StateClass, t: str) -> Optional[Dbm]:
-    """Domain restricted to runs where t fires next; None if t cannot be first."""
-    if t not in c.domain.names:
-        return None
-    return zone.constrain_many(c.domain, _firability_constraints(model, c, t))
+    scale = zone.scale_of(t.timing for t in model.transitions.values())
+    fresh = {name: model.transitions[name].timing
+             for name in enabled(model, marking, store)}
+    return StateClass(marking, store, zone.initial(fresh, scale))
 
 
 def firable(model: TtsModel, c: StateClass) -> set:
     """Transitions that can fire first from this class, priorities included."""
-    out = set()
-    for t in c.domain.names:
-        if fire_window(model, c, t) is not None:
-            out.add(t)
-    return out
+    return {t for t in c.domain.names
+            if zone.firable(c.domain, t, model.higher_than(t))}
 
 
 def successor(model: TtsModel, c: StateClass, t: str) -> StateClass:
     """Fire t from a class: constrain, shift persistent clocks, add fresh ones."""
-    fired = fire_window(model, c, t)
-    if fired is None:
+    higher = model.higher_than(t)
+    if t not in c.domain.names or not zone.firable(c.domain, t, higher):
         raise ExplorationError(f"transition {t!r} not firable from this class")
-    try:
-        new_marking, new_store, _ = fire(model, c.marking, c.store, t)
-    except ExplorationError as exc:
-        if "capacity" in str(exc):
-            raise CapacityExceeded(str(exc)) from exc
-        raise
+    new_marking, new_store, _ = fire(model, c.marking, c.store, t)
     fresh = newly_enabled(model, c.marking, c.store, t, new_marking, new_store)
     now_enabled = enabled(model, new_marking, new_store)
     persistent = sorted(now_enabled - fresh)
-
-    # Re-read every persistent clock relative to t's firing instant: the entry
-    # for th'_u = th_u - th_t against 0 is the old entry against th_t.
-    ti = fired.index(t)
-    names = tuple(persistent)
-    size = len(names) + 1
-
-    def old(k: int) -> int:
-        return ti if k == 0 else fired.index(names[k - 1])
-
-    rows = [[fired.m[old(a)][old(b)] for b in range(size)] for a in range(size)]
-    d = zone.Dbm(names, tuple(tuple(r) for r in rows))
-    for name in sorted(fresh & now_enabled):
-        d = zone.add_variable(d, name, model.transitions[name].timing)
-        if d is None:
-            raise AssertionError("adding a fresh interval cannot empty the domain")
-    d = zone.canonicalize(d)
-    if d is None:
-        raise AssertionError("successor domain of a firable transition is nonempty")
+    intervals = {name: model.transitions[name].timing for name in fresh & now_enabled}
+    d = zone.fire(c.domain, t, higher, persistent, intervals)
     return StateClass(new_marking, new_store, d)
 
 

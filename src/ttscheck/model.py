@@ -48,6 +48,10 @@ class ExplorationError(RuntimeError):
     """State-space exploration left the declared bounds (capacity, ranges)."""
 
 
+class CapacityExceeded(ExplorationError):
+    """Firing a transition put more tokens in a place than its capacity."""
+
+
 # ---------------------------------------------------------------------------
 # Time bounds and intervals
 
@@ -419,7 +423,7 @@ def fire(model: TtsModel, marking: Marking, store: Store, name: str):
     for p in t.post:
         new_marking[p] = new_marking.get(p, 0) + 1
         if new_marking[p] > model.places[p].capacity:
-            raise ExplorationError(f"place {p!r} exceeds capacity {model.places[p].capacity}")
+            raise CapacityExceeded(f"place {p!r} exceeds capacity {model.places[p].capacity}")
     new_store = exec_actions(model, t.action, new_marking, store)
     return new_marking, new_store, Event(name, new_marking, new_store)
 
