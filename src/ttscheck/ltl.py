@@ -12,11 +12,11 @@ and a nested depth-first search for an accepting lasso.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from . import zone
 from .classgraph import ClassGraph, StateClass
 from .expr import EvalContext, Expr, eval_expr, format_expr
 from .model import Event, TtsModel, enabled, eval_predicate, fire, newly_enabled
@@ -630,8 +630,6 @@ def check(g: ClassGraph, f: LtlFormula, use_fast_path: bool = True) -> CheckResu
 
 def _check_safety(g: ClassGraph, body: LtlFormula) -> CheckResult:
     """Reachability scan for a step violating a propositional invariant."""
-    from collections import deque
-
     atoms = tuple(sorted(formula_atoms(body), key=str))
     parent: dict = {}
     seen = {g.initial}
@@ -728,10 +726,11 @@ def witness_to_trace(g: ClassGraph, model: TtsModel, cx: Counterexample,
 
     Firing times are constrained by each transition's static interval from
     its enabling instant, by every concurrently enabled transition's pending
-    deadline, and strictly by higher-priority competitors; the system is a
-    difference-bound problem solved exactly, fixing each firing time to the
-    midpoint of its remaining feasible window (its endpoint when punctual).
-    A stutter step ends the run and marks the trace deadlocked.
+    deadline, and strictly by higher-priority competitors.  `solve_schedule`
+    solves these difference constraints exactly by shortest paths, fixing
+    each firing time to the midpoint of its remaining feasible window (its
+    endpoint when punctual).  A stutter step ends the run and marks the
+    trace deadlocked.
     """
     labels = _steps_to_transitions(cx.stem)
     for _ in range(unroll):
@@ -800,43 +799,97 @@ def _schedule_constraints(model: TtsModel, firing: list) -> list:
     return cons
 
 
+def _constraint_graph(k: int, cons: list) -> tuple:
+    """Forward and reversed adjacency lists of the constraints over T_0..T_k.
+
+    `T_i - T_j <= b` is the edge j -> i of weight b, so the shortest path
+    from j to i is the tightest bound on T_i - T_j: the entry (i, j) of the
+    canonical difference-bound matrix.  A weight is `(value, -strict)`;
+    ordered and added as pairs, a path is as short as the tightest bound
+    along it, strict when one of its shortest paths has a strict edge, and a
+    negative cycle is one of negative value or of value zero with a strict
+    edge, exactly where a difference-bound matrix is inconsistent.
+    """
+    fwd: list = [[] for _ in range(k + 1)]
+    rev: list = [[] for _ in range(k + 1)]
+    for (i, j, (b, strict)) in cons:
+        w = (b, -1 if strict else 0)
+        fwd[j].append((i, w))
+        rev[i].append((j, w))
+    return fwd, rev
+
+
+def _relax(adj: list, dist: list, seed: int) -> bool:
+    """Label-correcting shortest paths (SPFA, a queued Bellman-Ford).
+
+    `dist` holds shortest-path labels, None for unreached; the label of
+    `seed` has just been lowered.  Lower every label it improves along
+    `adj`.  False on a negative cycle: without one, an improving path from
+    the seed is simple, so it has fewer edges than there are nodes.
+    """
+    n = len(adj)
+    hops = [0] * n
+    queued = [False] * n
+    queued[seed] = True
+    queue = deque([seed])
+    while queue:
+        u = queue.popleft()
+        queued[u] = False
+        du0, du1 = dist[u]
+        h = hops[u] + 1
+        for (v, (b0, b1)) in adj[u]:
+            via = (du0 + b0, du1 + b1)
+            dv = dist[v]
+            if dv is None or via < dv:
+                if h >= n:
+                    return False
+                dist[v] = via
+                hops[v] = h
+                if not queued[v]:
+                    queued[v] = True
+                    queue.append(v)
+    return True
+
+
+def _distances_from(adj: list, source: int) -> Optional[list]:
+    """Shortest-path labels from `source`; None on a reachable negative cycle."""
+    dist: list = [None] * len(adj)
+    dist[source] = (Fraction(0), 0)
+    return dist if _relax(adj, dist, source) else None
+
+
 def solve_schedule(model: TtsModel, firing: list) -> list:
-    """Exact firing times realizing a feasible firing sequence of the model."""
-    cons = _schedule_constraints(model, firing)
+    """Exact firing times realizing a feasible firing sequence of the model.
+
+    Each firing time in step order is fixed to the midpoint of its feasible
+    window given the times fixed before it: the window's lower end when it is
+    punctual, one past the lower end when it is unbounded above.
+    """
     k = len(firing)
-    names = tuple(f"s{i:04d}" for i in range(1, k + 1))
-    d = zone.trivial()
-    for n in names:
-        d = zone.add_variable(d, n, _free_interval())
-    constraints = []
-    for (i, j, b) in cons:
-        ii = 0 if i == 0 else d.index(names[i - 1])
-        jj = 0 if j == 0 else d.index(names[j - 1])
-        constraints.append((ii, jj, b))
-    d = zone.constrain_many(d, constraints)
-    if d is None:
+    fwd, rev = _constraint_graph(k, _schedule_constraints(model, firing))
+    # Time is monotone, so every T_i reaches T_0 through the constraints and
+    # the pass over the reversed graph meets every cycle of the system.
+    lo = _distances_from(rev, 0)  # lo[i] bounds T_0 - T_i
+    up = _distances_from(fwd, 0) if lo is not None else None  # up[i] bounds T_i
+    if up is None:
         raise ValueError("firing sequence admits no schedule; graph edge invalid")
     times: list = []
     for i in range(1, k + 1):
-        lo_b, up_b = d.bounds_of(names[i - 1])
-        lo = -lo_b[0]
-        if up_b is None:
-            val = lo + 1 if lo_b[1] else lo
-        elif up_b[0] == lo:
-            val = lo
+        low = -lo[i][0]
+        if up[i] is None:
+            val = low + 1 if lo[i][1] else low
+        elif up[i][0] == low:
+            val = low
         else:
-            val = (lo + up_b[0]) / 2
-        idx = d.index(names[i - 1])
-        d = zone.constrain_many(d, [(idx, 0, (val, False)), (0, idx, (-val, False))])
-        assert d is not None, "midpoint stays feasible"
+            val = (low + up[i][0]) / 2
+        # T_i = val adds the edges 0 -> i of weight val and i -> 0 of weight
+        # -val.  The label of 0 never drops, so they act only through the
+        # labels of i they set, which relaxing from i spreads.
+        up[i], lo[i] = (val, 0), (-val, 0)
+        feasible = _relax(fwd, up, i) and _relax(rev, lo, i)
+        assert feasible, "midpoint stays feasible"
         times.append(val)
     return times
-
-
-def _free_interval():
-    from .model import DEFAULT_INTERVAL
-
-    return DEFAULT_INTERVAL
 
 
 def cycle_time_lower_bound(model: TtsModel, cx: Counterexample) -> Optional[Fraction]:
@@ -849,28 +902,13 @@ def cycle_time_lower_bound(model: TtsModel, cx: Counterexample) -> Optional[Frac
     labels = _steps_to_transitions(cx.stem) + 2 * _steps_to_transitions(cx.cycle)
     if any(lbl is STUTTER for lbl in labels) or not cx.cycle:
         return None
-    marking = model.initial_marking()
-    store = model.initial_store()
-    enable_step: dict = {n: 0 for n in enabled(model, marking, store)}
-    k = len(labels)
-    names = tuple(f"s{i:04d}" for i in range(1, k + 1))
-    d = zone.trivial()
-    for n in names:
-        d = zone.add_variable(d, n, _free_interval())
-    cons = _schedule_constraints(model, labels)
-    items = []
-    for (i, j, b) in cons:
-        ii = 0 if i == 0 else d.index(names[i - 1])
-        jj = 0 if j == 0 else d.index(names[j - 1])
-        items.append((ii, jj, b))
-    d = zone.constrain_many(d, items)
-    if d is None:
+    fwd, rev = _constraint_graph(len(labels), _schedule_constraints(model, labels))
+    if _distances_from(rev, 0) is None:
         return None
     first = len(cx.stem)  # step index entering the first cycle copy
     second = first + len(cx.cycle)
-    ii = 0 if first == 0 else d.index(names[first - 1])
-    jj = d.index(names[second - 1])
-    bound = d.m[ii][jj]  # upper bound on T_first - T_second = -(cycle time)
+    # upper bound on T_first - T_second = -(cycle time)
+    bound = _distances_from(fwd, second)[first]
     if bound is None:
         return Fraction(0)
     return max(Fraction(0), -bound[0])
@@ -884,8 +922,6 @@ def find_decisive_extension(g: ClassGraph, model: TtsModel, cx: Counterexample,
     `decide` receives each candidate trace; used to lengthen a violating run
     until a trace-level oracle can confirm the violation on the finite prefix.
     """
-    from collections import deque
-
     base = list(cx.stem) + list(cx.cycle)
 
     def mk_trace(steps) -> Optional[TimedTrace]:

@@ -7,8 +7,10 @@ a normal form: two constraint sets have the same solutions iff their canonical
 matrices are identical.
 
 `Dbm` holds exact rationals tagged strict/non-strict, `None` standing for
-+infinity, and closes with a full Floyd-Warshall (`canonicalize`).  Witness
-schedules use it, and tests keep it as the reference for the integer kernel.
++infinity, and closes with a full Floyd-Warshall (`canonicalize`).  No
+product code path calls it: tests keep it as the reference for the integer
+kernel and for the witness schedules of `ltl`, which solve their sparse
+constraints by shortest paths instead.
 
 `Domain` is the firing domain of the state-class graph.  Every interval
 constant of the model is multiplied by `scale`, the LCM of their

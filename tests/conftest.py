@@ -27,8 +27,9 @@ def models_dir():
     return MODELS
 
 
-def n_door_airlock(n: int):
-    """Generalized airlock with n doors; door i+1 preempts door i."""
+def n_door_airlock_tts(n: int) -> str:
+    """`.tts` text of the generalized airlock with n doors; door i+1 preempts
+    door i."""
     lines = ["places Idle=1 Refresh "
              + " ".join(f"D{i}isOpen" for i in range(1, n + 1))]
     lines.append("vars " + " ".join(f"req{i}=false" for i in range(1, n + 1)))
@@ -44,4 +45,9 @@ def n_door_airlock(n: int):
     lines.append("trans Ventil in [6,6] consume {Refresh} produce {Idle}")
     for i in range(1, n):
         lines.append(f"prio Open{i + 1} > Open{i}")
-    return parse_tts("\n".join(lines), name=f"airlock{n}")
+    return "\n".join(lines)
+
+
+def n_door_airlock(n: int):
+    """Generalized airlock with n doors; door i+1 preempts door i."""
+    return parse_tts(n_door_airlock_tts(n), name=f"airlock{n}")

@@ -157,3 +157,44 @@ def test_xcheck_detects_injected_observer_corruption(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "synthesize", corrupted)
     entry = cli.run_xcheck(model, pattern, runs=15, base_seed=2)
     assert entry["mismatches"] > 0
+
+
+def test_check_text_report_flags_zeno_lasso(tmp_path):
+    # a and b hand the token back and forth at once: time never advances
+    net = tmp_path / "zeno.tts"
+    net.write_text("places P=1 Q\ntrans a in [0,0] consume {P} produce {Q}\n"
+                   "trans b in [0,0] consume {Q} produce {P}\n")
+    pat = tmp_path / "p.pat"
+    pat.write_text("present first a before b within [1,2]\n")
+    r = run_cli("--json", "check", str(net), str(pat))
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["verdicts"][0]["cycle_time_lower_bound"] == "0"
+    r = run_cli("check", str(net), str(pat))
+    assert r.stdout.splitlines() == [
+        "[fail] present first a before b within [1,2]  (4 classes)",
+        "       zeno: the cycle can take zero time",
+    ]
+
+
+def test_timings_cover_witness_extraction(tmp_path, monkeypatch):
+    import contextlib
+    import io
+    import time
+
+    import ttscheck.cli as cli
+
+    real = cli.find_decisive_extension
+
+    def slow(*args, **kwargs):
+        time.sleep(0.3)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "find_decisive_extension", slow)
+    pat = tmp_path / "bad.pat"
+    pat.write_text("present Ventil after (Open1 | Open2) within [0,9]\n")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["--json", "--out", str(tmp_path / "out"), "check",
+                         str(ROOT / "models/airlock.tts"), str(pat), "--timings"])
+    assert code == 1
+    assert json.loads(out.getvalue())["verdicts"][0]["time_ms"] >= 300
