@@ -25,8 +25,7 @@ from .model import (
     Store,
     TtsModel,
     enabled,
-    fire,
-    newly_enabled,
+    step,
 )
 from .zone import Domain
 
@@ -54,7 +53,6 @@ class ClassBudgetExceeded(ExplorationError):
 class ClassGraph:
     model: TtsModel
     nodes: list = field(default_factory=list)  # StateClass, index = node id
-    edges: list = field(default_factory=list)  # (source id, transition name, target id)
     initial: int = 0
     succ: dict = field(default_factory=dict)  # id -> list[(transition, id)]
 
@@ -63,8 +61,14 @@ class ClassGraph:
         return len(self.nodes)
 
     @property
+    def edges(self) -> list:
+        """(source id, transition name, target id), in the order
+        `build_graph` finds them: by source id, then in declaration order."""
+        return [(a, t, b) for a in range(len(self.nodes)) for (t, b) in self.succ.get(a, ())]
+
+    @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.succ.values()))
 
     def deadlocks(self) -> set:
         return {i for i in range(len(self.nodes)) if not self.succ.get(i)}
@@ -90,11 +94,9 @@ def successor(model: TtsModel, c: StateClass, t: str) -> StateClass:
     higher = model.higher_than(t)
     if t not in c.domain.names or not zone.firable(c.domain, t, higher):
         raise ExplorationError(f"transition {t!r} not firable from this class")
-    new_marking, new_store, _ = fire(model, c.marking, c.store, t)
-    fresh = newly_enabled(model, c.marking, c.store, t, new_marking, new_store)
-    now_enabled = enabled(model, new_marking, new_store)
+    new_marking, new_store, _, now_enabled, fresh = step(model, c.marking, c.store, t)
     persistent = sorted(now_enabled - fresh)
-    intervals = {name: model.transitions[name].timing for name in fresh & now_enabled}
+    intervals = {name: model.transitions[name].timing for name in fresh}
     d = zone.fire(c.domain, t, higher, persistent, intervals)
     return StateClass(new_marking, new_store, d)
 
@@ -131,7 +133,6 @@ def build_graph(model: TtsModel, max_classes: int = 1_000_000) -> ClassGraph:
                 index[k] = tgt
                 g.nodes.append(nxt)
                 queue.append(tgt)
-            g.edges.append((src, t, tgt))
             g.succ.setdefault(src, []).append((t, tgt))
     return g
 

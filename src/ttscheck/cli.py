@@ -15,13 +15,12 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
 from . import classgraph as cg
 from .classgraph import ClassBudgetExceeded
-from .expr import format_rational
+from .expr import ExprError, format_rational, parse_rational
 from .ltl import check, cycle_time_lower_bound, find_decisive_extension, witness_to_trace
 from .model import ExplorationError, ModelError, load_tts
 from .observers import compose, replay_instrumented, synthesize
@@ -66,6 +65,16 @@ def _load_patterns(model, path: str) -> list:
 
 class _InputError(Exception):
     pass
+
+
+def _parse_horizon(text: str) -> Fraction:
+    try:
+        horizon = parse_rational(text)
+    except ExprError as exc:
+        raise _InputError(f"bad --horizon: {exc}")
+    if horizon < 0:
+        raise _InputError(f"bad --horizon {text!r}: must not be negative")
+    return horizon
 
 
 def _emit(args, payload: dict, text_lines: list) -> None:
@@ -121,13 +130,7 @@ def cmd_check(args) -> int:
     if not patterns:
         _emit(args, {"model": args.model, "verdicts": []}, ["no patterns; vacuously ok"])
         return EXIT_OK
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            entries = list(pool.map(
-                lambda pair: _check_one(model, pair[1], args, pair[0]),
-                enumerate(patterns)))
-    else:
-        entries = [_check_one(model, p, args, i) for i, p in enumerate(patterns)]
+    entries = [_check_one(model, p, args, i) for i, p in enumerate(patterns)]
     lines = []
     for e in entries:
         lines.append(f"[{e['result']:>4}] {e['pattern']}"
@@ -167,9 +170,11 @@ def cmd_graph(args) -> int:
 # simulate
 
 def cmd_simulate(args) -> int:
+    horizon = _parse_horizon(args.horizon)
+    if args.denominator < 1:
+        raise _InputError(f"bad --denominator {args.denominator}: must be at least 1")
     model = _load_model(args.model)
-    trace = simulate(model, Fraction(args.horizon), args.seed,
-                     DelayPolicy(args.denominator))
+    trace = simulate(model, horizon, args.seed, DelayPolicy(args.denominator))
     text = serialize_trace(trace)
     if args.out:
         outdir = Path(args.out)
@@ -261,13 +266,12 @@ def run_xcheck(model, pattern, runs: int, base_seed: int, horizon=None,
 
 
 def cmd_xcheck(args) -> int:
+    horizon = None if args.horizon is None else _parse_horizon(args.horizon)
     model = _load_model(args.model)
     patterns = _load_patterns(model, args.patterns)
     entries = []
     for p in patterns:
-        entries.append(run_xcheck(model, p, args.runs, args.seed,
-                                  args.horizon and Fraction(args.horizon),
-                                  args.out))
+        entries.append(run_xcheck(model, p, args.runs, args.seed, horizon, args.out))
     lines = []
     for e in entries:
         lines.append(f"[{'ok' if not e['mismatches'] else 'MISMATCH':>8}] "
@@ -291,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("patterns")
     p.add_argument("--max-classes", type=int, default=1_000_000)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings in reports")
     p.set_defaults(fn=cmd_check)

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Union
 
 from .classgraph import ClassGraph, StateClass
 from .expr import EvalContext, Expr, eval_expr, format_expr
-from .model import Event, TtsModel, enabled, eval_predicate, fire, newly_enabled
+from .model import Event, TtsModel, enabled, eval_predicate, fire, step
 from .traces import Duration, TimedTrace
 
 
@@ -764,35 +764,32 @@ def _schedule_constraints(model: TtsModel, firing: list) -> list:
     enable_step: dict = {n: 0 for n in enabled(model, marking, store)}
     strict_after: dict = {}  # preempted transition -> step it must strictly follow
     cons: list = []
-    for step, t in enumerate(firing, start=1):
+    for k, t in enumerate(firing, start=1):
         e = enable_step.get(t)
         if e is None:
-            raise ValueError(f"transition {t!r} not enabled at step {step}")
+            raise ValueError(f"transition {t!r} not enabled at step {k}")
         iv = model.transitions[t].timing
         lo, up = iv.lower, iv.upper
-        cons.append((e, step, (-lo.value, lo.strict)))  # T_step - T_e >= lo
+        cons.append((e, k, (-lo.value, lo.strict)))  # T_k - T_e >= lo
         if not up.is_infinite:
-            cons.append((step, e, (up.value, up.strict)))
+            cons.append((k, e, (up.value, up.strict)))
         if t in strict_after:
-            cons.append((strict_after.pop(t), step, (Fraction(0), True)))
+            cons.append((strict_after.pop(t), k, (Fraction(0), True)))
         higher = set(model.higher_than(t))
         for (u, eu) in enable_step.items():
             uiv = model.transitions[u].timing
             if not uiv.upper.is_infinite:
                 strict = uiv.upper.strict or (u in higher)
-                cons.append((step, eu, (uiv.upper.value, strict)))
+                cons.append((k, eu, (uiv.upper.value, strict)))
             # unbounded competitors never force anything
-        cons.append((step - 1, step, (Fraction(0), False)))  # time monotone
-        prev_m, prev_s = marking, store
-        marking, store, _ = fire(model, marking, store, t)
-        fresh = newly_enabled(model, prev_m, prev_s, t, marking, store)
-        now_enabled = enabled(model, marking, store)
+        cons.append((k - 1, k, (Fraction(0), False)))  # time monotone
+        marking, store, _, now_enabled, fresh = step(model, marking, store, t)
         # a preempted higher-priority competitor must fire strictly later,
         # as long as it stays continuously enabled
         for h in higher:
             if h in now_enabled and h not in fresh:
-                strict_after[h] = step
-        enable_step = {u: (step if u in fresh else enable_step[u])
+                strict_after[h] = k
+        enable_step = {u: (k if u in fresh else enable_step[u])
                        for u in now_enabled}
         strict_after = {u: s for u, s in strict_after.items()
                         if u in now_enabled and u not in fresh}

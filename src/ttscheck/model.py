@@ -5,8 +5,9 @@ of boolean / bounded-integer variables, and transitions carrying a static
 firing interval, a guard over store and marking (`pre`), a sequential action
 over the store (`act`), pre/post/read arcs and a priority relation.
 
-Untimed semantics live here (enabledness, firing, newly-enabled computation);
-the dense-time abstraction is built on top in `classgraph`.
+Untimed semantics live here: enabledness, firing, and `step`, the only code
+that decides which clocks restart after a firing; the dense-time abstraction
+is built on top in `classgraph`.
 """
 
 from __future__ import annotations
@@ -94,11 +95,6 @@ class TimeInterval:
         if up.is_infinite:
             return True
         return delta < up.value or (delta == up.value and not up.strict)
-
-    @property
-    def is_punctual(self) -> bool:
-        return (not self.upper.is_infinite and self.lower.value == self.upper.value
-                and not self.lower.strict and not self.upper.strict)
 
     def __str__(self) -> str:
         lo = "]" if self.lower.strict else "["
@@ -428,30 +424,24 @@ def fire(model: TtsModel, marking: Marking, store: Store, name: str):
     return new_marking, new_store, Event(name, new_marking, new_store)
 
 
-def newly_enabled(model: TtsModel, pre_marking: Marking, pre_store: Store, name: str,
-                  post_marking: Marking, post_store: Store) -> set:
-    """Transitions whose clock restarts after firing `name`.
+def step(model: TtsModel, marking: Marking, store: Store, name: str):
+    """Fire `name`; returns (marking, store, event, enabled, fresh).
 
-    Intermediate-marking semantics: a transition is newly enabled if it is
-    enabled afterwards but was not enabled in the intermediate state (the
-    pre-state with the fired transition's input tokens removed, original
-    store).  The fired transition itself restarts whenever it is enabled
-    afterwards; a guard flipping from false to true also restarts.
+    `enabled` is the post-state's enabled set and `fresh` the part of it
+    whose clocks restart.  Intermediate-marking semantics: a transition is
+    fresh if it was not enabled in the intermediate state (the pre-state
+    with the fired transition's input tokens removed, original store).  The
+    fired transition itself restarts whenever it is enabled afterwards; a
+    guard flipping from false to true also restarts.
     """
-    t = model.transitions[name]
-    mid_marking = dict(pre_marking)
-    for p in t.pre:
+    new_marking, new_store, event = fire(model, marking, store, name)
+    now_enabled = enabled(model, new_marking, new_store)
+    mid_marking = dict(marking)
+    for p in model.transitions[name].pre:
         mid_marking[p] -= 1
-    out = set()
-    for u in model.transitions.values():
-        if not is_enabled(model, u, post_marking, post_store):
-            continue
-        if u.name == name:
-            out.add(u.name)
-            continue
-        if not is_enabled(model, u, mid_marking, pre_store):
-            out.add(u.name)
-    return out
+    fresh = {u for u in now_enabled
+             if u == name or not is_enabled(model, model.transitions[u], mid_marking, store)}
+    return new_marking, new_store, event, now_enabled, fresh
 
 
 def eval_predicate(p: EventPredicate, e: Event) -> bool:

@@ -32,10 +32,9 @@ from .model import (
     VarDecl,
     closed_interval,
     enabled,
-    fire,
     matching_transitions,
-    newly_enabled,
     residual_predicate,
+    step,
     validate_model,
 )
 from .ltl import (
@@ -63,7 +62,7 @@ from .patterns import (
     PresentFirstBeforeWithin,
     PresentLasting,
 )
-from .traces import TimedTrace
+from .traces import TimedTrace, _window, duration
 
 
 class ObserverError(ValueError):
@@ -548,14 +547,6 @@ class ReplayResult:
     pending: bool  # an observer deadline extended past the end of the trace
 
 
-@dataclass
-class _Watch:
-    enable_time: Fraction
-    lower: Fraction
-    lower_strict: bool
-    upper: Optional[Fraction]
-
-
 class _ReplayState:
     """Discrete-event execution of the composed net with exogenous system
     events; watcher transitions fire at their deadlines, ordered at shared
@@ -573,48 +564,31 @@ class _ReplayState:
         self.obs_events: list = []
         for name in sorted(enabled(self.model, self.marking, self.store)):
             if name in self.obs_names:
-                self.watches[name] = self._watch(name, Fraction(0))
-
-    def _watch(self, name: str, now: Fraction) -> _Watch:
-        iv = self.model.transitions[name].timing
-        upper = None if iv.upper.is_infinite else now + iv.upper.value
-        return _Watch(now, now + iv.lower.value, iv.lower.strict, upper)
+                self.watches[name] = _window(self.model, name, Fraction(0))
 
     def _fire(self, name: str):
         prev_m, prev_s = self.marking, self.store
-        self.marking, self.store, event = fire(self.model, self.marking,
-                                               self.store, name)
+        self.marking, self.store, event, live, fresh = step(
+            self.model, self.marking, self.store, name)
         self.run.append((self.now, prev_s, prev_m, event))
         if name in self.obs_names:
             self.obs_events.append((self.now, name))
-        fresh = newly_enabled(self.model, prev_m, prev_s, name,
-                              self.marking, self.store)
-        live = enabled(self.model, self.marking, self.store)
         for gone in [n for n in self.watches if n not in live]:
             del self.watches[gone]
         for n in sorted(live):
             if n in self.obs_names and (n in fresh or n not in self.watches):
-                self.watches[n] = self._watch(n, self.now)
+                self.watches[n] = _window(self.model, n, self.now)
 
     def due_observers(self) -> list:
         """Watchers that must fire at the current instant (deadline hit)."""
         out = []
         for name, w in self.watches.items():
-            if w.upper is not None and w.upper == self.now:
-                out.append(name)
-        return sorted(out)
-
-    def ripe_observers(self) -> list:
-        """Open-ended watchers whose window lower bound has passed."""
-        out = []
-        for name, w in self.watches.items():
-            if w.upper is None and (w.lower < self.now
-                                    or (w.lower == self.now and not w.lower_strict)):
+            if w.latest is not None and w.latest == self.now:
                 out.append(name)
         return sorted(out)
 
     def next_deadline(self) -> Optional[Fraction]:
-        ds = [w.upper for w in self.watches.values() if w.upper is not None]
+        ds = [w.latest for w in self.watches.values() if w.latest is not None]
         return min(ds) if ds else None
 
     def ripe_open_watcher(self) -> Optional[str]:
@@ -622,13 +596,13 @@ class _ReplayState:
         before the current instant (or at it, for a non-strict bound)."""
         for name in sorted(self.watches):
             w = self.watches[name]
-            if w.upper is None and (w.lower < self.now
-                                    or (w.lower == self.now and not w.lower_strict)):
+            if w.latest is None and (w.earliest < self.now
+                                     or (w.earliest == self.now and not w.earliest_strict)):
                 return name
         return None
 
     def next_open_lower(self) -> Optional[Fraction]:
-        lows = [w.lower for w in self.watches.values() if w.upper is None]
+        lows = [w.earliest for w in self.watches.values() if w.latest is None]
         return min(lows) if lows else None
 
     def obs_precedes(self, obs: str, sys_name: str) -> bool:
@@ -656,7 +630,7 @@ class _ReplayState:
         for h in self.model.higher_than(name):
             if h in self.watches:
                 w = self.watches[h]
-                if w.upper is not None and w.upper == self.now:
+                if w.latest is not None and w.latest == self.now:
                     return True
         return False
 
@@ -694,8 +668,6 @@ class _ReplayState:
 
 def replay_instrumented(inst: InstrumentedModel, trace: TimedTrace) -> ReplayResult:
     """Feed a recorded system trace through the instrumented model."""
-    from .traces import duration
-
     st = _ReplayState(inst)
     for (t, ev) in trace.event_times():
         st.advance_to(t)
@@ -713,7 +685,7 @@ def replay_instrumented(inst: InstrumentedModel, trace: TimedTrace) -> ReplayRes
         st._fire(st.ripe_open_watcher())
     st.fire_due(None)
     pending = (not trace.deadlocked) and any(
-        (w.upper is not None and w.upper > end) or w.upper is None
+        (w.latest is not None and w.latest > end) or w.latest is None
         for w in st.watches.values())
     # play out remaining watcher deadlines over an idle tail: decisive oracle
     # verdicts are stable under every continuation, including this one

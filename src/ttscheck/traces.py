@@ -23,7 +23,7 @@ from .model import (
     enabled,
     eval_predicate,
     fire,
-    newly_enabled,
+    step,
 )
 
 
@@ -133,7 +133,8 @@ class DelayPolicy:
 
 @dataclass
 class _Pending:
-    enable_time: Fraction
+    """Firing window of an enabled transition, in absolute time."""
+
     earliest: Fraction
     earliest_strict: bool
     latest: Optional[Fraction]
@@ -143,7 +144,7 @@ class _Pending:
 def _window(model: TtsModel, name: str, now: Fraction) -> _Pending:
     iv = model.transitions[name].timing
     latest = None if iv.upper.is_infinite else now + iv.upper.value
-    return _Pending(now, now + iv.lower.value, iv.lower.strict, latest, iv.upper.strict)
+    return _Pending(now + iv.lower.value, iv.lower.strict, latest, iv.upper.strict)
 
 
 def _sample_in(rng: random.Random, lo: Fraction, lo_strict: bool, hi: Fraction,
@@ -232,11 +233,8 @@ def simulate(model: TtsModel, horizon: Fraction, seed: int,
             now = horizon
             break
         items.append(Duration(tau - now))
-        prev_marking, prev_store = marking, store
-        marking, store, event = fire(model, marking, store, name)
+        marking, store, event, now_enabled, fresh = step(model, marking, store, name)
         items.append(event)
-        fresh = newly_enabled(model, prev_marking, prev_store, name, marking, store)
-        now_enabled = enabled(model, marking, store)
         # strict-later obligation for higher-priority competitors we preempted
         for h in model.higher_than(name):
             w = pending.get(h)

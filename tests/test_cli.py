@@ -3,6 +3,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -107,6 +109,27 @@ def test_simulate_notes_deadlock(tmp_path):
     net.write_text("places P=1\ntrans go in [2,2] consume {P}\n")
     r = run_cli("simulate", str(net), "--horizon", "9")
     assert "%deadlock" in r.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ("simulate", "models/airlock.tts", "--horizon", "abc"),
+    ("simulate", "models/airlock.tts", "--horizon", "-5"),
+    ("simulate", "models/airlock.tts", "--denominator", "0"),
+    ("simulate", "models/airlock.tts", "--denominator", "-3"),
+    ("xcheck", "models/airlock.tts", "models/airlock.pat", "--horizon", "x"),
+    ("xcheck", "models/airlock.tts", "models/airlock.pat", "--horizon=-1/2"),
+])
+def test_malformed_numeric_option_is_input_error(args):
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
+
+
+def test_jobs_option_is_gone():
+    r = run_cli("check", "models/airlock.tts", "models/airlock.pat", "--jobs", "2")
+    assert r.returncode == 2
+    assert "unrecognized arguments: --jobs" in r.stderr
 
 
 def test_oracle_command_round_trip(tmp_path):

@@ -22,8 +22,8 @@ from ttscheck.model import (
     ExplorationError,
     enabled,
     fire,
-    newly_enabled,
     parse_tts,
+    step,
 )
 
 # ---------------------------------------------------------------------------
@@ -55,14 +55,12 @@ def ref_successor(model, cls, t):
     marking, store, d = cls
     fired = ref_fire_window(model, d, t)
     assert fired is not None
-    new_marking, new_store, _ = fire(model, marking, store, t)
-    fresh = newly_enabled(model, marking, store, t, new_marking, new_store)
-    now_enabled = enabled(model, new_marking, new_store)
+    new_marking, new_store, _, now_enabled, fresh = step(model, marking, store, t)
     names = tuple(sorted(now_enabled - fresh))
     ti = fired.index(t)
     old = [ti] + [fired.index(n) for n in names]
     d2 = zone.Dbm(names, tuple(tuple(fired.m[a][b] for b in old) for a in old))
-    for name in sorted(fresh & now_enabled):
+    for name in sorted(fresh):
         d2 = zone.add_variable(d2, name, model.transitions[name].timing)
     return new_marking, new_store, zone.canonicalize(d2)
 

@@ -125,7 +125,7 @@ def test_safety_fast_path_equivalence(airlock):
         fast = check(g, inst.formula, use_fast_path=True)
         slow = check(g, inst.formula, use_fast_path=False)
         assert fast.passed == slow.passed, text
-        assert fast.used_fast_path or not fast.passed or True
+        assert fast.used_fast_path and not slow.used_fast_path, text
 
 
 def test_fast_path_matches_reachability_scan(airlock):

@@ -2,7 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import n_door_airlock
+from test_int_kernel import nets
 from ttscheck.expr import parse_expr
 from ttscheck.model import (
     Event,
@@ -12,10 +16,11 @@ from ttscheck.model import (
     enabled,
     eval_predicate,
     fire,
-    newly_enabled,
+    is_enabled,
     parse_interval,
     parse_tts,
     serialize_tts,
+    step,
     validate_model,
 )
 
@@ -137,20 +142,35 @@ def test_range_overflow_is_error():
 
 
 # ---------------------------------------------------------------------------
-# newly enabled (intermediate-marking semantics)
+# step: firing plus newly enabled (intermediate-marking semantics)
+
+def ref_step(model, marking, store, name):
+    """Reference for `step`: fire, then test every transition of the net
+    against the post-state and the intermediate state, then recompute the
+    post-state's enabled set from scratch."""
+    new_marking, new_store, event = fire(model, marking, store, name)
+    mid_marking = dict(marking)
+    for p in model.transitions[name].pre:
+        mid_marking[p] -= 1
+    fresh = set()
+    for u in model.transitions.values():
+        if not is_enabled(model, u, new_marking, new_store):
+            continue
+        if u.name == name or not is_enabled(model, u, mid_marking, store):
+            fresh.add(u.name)
+    return new_marking, new_store, event, enabled(model, new_marking, new_store), fresh
+
 
 def test_open_newly_enables_close(airlock):
     mk, st = airlock.initial_marking(), airlock.initial_store()
     _, st, _ = fire(airlock, mk, st, "Button1")
-    mk2, st2, _ = fire(airlock, mk, st, "Open1")
-    fresh = newly_enabled(airlock, mk, st, "Open1", mk2, st2)
+    fresh = step(airlock, mk, st, "Open1")[4]
     assert "Close1" in fresh
 
 
 def test_guard_flip_counts_as_newly_enabled(airlock):
     mk, st = airlock.initial_marking(), airlock.initial_store()
-    mk2, st2, _ = fire(airlock, mk, st, "Button1")
-    fresh = newly_enabled(airlock, mk, st, "Button1", mk2, st2)
+    fresh = step(airlock, mk, st, "Button1")[4]
     assert "Open1" in fresh  # guard req1 flipped false -> true
     assert "Shutdown" not in fresh  # guard flipped true -> false: disabled
 
@@ -163,10 +183,37 @@ trans bump read {P} in [1,1] act {x := x + 1}
 trans other pre {x >= 0} in [0,oo[
 """)
     mk, st = m.initial_marking(), m.initial_store()
-    mk2, st2, _ = fire(m, mk, st, "bump")
-    fresh = newly_enabled(m, mk, st, "bump", mk2, st2)
+    _, _, _, now_enabled, fresh = step(m, mk, st, "bump")
     assert "other" not in fresh
     assert "bump" in fresh  # the fired transition itself restarts
+    assert now_enabled == {"bump", "other"}
+
+
+def assert_step_matches_reference(model, choices):
+    """Walk the net, picking each firing among the enabled transitions by
+    `choices`, and compare `step` with `ref_step` at every firing."""
+    mk, st = model.initial_marking(), model.initial_store()
+    for c in choices:
+        live = sorted(enabled(model, mk, st))
+        if not live:
+            break
+        name = live[c % len(live)]
+        got = step(model, mk, st, name)
+        assert got == ref_step(model, mk, st, name), name
+        assert got[4] <= got[3]
+        mk, st = got[0], got[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(nets(), st.lists(st.integers(0, 20), max_size=12))
+def test_step_matches_reference_on_random_nets(text, choices):
+    assert_step_matches_reference(parse_tts(text), choices)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 20), max_size=20))
+def test_step_matches_reference_with_guards_and_actions(choices):
+    assert_step_matches_reference(n_door_airlock(3), choices)
 
 
 # ---------------------------------------------------------------------------

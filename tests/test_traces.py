@@ -142,7 +142,7 @@ def test_simulated_delays_respect_static_intervals(relay):
         enable: dict = {}
         now = Fraction(0)
         # recompute enabling times to check each firing against its interval
-        from ttscheck.model import enabled as en, fire as fr, newly_enabled as ne
+        from ttscheck.model import enabled as en, step
 
         mk, st_ = relay.initial_marking(), relay.initial_store()
         for n in en(relay, mk, st_):
@@ -153,10 +153,7 @@ def test_simulated_delays_respect_static_intervals(relay):
                 continue
             iv = relay.transitions[it.transition].timing
             assert iv.contains(now - enable[it.transition]), it.transition
-            pm, ps = mk, st_
-            mk, st_, _ = fr(relay, mk, st_, it.transition)
-            fresh = ne(relay, pm, ps, it.transition, mk, st_)
-            live = en(relay, mk, st_)
+            mk, st_, _, live, fresh = step(relay, mk, st_, it.transition)
             enable = {u: (now if u in fresh else enable.get(u, now))
                       for u in live}
 
