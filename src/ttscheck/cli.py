@@ -77,6 +77,11 @@ def _parse_horizon(text: str) -> Fraction:
     return horizon
 
 
+def _at_least_one(option: str, value: int) -> None:
+    if value < 1:
+        raise _InputError(f"bad {option} {value}: must be at least 1")
+
+
 def _emit(args, payload: dict, text_lines: list) -> None:
     if args.json:
         print(json.dumps(payload, indent=2, default=str))
@@ -111,7 +116,7 @@ def _check_one(model, pattern, args, index: int = 0):
             graph, inst.model, result.counterexample,
             lambda t: fott_holds(pattern, t).value is Verdict.FAILS)
         if tr is None:
-            tr = witness_to_trace(graph, inst.model, result.counterexample)
+            tr = witness_to_trace(inst.model, result.counterexample)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         trace_file = outdir / f"counterexample_{index:03d}.trace"
@@ -125,6 +130,7 @@ def _check_one(model, pattern, args, index: int = 0):
 
 
 def cmd_check(args) -> int:
+    _at_least_one("--max-classes", args.max_classes)
     model = _load_model(args.model)
     patterns = _load_patterns(model, args.patterns)
     if not patterns:
@@ -147,6 +153,7 @@ def cmd_check(args) -> int:
 # graph
 
 def cmd_graph(args) -> int:
+    _at_least_one("--max-classes", args.max_classes)
     model = _load_model(args.model)
     graph = cg.build_graph(model, args.max_classes)
     ksg = cg.export_ksg(graph)
@@ -171,8 +178,7 @@ def cmd_graph(args) -> int:
 
 def cmd_simulate(args) -> int:
     horizon = _parse_horizon(args.horizon)
-    if args.denominator < 1:
-        raise _InputError(f"bad --denominator {args.denominator}: must be at least 1")
+    _at_least_one("--denominator", args.denominator)
     model = _load_model(args.model)
     trace = simulate(model, horizon, args.seed, DelayPolicy(args.denominator))
     text = serialize_trace(trace)
@@ -239,7 +245,7 @@ def run_xcheck(model, pattern, runs: int, base_seed: int, horizon=None,
             skipped += 1
             continue
         rv = replay_instrumented(inst, trace)
-        if rv.verdict.value is fv.value:
+        if rv.value is fv.value:
             agreements += 1
         else:
             mismatches.append((i, trace, fv, rv))
@@ -260,13 +266,14 @@ def run_xcheck(model, pattern, runs: int, base_seed: int, horizon=None,
             path = outdir / f"mismatch_{i}.trace"
             path.write_text(serialize_trace(trace), encoding="utf-8")
             files.append({"file": str(path), "fott": fv.value.value,
-                          "replay": rv.verdict.value.value})
+                          "replay": rv.value.value})
         entry["mismatch_files"] = files
     return entry
 
 
 def cmd_xcheck(args) -> int:
     horizon = None if args.horizon is None else _parse_horizon(args.horizon)
+    _at_least_one("--runs", args.runs)
     model = _load_model(args.model)
     patterns = _load_patterns(model, args.patterns)
     entries = []

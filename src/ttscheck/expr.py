@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 Value = Union[bool, int]
 
@@ -362,11 +362,3 @@ def format_rational(x: Fraction) -> str:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
 
-
-def iter_subexprs(e: Expr) -> Iterator[Expr]:
-    yield e
-    if isinstance(e, Unary):
-        yield from iter_subexprs(e.operand)
-    elif isinstance(e, Binary):
-        yield from iter_subexprs(e.left)
-        yield from iter_subexprs(e.right)

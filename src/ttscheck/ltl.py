@@ -3,10 +3,12 @@
 Atoms are either event predicates (read off an edge together with its target
 state) or state predicates (read off the edge's source class).  Maximal
 finite paths are extended by stuttering a deadlock self-loop, so every path
-induces an infinite word.  Formulas of shape `always <propositional>` are
-checked by plain reachability; everything else goes through a tableau
-translation of the negation to a Buchi automaton, a product with the graph
-and a nested depth-first search for an accepting lasso.
+induces an infinite word; `run_letter` reads a step of a concrete run the
+same way, so instrumented replay reads its runs as this checker does.
+Formulas of shape `always <propositional>` are checked by plain
+reachability; everything else goes through a tableau translation of the
+negation to a Buchi automaton, a product with the graph and a nested
+depth-first search for an accepting lasso.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable, Optional, Union
 
 from .classgraph import ClassGraph, StateClass
 from .expr import EvalContext, Expr, eval_expr, format_expr
-from .model import Event, TtsModel, enabled, eval_predicate, fire, step
+from .model import Event, TtsModel, enabled, fire, step
 from .traces import Duration, TimedTrace
 
 
@@ -231,17 +233,28 @@ def eval_propositional(f: LtlFormula, assignment: dict) -> bool:
 STUTTER = None  # edge label of the virtual deadlock self-loop
 
 
-def letter(atoms, src: StateClass, label: Optional[str], dst: StateClass) -> dict:
+def run_letter(atoms, marking, store, event: Optional[Event]) -> dict:
+    """Atom assignment of one step of a run.
+
+    State atoms read the step's source state; event atoms read the fired
+    event, that is its transition and post-state.  `event=None` is the
+    stutter step, on which no event atom holds.
+    """
+    state = EvalContext(marking, store)
+    fired = None if event is None else EvalContext(event.marking, event.store,
+                                                   event.transition)
     out = {}
     for a in atoms:
         if isinstance(a, EventAtom):
-            if label is None:
-                out[a] = False
-            else:
-                out[a] = eval_predicate(a.pred, Event(label, dst.marking, dst.store))
+            out[a] = fired is not None and bool(eval_expr(a.pred, fired))
         else:
-            out[a] = bool(eval_expr(a.expr, EvalContext(src.marking, src.store)))
+            out[a] = bool(eval_expr(a.expr, state))
     return out
+
+
+def letter(atoms, src: StateClass, label: Optional[str], dst: StateClass) -> dict:
+    event = None if label is STUTTER else Event(label, dst.marking, dst.store)
+    return run_letter(atoms, src.marking, src.store, event)
 
 
 def graph_steps(g: ClassGraph, node: int):
@@ -412,11 +425,11 @@ def eval_on_lasso(f: LtlFormula, stem: list, cycle: list) -> bool:
     def nxt(i: int) -> int:
         return i + 1 if i + 1 < n else loop
 
-    memo: dict = {}
+    memo: dict = {}  # by identity: hashing a formula walks its whole tree
 
     def values(formula) -> list:
-        if formula in memo:
-            return memo[formula]
+        if id(formula) in memo:
+            return memo[id(formula)]
         if isinstance(formula, TT):
             v = [True] * n
         elif isinstance(formula, FF):
@@ -458,7 +471,7 @@ def eval_on_lasso(f: LtlFormula, stem: list, cycle: list) -> bool:
                         changed = True
         else:
             raise AssertionError(f"unhandled formula {formula!r}")
-        memo[formula] = v
+        memo[id(formula)] = v
         return v
 
     return values(g)[0]
@@ -720,8 +733,7 @@ def _steps_to_transitions(steps) -> list:
     return [label for (_, label, _) in steps]
 
 
-def witness_to_trace(g: ClassGraph, model: TtsModel, cx: Counterexample,
-                     unroll: int = 1) -> TimedTrace:
+def witness_to_trace(model: TtsModel, cx: Counterexample, unroll: int = 1) -> TimedTrace:
     """Solve the stem (plus cycle unrollings) for concrete rational delays.
 
     Firing times are constrained by each transition's static interval from
@@ -923,7 +935,7 @@ def find_decisive_extension(g: ClassGraph, model: TtsModel, cx: Counterexample,
 
     def mk_trace(steps) -> Optional[TimedTrace]:
         try:
-            return witness_to_trace(g, model, Counterexample(tuple(steps), ()), 0)
+            return witness_to_trace(model, Counterexample(tuple(steps), ()), 0)
         except ValueError:
             return None
 

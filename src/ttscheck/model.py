@@ -27,8 +27,6 @@ from .expr import (
     Unary,
     action_names,
     eval_expr,
-    format_actions,
-    format_expr,
     format_rational,
     free_names,
     parse_actions,
@@ -672,46 +670,6 @@ def _parse_trans(rest: str) -> Transition:
         post=place_list("produce"),
         read=frozenset(place_list("read")),
     )
-
-
-def serialize_tts(model: TtsModel) -> str:
-    lines = []
-    specs = []
-    for p in model.places.values():
-        s = p.name
-        if p.initial:
-            s += f"={p.initial}"
-        if p.capacity != 1:
-            s += f"/{p.capacity}"
-        specs.append(s)
-    if specs:
-        lines.append("places " + " ".join(specs))
-    specs = []
-    for v in model.vars.values():
-        if v.kind == "bool":
-            specs.append(f"{v.name}={'true' if v.initial else 'false'}")
-        else:
-            specs.append(f"{v.name}:{v.lo}..{v.hi}={v.initial}")
-    if specs:
-        lines.append("vars " + " ".join(specs))
-    for t in model.transitions.values():
-        s = f"trans {t.name}"
-        if t.guard is not None:
-            s += f" pre {{{format_expr(t.guard)}}}"
-        if t.timing != DEFAULT_INTERVAL:
-            s += f" in {t.timing}"
-        if t.pre:
-            s += " consume {" + ",".join(t.pre) + "}"
-        if t.post:
-            s += " produce {" + ",".join(t.post) + "}"
-        if t.read:
-            s += " read {" + ",".join(sorted(t.read)) + "}"
-        if t.action:
-            s += f" act {{{format_actions(t.action)}}}"
-        lines.append(s)
-    for (hi, lo) in model.priority:
-        lines.append(f"prio {hi} > {lo}")
-    return "\n".join(lines) + "\n"
 
 
 def load_tts(path) -> TtsModel:

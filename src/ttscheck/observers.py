@@ -20,9 +20,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import classgraph as cg
-from .expr import Assign, Binary, EvalContext, Expr, Lit, Name, Unary, eval_expr, parse_actions, parse_expr
+from .expr import Assign, Binary, Expr, Lit, Name, Unary, parse_actions, parse_expr
 from .model import (
-    Event,
     EventPredicate,
     ExplorationError,
     TimeBound,
@@ -47,6 +46,9 @@ from .ltl import (
     LOr,
     LtlFormula,
     StateAtom,
+    eval_on_lasso,
+    formula_atoms,
+    run_letter,
 )
 from .oracle import TraceVerdict, Verdict
 from .patterns import (
@@ -539,29 +541,21 @@ def _prio_side_names(side: PrioSide, frag: Fragment, matches: dict,
 # ---------------------------------------------------------------------------
 # Instrumented replay: run a recorded system trace through the composition
 
-@dataclass
-class ReplayResult:
-    verdict: TraceVerdict
-    observer_events: list  # (time, transition name)
-    run: list  # composed run: (time, pre_store, pre_marking, Event)
-    pending: bool  # an observer deadline extended past the end of the trace
-
-
 class _ReplayState:
     """Discrete-event execution of the composed net with exogenous system
     events; watcher transitions fire at their deadlines, ordered at shared
-    instants by the declared priorities with system events first otherwise."""
+    instants by the declared priorities with system events first otherwise.
+    Each step is recorded as the letter the model checker reads off it."""
 
     def __init__(self, inst: InstrumentedModel):
-        self.inst = inst
         self.model = inst.model
         self.obs_names = inst.observer_transitions
+        self.atoms = formula_atoms(inst.formula)
         self.marking = self.model.initial_marking()
         self.store = self.model.initial_store()
         self.now = Fraction(0)
         self.watches: dict = {}
-        self.run: list = []
-        self.obs_events: list = []
+        self.letters: list = []
         for name in sorted(enabled(self.model, self.marking, self.store)):
             if name in self.obs_names:
                 self.watches[name] = _window(self.model, name, Fraction(0))
@@ -570,9 +564,7 @@ class _ReplayState:
         prev_m, prev_s = self.marking, self.store
         self.marking, self.store, event, live, fresh = step(
             self.model, self.marking, self.store, name)
-        self.run.append((self.now, prev_s, prev_m, event))
-        if name in self.obs_names:
-            self.obs_events.append((self.now, name))
+        self.letters.append(run_letter(self.atoms, prev_m, prev_s, event))
         for gone in [n for n in self.watches if n not in live]:
             del self.watches[gone]
         for n in sorted(live):
@@ -608,9 +600,11 @@ class _ReplayState:
     def obs_precedes(self, obs: str, sys_name: str) -> bool:
         return (obs, sys_name) in self.model.priority
 
-    def fire_due(self, before_sys: Optional[str]):
+    def fire_due(self, before_sys: Optional[str]) -> bool:
         """Fire watchers whose deadline is the current instant; restricted to
-        those prioritized above the given system transition, if any."""
+        those prioritized above the given system transition, if any.  Tells
+        whether any fired."""
+        fired_any = False
         for _ in range(200):
             fired = False
             for name in self.due_observers():
@@ -619,11 +613,20 @@ class _ReplayState:
                 if self._blocked_by_higher(name):
                     continue
                 self._fire(name)
-                fired = True
+                fired = fired_any = True
                 break
             if not fired:
-                return
+                return fired_any
         raise ExplorationError("observer firing loop exceeded bound")
+
+    def fire_before(self, sys_name: Optional[str]):
+        """Fire what precedes a system event at the current instant: a ripe
+        open-ended watcher, then the due watchers prioritized above the
+        event (every due watcher when there is no event)."""
+        ripe = self.ripe_open_watcher()
+        if ripe is not None:
+            self._fire(ripe)
+        self.fire_due(sys_name)
 
     def _blocked_by_higher(self, name: str) -> bool:
         """A due watcher yields to a higher-priority watcher also due now."""
@@ -634,13 +637,17 @@ class _ReplayState:
                     return True
         return False
 
-    def advance_to(self, t: Fraction):
+    def advance_to(self, t: Optional[Fraction] = None):
         """Move time to t, playing out watcher firings due strictly before.
 
         An open-ended watcher fires eagerly, at an instant strictly past its
         lower bound but never beyond a pending deadline or the target time.
+        With no target time, this is an idle tail after the last system
+        event: every watcher deadline plays out until a step fires nothing
+        (bounded: watcher state spaces are tiny and latched, so refirings
+        change nothing new).
         """
-        for _ in range(10_000):
+        for _ in range(64 if t is None else 10_000):
             ripe = self.ripe_open_watcher()
             if ripe is not None:
                 self._fire(ripe)
@@ -649,131 +656,46 @@ class _ReplayState:
             lo = self.next_open_lower()
             if lo is not None:
                 base = max(lo, self.now)
-                cap = t if d is None else min(t, d)
+                cap = min(x for x in (base + 2, d, t) if x is not None)
                 if base < cap:
-                    self.now = (base + min(cap, base + 2)) / 2
+                    self.now = (base + cap) / 2
                     continue
-            if d is not None and self.now <= d < t:
-                self.now = d
-                self.fire_due(None)
-                continue
-            break
+            if d is None or d < self.now or (t is not None and d >= t):
+                break
+            self.now = d
+            if not self.fire_due(None) and self.ripe_open_watcher() is None:
+                break
         else:
-            raise ExplorationError("watcher scheduling did not settle")
-        d = self.next_deadline()
-        if d is not None and d < t:
-            raise ExplorationError("watcher deadline missed during replay")
-        self.now = t
+            if t is not None:
+                raise ExplorationError("watcher scheduling did not settle")
+        if t is not None:
+            d = self.next_deadline()
+            if d is not None and d < t:
+                raise ExplorationError("watcher deadline missed during replay")
+            self.now = t
 
 
-def replay_instrumented(inst: InstrumentedModel, trace: TimedTrace) -> ReplayResult:
-    """Feed a recorded system trace through the instrumented model."""
+def replay_instrumented(inst: InstrumentedModel, trace: TimedTrace) -> TraceVerdict:
+    """Feed a recorded system trace through the instrumented model and read
+    the observer formula on the composed run, as the model checker reads a
+    path that ends in a deadlock: the final state stutters forever."""
     st = _ReplayState(inst)
     for (t, ev) in trace.event_times():
         st.advance_to(t)
-        if st.ripe_open_watcher() is not None:
-            st._fire(st.ripe_open_watcher())
-        st.fire_due(ev.transition)
+        st.fire_before(ev.transition)
         st._fire(ev.transition)
         # recorded post-state must agree on the system projection
         for k, v in ev.store.items():
             if st.store.get(k) != v:
                 raise ExplorationError(f"replay diverged on variable {k!r}")
-    end = max(duration(trace), st.now)
-    st.advance_to(end)
-    if st.ripe_open_watcher() is not None:
-        st._fire(st.ripe_open_watcher())
-    st.fire_due(None)
-    pending = (not trace.deadlocked) and any(
-        (w.latest is not None and w.latest > end) or w.latest is None
-        for w in st.watches.values())
+    st.advance_to(max(duration(trace), st.now))
+    st.fire_before(None)
     # play out remaining watcher deadlines over an idle tail: decisive oracle
     # verdicts are stable under every continuation, including this one
-    _close_out(st)
-    verdict = _formula_verdict(inst, st, trace.deadlocked)
-    return ReplayResult(verdict, st.obs_events, st.run, pending)
-
-
-def _close_out(st: _ReplayState):
-    """With no further system event to interfere, let every watcher deadline
-    play out until the observers go quiet (bounded: watcher state spaces are
-    tiny and latched, so refirings change nothing new)."""
-    for _ in range(64):
-        progressed = len(st.run)
-        ripe = st.ripe_open_watcher()
-        if ripe is not None:
-            st._fire(ripe)
-            continue
-        d = st.next_deadline()
-        lo = st.next_open_lower()
-        if d is not None and (lo is None or d <= max(lo, st.now)):
-            st.now = max(st.now, d)
-            st.fire_due(None)
-        elif lo is not None:
-            base = max(lo, st.now)
-            cap = base + 2 if d is None else min(d, base + 2)
-            st.now = (base + cap) / 2
-        if len(st.run) == progressed and st.ripe_open_watcher() is None:
-            break
-
-
-# formula evaluation over a finite composed run (weak reading; the caller
-# decides whether pending windows make the result inconclusive)
-
-def _formula_verdict(inst: InstrumentedModel, st: _ReplayState,
-                     deadlocked: bool) -> TraceVerdict:
-    v = _run_eval(inst.formula, st.run, (st.marking, st.store), 0)
-    if v:
-        return TraceVerdict(Verdict.HOLDS)
-    return TraceVerdict(Verdict.FAILS)
-
-
-def _run_eval(f: LtlFormula, run: list, final_state: tuple, i: int) -> bool:
-    """Weak finite-run LTL evaluation: event atoms on events (post-state),
-    state atoms on the source state of the step; one virtual final position
-    carries the terminal state."""
-    from .ltl import (EventAtom as EA, LAlways as GA, LAnd as AN, LEventually as EV,
-                      LImplies as IM, LNot as NO, LOr as OR, StateAtom as SA, TT)
-
-    n = len(run) + 1  # positions 0..len(run)-1 are steps, n-1 is the end
-
-    def atom(g, j: int) -> bool:
-        if isinstance(g, EA):
-            if j >= len(run):
-                return False
-            (_, _, _, ev) = run[j]
-            from .model import eval_predicate
-
-            return eval_predicate(g.pred, ev)
-        if isinstance(g, SA):
-            if j >= len(run):
-                m, s = final_state
-            else:
-                (_, pre_s, pre_m, _) = run[j]
-                m, s = pre_m, pre_s
-            return bool(eval_expr(g.expr, EvalContext(m, s)))
-        raise AssertionError(g)
-
-    def ev(g, j: int) -> bool:
-        if isinstance(g, TT):
-            return True
-        if isinstance(g, (EA, SA)):
-            return atom(g, j)
-        if isinstance(g, NO):
-            return not ev(g.f, j)
-        if isinstance(g, AN):
-            return ev(g.left, j) and ev(g.right, j)
-        if isinstance(g, OR):
-            return ev(g.left, j) or ev(g.right, j)
-        if isinstance(g, IM):
-            return (not ev(g.left, j)) or ev(g.right, j)
-        if isinstance(g, GA):
-            return all(ev(g.f, k) for k in range(j, n))
-        if isinstance(g, EV):
-            return any(ev(g.f, k) for k in range(j, n))
-        raise AssertionError(f"unsupported observer formula node {g!r}")
-
-    return ev(f, i)
+    st.advance_to()
+    final = run_letter(st.atoms, st.marking, st.store, None)
+    holds = eval_on_lasso(inst.formula, st.letters, [final])
+    return TraceVerdict(Verdict.HOLDS if holds else Verdict.FAILS)
 
 
 # ---------------------------------------------------------------------------

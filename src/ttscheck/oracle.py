@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .expr import EvalContext, eval_expr
-from .model import Event, EventPredicate, TimeInterval, eval_predicate
+from .model import EventPredicate, TimeInterval, eval_predicate
 from .patterns import (
     AbsentAfterInterval,
     AbsentBeforeDuration,

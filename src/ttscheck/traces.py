@@ -8,20 +8,18 @@ which case the final state persists forever and verdicts on it are decisive.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .expr import ExprError, format_rational, parse_rational
 from .model import (
     Event,
-    EventPredicate,
     ExplorationError,
     Marking,
     Store,
     TtsModel,
     enabled,
-    eval_predicate,
     fire,
     step,
 )
@@ -94,25 +92,6 @@ def duration(s: TimedTrace) -> Fraction:
         if isinstance(it, Duration):
             total += it.value
     return total
-
-
-def concat(s1: TimedTrace, s2: TimedTrace) -> TimedTrace:
-    """Concatenation with normalization; keeps s1's initial state."""
-    return TimedTrace.of(s1.items + s2.items, s1.initial, s2.deadlocked)
-
-
-def decompositions(s: TimedTrace, p: EventPredicate) -> Iterator[tuple]:
-    """Yield (prefix, event, suffix) for every event of `s` matching `p`.
-
-    Splits come in sequence order, so the first yielded split is the first
-    occurrence.  The suffix starts in the matched event's post-state; the
-    suffix inherits the deadlock flag, the prefix never carries it.
-    """
-    for i, it in enumerate(s.items):
-        if isinstance(it, Event) and eval_predicate(p, it):
-            prefix = TimedTrace.of(s.items[:i], s.initial, False)
-            suffix = TimedTrace.of(s.items[i + 1:], (it.marking, it.store), s.deadlocked)
-            yield prefix, it, suffix
 
 
 # ---------------------------------------------------------------------------

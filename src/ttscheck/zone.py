@@ -153,15 +153,6 @@ def from_constraints(names: tuple, constraints: dict) -> Optional[Dbm]:
     return canonicalize(_freeze(tuple(names), rows))
 
 
-def constrain(d: Dbm, i: int, j: int, b: Bound) -> Optional[Dbm]:
-    """Intersect a canonical zone with th_i - th_j <= b and re-canonicalize."""
-    if bound_le(d.m[i][j], b):
-        return d
-    rows = _rows(d)
-    rows[i][j] = b
-    return canonicalize(_freeze(d.names, rows))
-
-
 def constrain_many(d: Dbm, items) -> Optional[Dbm]:
     rows = _rows(d)
     changed = False
@@ -172,15 +163,6 @@ def constrain_many(d: Dbm, items) -> Optional[Dbm]:
     if not changed:
         return d
     return canonicalize(_freeze(d.names, rows))
-
-
-def project_out(d: Dbm, name: str) -> Dbm:
-    """Drop a variable from a canonical zone; exact by canonicity."""
-    idx = d.index(name)
-    keep = [k for k in range(d.size) if k != idx]
-    rows = [[d.m[a][b] for b in keep] for a in keep]
-    names = tuple(n for n in d.names if n != name)
-    return _freeze(names, rows)
 
 
 def interval_bounds(interval: TimeInterval) -> tuple:
@@ -228,13 +210,6 @@ def add_variable(d: Dbm, name: str, interval: TimeInterval) -> Optional[Dbm]:
         rows.append(row)
     assert rows[pos][pos] == LE_ZERO
     return canonicalize(_freeze(names, rows))
-
-
-def zones_equal(d1: Dbm, d2: Dbm) -> bool:
-    """Entrywise equality of canonical forms; same solution set."""
-    if d1.names != d2.names:
-        raise ValueError("zone comparison over different variable sets")
-    return d1.m == d2.m
 
 
 def satisfies(d: Dbm, point: dict) -> bool:

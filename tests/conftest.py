@@ -51,3 +51,39 @@ def n_door_airlock_tts(n: int) -> str:
 def n_door_airlock(n: int):
     """Generalized airlock with n doors; door i+1 preempts door i."""
     return parse_tts(n_door_airlock_tts(n), name=f"airlock{n}")
+
+
+def xcheck_catalog(model_name: str) -> list:
+    """The eight catalog shapes instantiated per model fixture."""
+    if model_name == "airlock":
+        return [
+            "present Ventil after (Open1 | Open2) within [0,10]",
+            "present first (Open1 | Open2) before Ventil within ]0,10]",
+            "present Refresh lasting 6",
+            "absent (Open1 | Open2) after (Close1 | Close2) for interval [0,5]",
+            "absent Open1 before Close1 for duration 3",
+            "Button2 leadsto first Open2 within [0,10]",
+            "Button2 leadsto first Open2 within [0,10] before Shutdown",
+            "Button1 leadsto first Open1 within [0,10] after Shutdown",
+        ]
+    if model_name == "relay":
+        return [
+            "present Bump after Load within [0,2]",
+            "present first Load before Decay within ]0,6]",
+            "present (lvl = 2) lasting 2",
+            "absent Bump after Decay for interval [0,1[",
+            "absent Load before Flush for duration 2",
+            "Load leadsto first Flush within [1,2]",
+            "Load leadsto first Bump within [0,1] before Decay",
+            "Flush leadsto first Load within [1,3] after Decay",
+        ]
+    return [
+        "present Step2 after Step1 within [0,0]",
+        "present first Step1 before Exit within [6,10]",
+        "present A3 lasting 6",
+        "absent Exit after Step3 for interval [0,6[",
+        "absent Step3 before Reset for duration 3",
+        "Step1 leadsto first Step2 within [0,0]",
+        "Step2 leadsto first Reset within [4,7] before Exit",
+        "Step3 leadsto first Exit within ]0,8] after Step2",
+    ]

@@ -53,7 +53,7 @@ from ttscheck.patterns import (
 from ttscheck.model import Transition, closed_interval
 from ttscheck.traces import DelayPolicy, Duration, TimedTrace, simulate
 
-from conftest import n_door_airlock
+from conftest import n_door_airlock, xcheck_catalog
 
 
 def report(line: str):
@@ -107,48 +107,12 @@ def test_a2_timing_verdicts(airlock):
 # ---------------------------------------------------------------------------
 # A3  Observer / oracle cross-validation over the full catalog
 
-def _catalog(model_name: str) -> list:
-    """The eight catalog shapes instantiated per model."""
-    if model_name == "airlock":
-        return [
-            "present Ventil after (Open1 | Open2) within [0,10]",
-            "present first (Open1 | Open2) before Ventil within ]0,10]",
-            "present Refresh lasting 6",
-            "absent (Open1 | Open2) after (Close1 | Close2) for interval [0,5]",
-            "absent Open1 before Close1 for duration 3",
-            "Button2 leadsto first Open2 within [0,10]",
-            "Button2 leadsto first Open2 within [0,10] before Shutdown",
-            "Button1 leadsto first Open1 within [0,10] after Shutdown",
-        ]
-    if model_name == "relay":
-        return [
-            "present Bump after Load within [0,2]",
-            "present first Load before Decay within ]0,6]",
-            "present (lvl = 2) lasting 2",
-            "absent Bump after Decay for interval [0,1[",
-            "absent Load before Flush for duration 2",
-            "Load leadsto first Flush within [1,2]",
-            "Load leadsto first Bump within [0,1] before Decay",
-            "Flush leadsto first Load within [1,3] after Decay",
-        ]
-    return [
-        "present Step2 after Step1 within [0,0]",
-        "present first Step1 before Exit within [6,10]",
-        "present A3 lasting 6",
-        "absent Exit after Step3 for interval [0,6[",
-        "absent Step3 before Reset for duration 3",
-        "Step1 leadsto first Step2 within [0,0]",
-        "Step2 leadsto first Reset within [4,7] before Exit",
-        "Step3 leadsto first Exit within ]0,8] after Step2",
-    ]
-
-
 def test_a3_observer_oracle_cross_validation(airlock, relay, chain):
     t0 = time.perf_counter()
     runs = 100
     total_decisive = total_inconclusive = mismatches = 0
     for model in (airlock, relay, chain):
-        patterns = [parse_pattern(t) for t in _catalog(model.name)]
+        patterns = [parse_pattern(t) for t in xcheck_catalog(model.name)]
         for p in patterns:
             assert validate_pattern(p, model) == []
         horizon = 3 * max(c for p in patterns for c in pattern_constants(p))
@@ -163,7 +127,7 @@ def test_a3_observer_oracle_cross_validation(airlock, relay, chain):
                     continue
                 rv = replay_instrumented(inst, tr)
                 total_decisive += 1
-                if rv.verdict.value is not fv.value:
+                if rv.value is not fv.value:
                     mismatches += 1
     dt = time.perf_counter() - t0
     assert mismatches == 0
@@ -276,7 +240,7 @@ def test_a4_boundary_bracket_flips():
 # A5  Non-intrusiveness
 
 def test_a5_non_intrusiveness(airlock):
-    for text in _catalog("airlock"):
+    for text in xcheck_catalog("airlock"):
         inst = compose(airlock, synthesize(parse_pattern(text)))
         assert non_intrusiveness_check(airlock, inst), text
     rogue = ObserverSpec(

@@ -118,6 +118,11 @@ def test_simulate_notes_deadlock(tmp_path):
     ("simulate", "models/airlock.tts", "--denominator", "-3"),
     ("xcheck", "models/airlock.tts", "models/airlock.pat", "--horizon", "x"),
     ("xcheck", "models/airlock.tts", "models/airlock.pat", "--horizon=-1/2"),
+    ("xcheck", "models/airlock.tts", "models/airlock.pat", "--runs", "0"),
+    ("xcheck", "models/airlock.tts", "models/airlock.pat", "--runs", "-1"),
+    ("check", "models/airlock.tts", "models/airlock.pat", "--max-classes", "0"),
+    ("graph", "models/airlock.tts", "--max-classes", "0"),
+    ("graph", "models/airlock.tts", "--max-classes", "-3"),
 ])
 def test_malformed_numeric_option_is_input_error(args):
     r = run_cli(*args)

@@ -182,7 +182,7 @@ def test_witness_replays_and_violates(airlock):
     g = cg.build_graph(inst.model)
     res = check(g, inst.formula)
     assert not res.passed
-    tr = witness_to_trace(g, inst.model, res.counterexample)
+    tr = witness_to_trace(inst.model, res.counterexample)
     assert replay(inst.model, tr)
     extended = find_decisive_extension(
         g, inst.model, res.counterexample,

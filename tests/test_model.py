@@ -19,7 +19,6 @@ from ttscheck.model import (
     is_enabled,
     parse_interval,
     parse_tts,
-    serialize_tts,
     step,
     validate_model,
 )
@@ -251,18 +250,6 @@ def test_predicate_boolean_distribution():
                                 and eval_predicate(parse_expr(right), ev))
             neg = eval_predicate(parse_expr(f"!({left})"), ev)
             assert neg == (not eval_predicate(parse_expr(left), ev))
-
-
-# ---------------------------------------------------------------------------
-# format round-trip
-
-def test_tts_serialize_round_trip(airlock, relay, chain):
-    for m in (airlock, relay, chain):
-        again = parse_tts(serialize_tts(m), name=m.name)
-        assert again.places == m.places
-        assert again.vars == m.vars
-        assert again.transitions == m.transitions
-        assert again.priority == m.priority
 
 
 def test_token_conservation_on_move_transitions(airlock):

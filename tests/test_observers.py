@@ -3,9 +3,24 @@ from fractions import Fraction
 import pytest
 
 from ttscheck import classgraph as cg
-from ttscheck.expr import format_actions, format_expr
-from ttscheck.ltl import check
-from ttscheck.model import Transition, closed_interval
+from ttscheck import observers
+from ttscheck.expr import EvalContext, eval_expr, format_actions, format_expr
+from ttscheck.ltl import (
+    TT,
+    EventAtom,
+    LAlways,
+    LAnd,
+    LEventually,
+    LImplies,
+    LNot,
+    LOr,
+    StateAtom,
+    check,
+    eval_on_lasso,
+    formula_atoms,
+    run_letter,
+)
+from ttscheck.model import Transition, closed_interval, eval_predicate
 from ttscheck.observers import (
     Fragment,
     ObserverError,
@@ -16,10 +31,11 @@ from ttscheck.observers import (
     synthesize,
 )
 from ttscheck.oracle import Verdict, fott_holds
-from ttscheck.patterns import parse_pattern
+from ttscheck.patterns import parse_pattern, pattern_constants
 from ttscheck.traces import simulate
-from ttscheck.ltl import EventAtom, LAlways, LNot
 from ttscheck.expr import Name
+
+from conftest import xcheck_catalog
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +188,7 @@ def test_replay_agrees_with_oracle_smoke(airlock):
             if fv.value is Verdict.INCONCLUSIVE:
                 continue
             rv = replay_instrumented(inst, t)
-            assert rv.verdict.value is fv.value, (text, seed)
+            assert rv.value is fv.value, (text, seed)
 
 
 def test_replay_detects_boundary_exactly(airlock):
@@ -185,9 +201,102 @@ def test_replay_detects_boundary_exactly(airlock):
     inst_o = compose(airlock, synthesize(open_))
     fc, fo = fott_holds(closed, t), fott_holds(open_, t)
     if fc.decisive:
-        assert replay_instrumented(inst_c, t).verdict.value is fc.value
+        assert replay_instrumented(inst_c, t).value is fc.value
     if fo.decisive:
-        assert replay_instrumented(inst_o, t).verdict.value is fo.value
+        assert replay_instrumented(inst_o, t).value is fo.value
+
+
+def test_replay_reads_steps_as_the_model_checker_does():
+    # state atoms read a step's source state, event atoms the fired event and
+    # its post-state, and the final state stutters forever
+    from ttscheck.model import parse_tts
+
+    m = parse_tts("vars done=false\ntrans go pre {!done} in [1,1] act {done := true}\n",
+                  name="once")
+    t = simulate(m, Fraction(3), 0)
+    assert [e.transition for e in t.events] == ["go"]
+    go, done = EventAtom(Name("go")), StateAtom(Name("done"))
+    for formula, holds in ((LEventually(LAnd(go, LNot(done))), True),
+                           (LEventually(LAnd(go, done)), False),
+                           (LEventually(LAnd(go, EventAtom(Name("done")))), True),
+                           (LEventually(done), True),
+                           (LAlways(LNot(done)), False),
+                           (LEventually(LAnd(done, LNot(go))), True)):
+        inst = compose(m, ObserverSpec((), formula))
+        assert (replay_instrumented(inst, t).value is Verdict.HOLDS) is holds, formula
+        assert check(cg.build_graph(inst.model), inst.formula).passed is holds, formula
+
+
+def ref_run_eval(f, run: list, final_state: tuple, i: int = 0) -> bool:
+    """Weak finite-run LTL evaluation, independent of `run_letter` and
+    `eval_on_lasso`: event atoms on events (post-state), state atoms on the
+    source state of the step; one virtual final position carries the
+    terminal state.  `run` holds (pre_marking, pre_store, Event) steps."""
+    n = len(run) + 1  # positions 0..len(run)-1 are steps, n-1 is the end
+
+    def atom(g, j: int) -> bool:
+        if isinstance(g, EventAtom):
+            if j >= len(run):
+                return False
+            return eval_predicate(g.pred, run[j][2])
+        if isinstance(g, StateAtom):
+            m, s = final_state if j >= len(run) else run[j][:2]
+            return bool(eval_expr(g.expr, EvalContext(m, s)))
+        raise AssertionError(g)
+
+    def ev(g, j: int) -> bool:
+        if isinstance(g, TT):
+            return True
+        if isinstance(g, (EventAtom, StateAtom)):
+            return atom(g, j)
+        if isinstance(g, LNot):
+            return not ev(g.f, j)
+        if isinstance(g, LAnd):
+            return ev(g.left, j) and ev(g.right, j)
+        if isinstance(g, LOr):
+            return ev(g.left, j) or ev(g.right, j)
+        if isinstance(g, LImplies):
+            return (not ev(g.left, j)) or ev(g.right, j)
+        if isinstance(g, LAlways):
+            return all(ev(g.f, k) for k in range(j, n))
+        if isinstance(g, LEventually):
+            return any(ev(g.f, k) for k in range(j, n))
+        raise AssertionError(f"unsupported observer formula node {g!r}")
+
+    return ev(f, i)
+
+
+def test_lasso_reading_agrees_with_weak_run_evaluation(monkeypatch, airlock, relay, chain):
+    # every replayed run of the catalogs, inconclusive-oracle runs included:
+    # the final state stuttering forever reads like the weak finite reading
+    steps = []
+
+    def recording(atoms, marking, store, event):
+        steps.append((marking, store, event))
+        return run_letter(atoms, marking, store, event)
+
+    monkeypatch.setattr(observers, "run_letter", recording)
+    compared = holds = 0
+    for model in (airlock, relay, chain):
+        patterns = [parse_pattern(t) for t in xcheck_catalog(model.name)]
+        horizon = 3 * max(c for p in patterns for c in pattern_constants(p))
+        traces = [simulate(model, Fraction(horizon), seed) for seed in range(100)]
+        for p in patterns:
+            inst = compose(model, synthesize(p))
+            atoms = formula_atoms(inst.formula)
+            for seed, t in enumerate(traces):
+                steps.clear()
+                rv = replay_instrumented(inst, t)
+                *run, (m, s, last) = steps
+                assert last is None and all(e is not None for (_, _, e) in run)
+                expected = ref_run_eval(inst.formula, run, (m, s))
+                letters = [run_letter(atoms, *step) for step in steps]
+                assert eval_on_lasso(inst.formula, letters[:-1], letters[-1:]) is expected
+                assert (rv.value is Verdict.HOLDS) is expected, (model.name, p, seed)
+                compared += 1
+                holds += expected
+    assert compared == 3 * 8 * 100
+    assert 0 < holds < compared
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +341,7 @@ def test_replay_composite_mixed_watcher_windows(chain):
         if fv.value is Verdict.INCONCLUSIVE:
             continue
         rv = replay_instrumented(inst, t)
-        assert rv.verdict.value is fv.value, seed
+        assert rv.value is fv.value, seed
 
 
 def test_absence_vacuity_when_trigger_never_occurs():

@@ -1,18 +1,12 @@
-import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from ttscheck.expr import parse_expr
 from ttscheck.model import Event, parse_tts
 from ttscheck.traces import (
     Duration,
     TimedTrace,
     TraceError,
-    concat,
-    decompositions,
     duration,
     normalize_items,
     parse_trace,
@@ -31,7 +25,7 @@ def tr(*items, dl=False):
 
 
 # ---------------------------------------------------------------------------
-# duration / normalization / concat
+# duration / normalization
 
 def test_duration_empty():
     assert duration(tr()) == 0
@@ -47,61 +41,6 @@ def test_normalize_merges_and_drops():
                              Duration(Fraction(2)), ev("e"), Duration(Fraction(0))])
     assert items == (Duration(Fraction(3)), ev("e"))
     assert normalize_items(items) == items
-
-
-def test_concat_identity_and_merge():
-    a = tr(Duration(Fraction(1)))
-    b = tr(Duration(Fraction(2)))
-    assert concat(a, tr()).items == a.items
-    assert concat(a, b).items == (Duration(Fraction(3)),)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**6))
-def test_concat_associative(seed):
-    rng = random.Random(seed)
-
-    def rand_trace():
-        items = []
-        for _ in range(rng.randint(0, 5)):
-            if rng.random() < 0.5:
-                items.append(Duration(Fraction(rng.randint(0, 4), rng.randint(1, 3))))
-            else:
-                items.append(ev(rng.choice("abc")))
-        return TimedTrace.of(items)
-
-    a, b, c = rand_trace(), rand_trace(), rand_trace()
-    assert concat(concat(a, b), c) == concat(a, concat(b, c))
-    assert duration(concat(a, b)) == duration(a) + duration(b)
-
-
-# ---------------------------------------------------------------------------
-# decompositions
-
-def test_decompositions_no_match():
-    assert list(decompositions(tr(ev("a")), parse_expr("b"))) == []
-
-
-def test_decompositions_single_split():
-    t = tr(ev("b"), Duration(Fraction(3)), ev("a"))
-    ((prefix, e, suffix),) = list(decompositions(t, parse_expr("b")))
-    assert prefix.items == ()
-    assert e.transition == "b"
-    assert suffix.items == (Duration(Fraction(3)), ev("a"))
-
-
-def test_decompositions_enumerates_in_order():
-    t = tr(ev("a"), Duration(Fraction(1)), ev("a"), Duration(Fraction(2)), ev("c"))
-    splits = list(decompositions(t, parse_expr("a")))
-    assert len(splits) == 2
-    assert duration(splits[0][2]) == 3 and duration(splits[1][2]) == 2
-
-
-def test_decomposition_suffix_carries_state():
-    e1 = Event("set", {}, {"x": True})
-    t = TimedTrace.of([e1, Duration(Fraction(1))], ({}, {"x": False}))
-    ((_, _, suffix),) = list(decompositions(t, parse_expr("set")))
-    assert suffix.initial == ({}, {"x": True})
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,12 +12,10 @@ from ttscheck.zone import (
     bound_add,
     bound_le,
     canonicalize,
-    constrain,
+    constrain_many,
     from_constraints,
-    project_out,
     satisfies,
     trivial,
-    zones_equal,
 )
 
 
@@ -56,41 +53,20 @@ def test_canonicalize_idempotent():
 
 def test_constrain_with_unbounded_is_identity():
     d = _zone(("t1",), {(1, 0): (Fraction(4), False)})
-    assert constrain(d, 1, 0, None) is d
+    assert constrain_many(d, [(1, 0, None)]) is d
 
 
 def test_constrain_below_zero_empties():
     d = _zone(("t1",), {(1, 0): (Fraction(4), False), (0, 1): LE_ZERO})
-    assert constrain(d, 1, 0, (Fraction(0), True)) is None
+    assert constrain_many(d, [(1, 0, (Fraction(0), True))]) is None
 
 
 def test_constrain_propagates_through_difference():
     # th1 in [0,4], th2 in [0,2], then th1 <= th2 gives th1 in [0,2]
     d = _zone(("t1", "t2"), {(1, 0): (Fraction(4), False), (0, 1): LE_ZERO,
-                             (2, 0): (Fraction(2), False), (0, 2): LE_ZERO})
-    d2 = constrain(d, 1, 2, (Fraction(0), False))
-    assert d2.m[1][0] == (Fraction(2), False)
-
-
-def test_project_out_unconstrained_identity():
-    d = _zone(("t1", "t2"), {(1, 0): (Fraction(5), False), (0, 1): LE_ZERO})
-    p = project_out(d, "t2")
-    assert p.names == ("t1",)
-    assert p.bounds_of("t1") == d.bounds_of("t1")
-
-
-def test_project_out_substitutes():
-    # th1 = 4 and th2 - th1 in [2,2] ==> th2 = 6
-    d = _zone(("t1", "t2"), {(1, 0): (Fraction(4), False), (0, 1): (Fraction(-4), False),
-                             (2, 1): (Fraction(2), False), (1, 2): (Fraction(-2), False)})
-    p = project_out(d, "t1")
-    assert p.bounds_of("t2") == ((Fraction(-6), False), (Fraction(6), False))
-
-
-def test_project_last_variable_leaves_trivial():
-    d = _zone(("t1",), {(1, 0): (Fraction(1), False)})
-    p = project_out(d, "t1")
-    assert p.names == () and p.m == ((LE_ZERO,),)
+                             (2, 0): (Fraction(2), False), (0, 2): LE_ZERO,
+                             (1, 2): (Fraction(0), False)})
+    assert d.m[1][0] == (Fraction(2), False)
 
 
 def test_add_variable_punctual():
@@ -110,15 +86,10 @@ def test_add_variable_strict_lower():
     assert lo == (Fraction(0), True) and up == (Fraction(4), False)
 
 
-def test_equals_same_zone():
-    d = _zone(("t1",), {(1, 0): (Fraction(2), False)})
-    assert zones_equal(d, d)
-
-
 def test_equals_distinguishes_strictness():
     d1 = _zone(("t1",), {(1, 0): (Fraction(2), False)})
     d2 = _zone(("t1",), {(1, 0): (Fraction(2), True)})
-    assert not zones_equal(d1, d2)
+    assert d1.m != d2.m
 
 
 def test_equals_identifies_redundant_presentations():
@@ -128,14 +99,8 @@ def test_equals_identifies_redundant_presentations():
     redundant[(2, 0)] = (Fraction(7), False)  # implied tighter by the others
     d1 = _zone(("t1", "t2"), base)
     d2 = _zone(("t1", "t2"), redundant)
-    assert zones_equal(d1, d2)
-
-
-def test_equals_rejects_mismatched_index_sets():
-    d1 = _zone(("t1",), {})
-    d2 = _zone(("t2",), {})
-    with pytest.raises(ValueError):
-        zones_equal(d1, d2)
+    assert d1.m == d2.m
+    assert canonicalize(d2).m == d1.m
 
 
 def test_dump_format():
@@ -184,24 +149,3 @@ def test_sampling_soundness_random_zones(seed):
         in_raw = satisfies(raw, point)
         in_canon = canon is not None and satisfies(canon, point)
         assert in_raw == in_canon
-
-
-def test_project_commutes_with_unrelated_constraint():
-    rng = random.Random(11)
-    for _ in range(100):
-        cons = {}
-        for _ in range(rng.randint(1, 5)):
-            i, j = rng.sample(range(4), 2)
-            cons[(i, j)] = (Fraction(rng.randint(0, 9)), rng.random() < 0.5)
-        d = from_constraints(("a", "b", "c"), cons)
-        if d is None:
-            continue
-        extra = (Fraction(rng.randint(1, 9)), False)
-        # constrain a (index 1 in both orderings) then project c, and converse
-        left = constrain(d, 1, 0, extra)
-        left = None if left is None else project_out(left, "c")
-        right = constrain(project_out(d, "c"), 1, 0, extra)
-        if left is None or right is None:
-            assert left is None and right is None
-        else:
-            assert zones_equal(left, right)
