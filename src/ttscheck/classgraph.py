@@ -27,6 +27,7 @@ from .model import (
     enabled,
     step,
 )
+from .traces import _fmt_marking, _fmt_store
 from .zone import Domain
 
 
@@ -141,10 +142,7 @@ def build_graph(model: TtsModel, max_classes: int = 1_000_000) -> ClassGraph:
 # Exports
 
 def _fmt_state(c: StateClass) -> str:
-    m = ",".join(f"{p}={n}" for p, n in sorted(c.marking.items()) if n)
-    s = ",".join(f"{k}={str(v).lower() if isinstance(v, bool) else v}"
-                 for k, v in sorted(c.store.items()))
-    return f"m:{{{m}}} s:{{{s}}}"
+    return f"m:{{{_fmt_marking(c.marking)}}} s:{{{_fmt_store(c.store)}}}"
 
 
 def export_ksg(g: ClassGraph) -> str:

@@ -184,47 +184,45 @@ def nnf(f: LtlFormula, neg: bool = False) -> LtlFormula:
     raise AssertionError(f"unhandled formula {f!r}")
 
 
-def formula_atoms(f: LtlFormula) -> set:
-    if isinstance(f, (EventAtom, StateAtom)):
-        return {f}
-    if isinstance(f, LNot):
-        return formula_atoms(f.f)
+def children(f: LtlFormula) -> tuple:
+    """Immediate subformulas of f, in field order; atoms have none."""
+    if isinstance(f, (LNot, LNext, LAlways, LEventually)):
+        return (f.f,)
     if isinstance(f, (LAnd, LOr, LImplies, LUntil, LRelease, LWeakUntil)):
-        return formula_atoms(f.left) | formula_atoms(f.right)
-    if isinstance(f, (LNext, LAlways, LEventually)):
-        return formula_atoms(f.f)
-    return set()
+        return (f.left, f.right)
+    return ()
 
 
-def is_propositional(f: LtlFormula) -> bool:
-    if isinstance(f, (TT, FF, EventAtom, StateAtom)):
-        return True
-    if isinstance(f, LNot):
-        return is_propositional(f.f)
-    if isinstance(f, (LAnd, LOr, LImplies)):
-        return is_propositional(f.left) and is_propositional(f.right)
-    return False
+def subformulas(f: LtlFormula):
+    """f and every formula below it, in preorder, without recursion."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        stack.extend(reversed(children(g)))
 
 
-def eval_propositional(f: LtlFormula, assignment: dict) -> bool:
+def formula_atoms(f: LtlFormula) -> set:
+    return {g for g in subformulas(f) if isinstance(g, (EventAtom, StateAtom))}
+
+
+def truth(f: LtlFormula, chosen: dict) -> bool:
+    """Propositional value of f: the boolean connectives are read through,
+    anything else (an atom, or a temporal formula the tableau decides
+    directly) is looked up in `chosen`."""
     if isinstance(f, TT):
         return True
     if isinstance(f, FF):
         return False
-    if isinstance(f, (EventAtom, StateAtom)):
-        return assignment[f]
     if isinstance(f, LNot):
-        return not eval_propositional(f.f, assignment)
+        return not truth(f.f, chosen)
     if isinstance(f, LAnd):
-        return eval_propositional(f.left, assignment) and \
-            eval_propositional(f.right, assignment)
+        return truth(f.left, chosen) and truth(f.right, chosen)
     if isinstance(f, LOr):
-        return eval_propositional(f.left, assignment) or \
-            eval_propositional(f.right, assignment)
+        return truth(f.left, chosen) or truth(f.right, chosen)
     if isinstance(f, LImplies):
-        return (not eval_propositional(f.left, assignment)) or \
-            eval_propositional(f.right, assignment)
-    raise AssertionError("not propositional")
+        return (not truth(f.left, chosen)) or truth(f.right, chosen)
+    return chosen[f]
 
 
 # ---------------------------------------------------------------------------
@@ -285,39 +283,14 @@ class BuchiAutomaton:
         return len(self.states)
 
 
-def _closure(f: LtlFormula, acc: set) -> None:
-    acc.add(f)
-    if isinstance(f, (LAnd, LOr, LUntil, LRelease)):
-        _closure(f.left, acc)
-        _closure(f.right, acc)
-    elif isinstance(f, (LNext, LNot)):
-        _closure(f.f, acc)
-
-
 def ltl_to_buchi(f: LtlFormula) -> BuchiAutomaton:
     """Self-consistent tableau over the closure of the NNF formula."""
     g = nnf(f)
-    cl: set = set()
-    _closure(g, cl)
+    cl = set(subformulas(g))
     atoms = tuple(sorted(formula_atoms(g), key=str))
     temporals = tuple(sorted((x for x in cl if isinstance(x, (LNext, LUntil, LRelease))),
                              key=str))
     choices = atoms + temporals
-
-    def truth(formula, chosen: dict):
-        if isinstance(formula, TT):
-            return True
-        if isinstance(formula, FF):
-            return False
-        if isinstance(formula, (EventAtom, StateAtom)):
-            return chosen[formula]
-        if isinstance(formula, LNot):
-            return not truth(formula.f, chosen)
-        if isinstance(formula, LAnd):
-            return truth(formula.left, chosen) and truth(formula.right, chosen)
-        if isinstance(formula, LOr):
-            return truth(formula.left, chosen) or truth(formula.right, chosen)
-        return chosen[formula]  # X / U / R decided directly
 
     # enumerate candidate states: an assignment to atoms and temporal formulas
     raw_states: list = []
@@ -617,7 +590,9 @@ class CheckResult:
 
 def _fast_path_target(f: LtlFormula) -> Optional[LtlFormula]:
     """Body of an `always <propositional>` formula, if f has that shape."""
-    if isinstance(f, LAlways) and is_propositional(f.f):
+    if isinstance(f, LAlways) and not any(
+            isinstance(g, (LNext, LUntil, LRelease, LAlways, LEventually, LWeakUntil))
+            for g in subformulas(f.f)):
         return f.f
     return None
 
@@ -642,32 +617,28 @@ def check(g: ClassGraph, f: LtlFormula, use_fast_path: bool = True) -> CheckResu
 
 
 def _check_safety(g: ClassGraph, body: LtlFormula) -> CheckResult:
-    """Reachability scan for a step violating a propositional invariant."""
+    """Reachability scan for a step violating a propositional invariant.
+
+    `build_graph` numbers classes in breadth-first discovery order, so the
+    scan visits node ids in increasing order, and the first edge it meets
+    into a class is that class's breadth-first parent.
+    """
     atoms = tuple(sorted(formula_atoms(body), key=str))
-    parent: dict = {}
-    seen = {g.initial}
-    queue = deque([g.initial])
-    explored = 0
-    while queue:
-        node = queue.popleft()
-        explored += 1
+    parent: dict = {g.initial: None}  # class -> (parent class, label)
+    for node in range(g.node_count):
         for (label, dst) in graph_steps(g, node):
-            a = letter(atoms, g.nodes[node], label, g.nodes[dst])
-            if not eval_propositional(body, a):
+            if not truth(body, letter(atoms, g.nodes[node], label, g.nodes[dst])):
                 steps = [(node, label, dst)]
                 cur = node
-                while cur in parent:
+                while parent[cur] is not None:
                     prev, lbl = parent[cur]
                     steps.append((prev, lbl, cur))
                     cur = prev
                 steps.reverse()
                 return CheckResult(False, Counterexample(tuple(steps), ()),
-                                   explored, True)
-            if label is not STUTTER and dst not in seen:
-                seen.add(dst)
-                parent[dst] = (node, label)
-                queue.append(dst)
-    return CheckResult(True, None, explored, True)
+                                   node + 1, True)
+            parent.setdefault(dst, (node, label))
+    return CheckResult(True, None, g.node_count, True)
 
 
 def _check_buchi(g: ClassGraph, f: LtlFormula) -> CheckResult:
@@ -682,9 +653,6 @@ def _check_buchi(g: ClassGraph, f: LtlFormula) -> CheckResult:
             letter_cache[key] = letter(atoms, g.nodes[node], label, g.nodes[dst])
         return letter_cache[key]
 
-    def compatible(q: int, a: dict) -> bool:
-        return all(a[atom] == v for atom, v in ba.states[q].items())
-
     succ_cache: dict = {}
 
     def successors(prod):
@@ -693,8 +661,8 @@ def _check_buchi(g: ClassGraph, f: LtlFormula) -> CheckResult:
         (node, q) = prod
         out = []
         for (label, dst) in graph_steps(g, node):
-            a = step_letter(node, label, dst)
-            if compatible(q, a):
+            # a letter and a required letter both assign exactly ba.atoms
+            if step_letter(node, label, dst) == ba.states[q]:
                 for r in ba.succ[q]:
                     out.append((dst, r))
         succ_cache[prod] = out
@@ -713,7 +681,7 @@ def _check_buchi(g: ClassGraph, f: LtlFormula) -> CheckResult:
             (ga, qa), (gb, qb) = na, nb
             for (label, dst) in graph_steps(g, ga):
                 if dst == gb and qb in ba.succ[qa] \
-                        and compatible(qa, step_letter(ga, label, dst)):
+                        and step_letter(ga, label, dst) == ba.states[qa]:
                     steps.append((ga, label, gb))
                     break
             else:
@@ -733,8 +701,8 @@ def _steps_to_transitions(steps) -> list:
     return [label for (_, label, _) in steps]
 
 
-def witness_to_trace(model: TtsModel, cx: Counterexample, unroll: int = 1) -> TimedTrace:
-    """Solve the stem (plus cycle unrollings) for concrete rational delays.
+def witness_to_trace(model: TtsModel, cx: Counterexample) -> TimedTrace:
+    """Solve the stem followed by one pass of the cycle for concrete delays.
 
     Firing times are constrained by each transition's static interval from
     its enabling instant, by every concurrently enabled transition's pending
@@ -744,9 +712,7 @@ def witness_to_trace(model: TtsModel, cx: Counterexample, unroll: int = 1) -> Ti
     endpoint when punctual).  A stutter step ends the run and marks the
     trace deadlocked.
     """
-    labels = _steps_to_transitions(cx.stem)
-    for _ in range(unroll):
-        labels += _steps_to_transitions(cx.cycle)
+    labels = _steps_to_transitions(cx.stem) + _steps_to_transitions(cx.cycle)
     deadlocked = False
     firing: list = []
     for lbl in labels:
@@ -935,7 +901,7 @@ def find_decisive_extension(g: ClassGraph, model: TtsModel, cx: Counterexample,
 
     def mk_trace(steps) -> Optional[TimedTrace]:
         try:
-            return witness_to_trace(model, Counterexample(tuple(steps), ()), 0)
+            return witness_to_trace(model, Counterexample(tuple(steps), ()))
         except ValueError:
             return None
 

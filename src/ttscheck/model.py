@@ -447,10 +447,6 @@ def eval_predicate(p: EventPredicate, e: Event) -> bool:
     return bool(eval_expr(p, EvalContext(e.marking, e.store, e.transition)))
 
 
-def parse_predicate(text: str) -> EventPredicate:
-    return parse_expr(text)
-
-
 def check_predicate(p: EventPredicate, model: TtsModel, where: str = "predicate") -> list:
     return check_expr(p, model, where, allow_transitions=True)
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import classgraph as cg
-from .expr import Assign, Binary, Expr, Lit, Name, Unary, parse_actions, parse_expr
+from .expr import Assign, Binary, Expr, Lit, Name, Unary, free_names, parse_actions, parse_expr
 from .model import (
     EventPredicate,
     ExplorationError,
@@ -46,6 +46,7 @@ from .ltl import (
     LOr,
     LtlFormula,
     StateAtom,
+    children,
     eval_on_lasso,
     formula_atoms,
     run_letter,
@@ -111,8 +112,6 @@ class ObserverSpec:
 @dataclass(frozen=True)
 class InstrumentedModel:
     model: TtsModel
-    system: TtsModel
-    spec: ObserverSpec
     provenance: dict  # element name -> "system" | "observer" | "hooked"
     formula: LtlFormula  # spec formula with event atoms pinned to system events
 
@@ -489,16 +488,12 @@ def compose(system: TtsModel, spec: ObserverSpec) -> InstrumentedModel:
         raise ObserverError("composed model invalid: "
                             + "; ".join(str(d) for d in diags))
     formula = _restrict_event_atoms(spec.formula, system, set(provenance))
-    return InstrumentedModel(model, system, spec, provenance, formula)
+    return InstrumentedModel(model, provenance, formula)
 
 
 def _restrict_event_atoms(f: LtlFormula, system: TtsModel, taken: set) -> LtlFormula:
     """Pin pattern event atoms to system transitions, so observer firings in
     the composition can never satisfy them through their state parts."""
-    from .expr import free_names
-    from .ltl import (LAlways, LAnd, LEventually, LImplies, LNext, LNot, LOr,
-                      LRelease, LUntil, LWeakUntil)
-
     def restrict(a: EventAtom) -> EventAtom:
         names = free_names(a.pred)
         if any(n not in system.places and n not in system.vars
@@ -516,13 +511,9 @@ def _restrict_event_atoms(f: LtlFormula, system: TtsModel, taken: set) -> LtlFor
     def walk(g):
         if isinstance(g, EventAtom):
             return restrict(g)
-        if isinstance(g, LNot):
-            return LNot(walk(g.f))
-        if isinstance(g, (LAnd, LOr, LImplies, LUntil, LRelease, LWeakUntil)):
-            return type(g)(walk(g.left), walk(g.right))
-        if isinstance(g, (LNext, LAlways, LEventually)):
-            return type(g)(walk(g.f))
-        return g
+        if isinstance(g, StateAtom):
+            return g
+        return type(g)(*map(walk, children(g)))
 
     return walk(f)
 

@@ -98,7 +98,6 @@ class Timeline:
     """Events with absolute times plus the reigning-state sequence."""
 
     def __init__(self, trace: TimedTrace):
-        self.trace = trace
         self.events: list = trace.event_times()  # (time, Event)
         self.total: Fraction = duration(trace)
         self.deadlocked: bool = trace.deadlocked

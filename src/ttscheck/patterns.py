@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .expr import ExprError, Token, _Parser, format_expr, format_rational, tokenize
+from .expr import ExprError, Token, _Parser, format_expr, format_rational, parse_rational, tokenize
 from .model import (
     Diagnostic,
     EventPredicate,
@@ -209,7 +209,10 @@ class _PatternParser(_Parser):
         tok = self.next()
         if tok.kind != "num":
             raise PatternError(f"expected a number at column {tok.pos + 1}")
-        return Fraction(tok.text)
+        try:
+            return parse_rational(tok.text)
+        except ExprError as exc:
+            raise PatternError(f"{exc} at column {tok.pos + 1}") from exc
 
     # pattern grammar: implies > and > atom
     def parse_pattern(self) -> Pattern:

@@ -97,17 +97,18 @@ def duration(s: TimedTrace) -> Fraction:
 # ---------------------------------------------------------------------------
 # Simulation
 
+# Probability of forcing an endpoint delay: strict / non-strict boundary
+# behavior is where observers and oracles disagree first when one of them is
+# wrong.
+ENDPOINT_BIAS = 0.25
+
+
 @dataclass(frozen=True)
 class DelayPolicy:
-    """Random delay sampling: denominator-bounded rationals, endpoint biased.
-
-    Endpoint delays are forced with the given probability because strict /
-    non-strict boundary behavior is where observers and oracles disagree
-    first when one of them is wrong.
-    """
+    """Random delay sampling: denominator-bounded rationals, endpoint biased
+    (see `ENDPOINT_BIAS`)."""
 
     max_denominator: int = 8
-    endpoint_bias: float = 0.25
 
 
 @dataclass
@@ -138,7 +139,7 @@ def _sample_in(rng: random.Random, lo: Fraction, lo_strict: bool, hi: Fraction,
         endpoints.append(lo)
     if not hi_strict:
         endpoints.append(hi)
-    if endpoints and rng.random() < policy.endpoint_bias:
+    if endpoints and rng.random() < ENDPOINT_BIAS:
         return rng.choice(endpoints)
     q = policy.max_denominator
     # grid of q-ths strictly inside, falling back to the midpoint
@@ -291,12 +292,13 @@ def _parse_map(text: str, lineno: int, into_marking: bool):
             raise TraceError(f"line {lineno}: bad map entry {pair!r}")
         k, v = pair.split("=", 1)
         k, v = k.strip(), v.strip()
-        if into_marking:
-            out[k] = int(v)
-        elif v in ("true", "false"):
+        if not into_marking and v in ("true", "false"):
             out[k] = v == "true"
-        else:
+            continue
+        try:
             out[k] = int(v)
+        except ValueError as exc:
+            raise TraceError(f"line {lineno}: bad map value {v!r} for {k!r}") from exc
     return out
 
 

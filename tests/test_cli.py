@@ -131,6 +131,25 @@ def test_malformed_numeric_option_is_input_error(args):
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
 
 
+@pytest.mark.parametrize("args,text", [
+    (("oracle", "present Ventil after Open1 within [0,10]"), "! Open1 | m:{Idle=x} | s:{}"),
+    (("oracle", "present Ventil after Open1 within [0,10]"),
+     "! Open1 | m:{Idle=1} | s:{req1=maybe}"),
+    (("oracle", "present Ventil lasting 1/0"), "! Open1 | m:{Idle=1} | s:{}"),
+    (("check", "models/airlock.tts"), "present Ventil lasting 1/0"),
+    (("check", "models/airlock.tts"), "absent Open1 before Close1 for duration 3/0"),
+    (("xcheck", "models/airlock.tts"), "absent Open1 before Close1 for duration 3/0"),
+], ids=["trace-marking", "trace-store", "oracle-lasting", "check-lasting",
+        "check-duration", "xcheck-duration"])
+def test_bad_trace_value_or_zero_denominator_is_input_error(tmp_path, args, text):
+    path = tmp_path / "input"
+    path.write_text(text + "\n")
+    r = run_cli(*args, str(path))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
+
+
 def test_jobs_option_is_gone():
     r = run_cli("check", "models/airlock.tts", "models/airlock.pat", "--jobs", "2")
     assert r.returncode == 2
