@@ -127,9 +127,11 @@ def build_graph(model: TtsModel, max_classes: int = 1_000_000) -> ClassGraph:
             k = nxt.key()
             tgt = index.get(k)
             if tgt is None:
-                if len(g.nodes) >= max_classes:
+                if len(g.nodes) >= max_classes:  # src, not fully expanded, is frontier too
                     raise ClassBudgetExceeded(
-                        f"class budget {max_classes} exceeded while exploring")
+                        f"class budget {max_classes} exceeded while exploring"
+                        f" ({len(g.nodes)} classes, {g.edge_count} edges,"
+                        f" {len(queue) + 1} in frontier)")
                 tgt = len(g.nodes)
                 index[k] = tgt
                 g.nodes.append(nxt)

@@ -40,9 +40,26 @@ class FF:
         return "false"
 
 
+def _cached_hash(atom, value: Expr) -> int:
+    """The dataclass hash of a one-field atom, computed once: hashing an
+    expression walks its whole tree, and letters and tableau states are
+    dicts keyed by atoms."""
+    h = atom.__dict__.get("_hash")
+    if h is None:
+        h = hash((value,))
+        object.__setattr__(atom, "_hash", h)
+    return h
+
+
 @dataclass(frozen=True)
 class EventAtom:
     pred: Expr
+
+    def __hash__(self):
+        return _cached_hash(self, self.pred)
+
+    def __reduce__(self):  # string hashes differ between processes: drop the cache
+        return (EventAtom, (self.pred,))
 
     def __str__(self):
         return f"ev({format_expr(self.pred)})"
@@ -51,6 +68,12 @@ class EventAtom:
 @dataclass(frozen=True)
 class StateAtom:
     expr: Expr
+
+    def __hash__(self):
+        return _cached_hash(self, self.expr)
+
+    def __reduce__(self):
+        return (StateAtom, (self.expr,))
 
     def __str__(self):
         return f"st({format_expr(self.expr)})"
@@ -284,7 +307,16 @@ class BuchiAutomaton:
 
 
 def ltl_to_buchi(f: LtlFormula) -> BuchiAutomaton:
-    """Self-consistent tableau over the closure of the NNF formula."""
+    """Self-consistent tableau over the closure of the NNF formula.
+
+    Successors come from signature buckets.  A step s -> t reads t only
+    through its signature, the value of `x.f` for each X formula x and of
+    x itself for each U/R formula, and reads s only through a requirement:
+    per signature slot a value or "free", or no successor at all when s
+    contradicts its own expansion.  The consistent assignments are bucketed
+    by signature once; the successors of a requirement are the sorted union
+    of the buckets it matches, computed once per distinct requirement.
+    """
     g = nnf(f)
     cl = set(subformulas(g))
     atoms = tuple(sorted(formula_atoms(g), key=str))
@@ -315,29 +347,50 @@ def ltl_to_buchi(f: LtlFormula) -> BuchiAutomaton:
         if ok:
             raw_states.append(chosen)
 
-    def step_ok(s: dict, t: dict) -> bool:
+    buckets: dict = {}  # signature -> increasing raw state indices
+    for j, t in enumerate(raw_states):
+        sig = tuple(truth(x.f, t) if isinstance(x, LNext) else t[x] for x in temporals)
+        buckets.setdefault(sig, []).append(j)
+
+    def requirement(s: dict) -> Optional[tuple]:
+        """Per signature slot the value a successor must have there, or None
+        if any will do; None overall if s has no successor."""
+        req = []
         for x in temporals:
             if isinstance(x, LNext):
-                if s[x] != truth(x.f, t):
-                    return False
-            elif isinstance(x, LUntil):
-                want = truth(x.right, s) or (truth(x.left, s) and t[x])
-                if s[x] != want:
-                    return False
-            elif isinstance(x, LRelease):
-                want = truth(x.right, s) and (truth(x.left, s) or t[x])
-                if s[x] != want:
-                    return False
-        return True
+                req.append(s[x])
+                continue
+            # s's operand values decide x (s[x] must agree) or pass it to the successor's t[x]
+            rv, lv = truth(x.right, s), truth(x.left, s)
+            if isinstance(x, LUntil):
+                decided = True if rv else (None if lv else False)
+            else:
+                decided = False if not rv else (True if lv else None)
+            if decided is None:
+                req.append(s[x])
+            elif decided != s[x]:
+                return None
+            else:
+                req.append(None)
+        return tuple(req)
+
+    by_requirement: dict = {None: []}
+    raw_succ: dict = {}  # raw state index -> its successors' indices
+
+    def successors(i: int) -> list:
+        if i not in raw_succ:
+            req = requirement(raw_states[i])
+            if req not in by_requirement:
+                options = [(False, True) if w is None else (w,) for w in req]
+                by_requirement[req] = sorted(
+                    j for sig in itertools.product(*options) for j in buckets.get(sig, ()))
+            raw_succ[i] = by_requirement[req]
+        return raw_succ[i]
 
     untils = [x for x in temporals if isinstance(x, LUntil)]
     k = len(untils)
 
     # degeneralized product with a cyclic acceptance counter
-    base_succ: dict = {}
-    for i, s in enumerate(raw_states):
-        base_succ[i] = [j for j, t in enumerate(raw_states) if step_ok(s, t)]
-
     def sat_acc(i: int, a: int) -> bool:
         u = untils[a]
         return (not raw_states[i][u]) or truth(u.right, raw_states[i])
@@ -364,7 +417,6 @@ def ltl_to_buchi(f: LtlFormula) -> BuchiAutomaton:
         if truth(g, s):
             initial.append(intern(i, 0))
             pendingq.append((i, 0))
-    seen = set(pendingq)
     while pendingq:
         (i, cnt) = pendingq.pop()
         idx = index[(i, cnt)]
@@ -374,13 +426,14 @@ def ltl_to_buchi(f: LtlFormula) -> BuchiAutomaton:
         else:
             accepting[idx] = cnt == 0 and sat_acc(i, 0)
             nxt_cnt = (cnt + 1) % k if sat_acc(i, cnt) else cnt
-        for j in base_succ[i]:
+        out = succ[idx]
+        for j in successors(i):
             key = (j, nxt_cnt)
-            tgt = intern(j, nxt_cnt)
-            succ[idx].append(tgt)
-            if key not in seen:
-                seen.add(key)
+            tgt = index.get(key)
+            if tgt is None:  # first visit: every interned key is queued once
+                tgt = intern(j, nxt_cnt)
                 pendingq.append(key)
+            out.append(tgt)
     return BuchiAutomaton(atoms, states, initial, succ, accepting)
 
 

@@ -299,6 +299,8 @@ def _parse_map(text: str, lineno: int, into_marking: bool):
             out[k] = int(v)
         except ValueError as exc:
             raise TraceError(f"line {lineno}: bad map value {v!r} for {k!r}") from exc
+        if into_marking and out[k] < 0:
+            raise TraceError(f"line {lineno}: negative marking {v} for {k!r}")
     return out
 
 

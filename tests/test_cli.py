@@ -135,12 +135,13 @@ def test_malformed_numeric_option_is_input_error(args):
     (("oracle", "present Ventil after Open1 within [0,10]"), "! Open1 | m:{Idle=x} | s:{}"),
     (("oracle", "present Ventil after Open1 within [0,10]"),
      "! Open1 | m:{Idle=1} | s:{req1=maybe}"),
+    (("oracle", "present Ventil after Open1 within [0,10]"), "! Open1 | m:{Idle=-3} | s:{}"),
     (("oracle", "present Ventil lasting 1/0"), "! Open1 | m:{Idle=1} | s:{}"),
     (("check", "models/airlock.tts"), "present Ventil lasting 1/0"),
     (("check", "models/airlock.tts"), "absent Open1 before Close1 for duration 3/0"),
     (("xcheck", "models/airlock.tts"), "absent Open1 before Close1 for duration 3/0"),
-], ids=["trace-marking", "trace-store", "oracle-lasting", "check-lasting",
-        "check-duration", "xcheck-duration"])
+], ids=["trace-marking", "trace-store", "trace-negative-marking", "oracle-lasting",
+        "check-lasting", "check-duration", "xcheck-duration"])
 def test_bad_trace_value_or_zero_denominator_is_input_error(tmp_path, args, text):
     path = tmp_path / "input"
     path.write_text(text + "\n")
@@ -148,6 +149,18 @@ def test_bad_trace_value_or_zero_denominator_is_input_error(tmp_path, args, text
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("check", "models/airlock.tts", "models/airlock.pat"),
+    ("graph", "models/airlock.tts"),
+], ids=["check", "graph"])
+def test_budget_line_says_how_far_the_build_got(args):
+    r = run_cli(*args, "--max-classes", "3")
+    assert r.returncode == 3
+    assert "Traceback" not in r.stderr
+    assert r.stderr == ("budget: class budget 3 exceeded while exploring"
+                        " (3 classes, 2 edges, 3 in frontier)\n")
 
 
 def test_jobs_option_is_gone():

@@ -138,6 +138,15 @@ def test_malformed_duration_rejected():
         parse_trace("? what\n")
 
 
+def test_negative_marking_rejected_negative_store_kept():
+    for text in ("! t | m:{P=-1} | s:{}\n", "= m:{P=1, Q=-2}\n"):
+        with pytest.raises(TraceError, match="line 1: negative marking"):
+            parse_trace(text)
+    t = parse_trace("= m:{P=1} | s:{x=-4}\n! t | m:{P=2} | s:{x=-1}\n")
+    assert t.initial == ({"P": 1}, {"x": -4})
+    assert t.items == (Event("t", {"P": 2}, {"x": -1}),)
+
+
 def test_deadlock_marker_round_trip():
     t = TimedTrace.of([Duration(Fraction(1))], None, deadlocked=True)
     assert parse_trace(serialize_trace(t)) == t
