@@ -58,9 +58,6 @@ class EventAtom:
     def __hash__(self):
         return _cached_hash(self, self.pred)
 
-    def __reduce__(self):  # string hashes differ between processes: drop the cache
-        return (EventAtom, (self.pred,))
-
     def __str__(self):
         return f"ev({format_expr(self.pred)})"
 
@@ -71,9 +68,6 @@ class StateAtom:
 
     def __hash__(self):
         return _cached_hash(self, self.expr)
-
-    def __reduce__(self):
-        return (StateAtom, (self.expr,))
 
     def __str__(self):
         return f"st({format_expr(self.expr)})"
@@ -307,16 +301,7 @@ class BuchiAutomaton:
 
 
 def ltl_to_buchi(f: LtlFormula) -> BuchiAutomaton:
-    """Self-consistent tableau over the closure of the NNF formula.
-
-    Successors come from signature buckets.  A step s -> t reads t only
-    through its signature, the value of `x.f` for each X formula x and of
-    x itself for each U/R formula, and reads s only through a requirement:
-    per signature slot a value or "free", or no successor at all when s
-    contradicts its own expansion.  The consistent assignments are bucketed
-    by signature once; the successors of a requirement are the sorted union
-    of the buckets it matches, computed once per distinct requirement.
-    """
+    """Self-consistent tableau over the closure of the NNF formula."""
     g = nnf(f)
     cl = set(subformulas(g))
     atoms = tuple(sorted(formula_atoms(g), key=str))
@@ -347,50 +332,29 @@ def ltl_to_buchi(f: LtlFormula) -> BuchiAutomaton:
         if ok:
             raw_states.append(chosen)
 
-    buckets: dict = {}  # signature -> increasing raw state indices
-    for j, t in enumerate(raw_states):
-        sig = tuple(truth(x.f, t) if isinstance(x, LNext) else t[x] for x in temporals)
-        buckets.setdefault(sig, []).append(j)
-
-    def requirement(s: dict) -> Optional[tuple]:
-        """Per signature slot the value a successor must have there, or None
-        if any will do; None overall if s has no successor."""
-        req = []
+    def step_ok(s: dict, t: dict) -> bool:
         for x in temporals:
             if isinstance(x, LNext):
-                req.append(s[x])
-                continue
-            # s's operand values decide x (s[x] must agree) or pass it to the successor's t[x]
-            rv, lv = truth(x.right, s), truth(x.left, s)
-            if isinstance(x, LUntil):
-                decided = True if rv else (None if lv else False)
-            else:
-                decided = False if not rv else (True if lv else None)
-            if decided is None:
-                req.append(s[x])
-            elif decided != s[x]:
-                return None
-            else:
-                req.append(None)
-        return tuple(req)
-
-    by_requirement: dict = {None: []}
-    raw_succ: dict = {}  # raw state index -> its successors' indices
-
-    def successors(i: int) -> list:
-        if i not in raw_succ:
-            req = requirement(raw_states[i])
-            if req not in by_requirement:
-                options = [(False, True) if w is None else (w,) for w in req]
-                by_requirement[req] = sorted(
-                    j for sig in itertools.product(*options) for j in buckets.get(sig, ()))
-            raw_succ[i] = by_requirement[req]
-        return raw_succ[i]
+                if s[x] != truth(x.f, t):
+                    return False
+            elif isinstance(x, LUntil):
+                want = truth(x.right, s) or (truth(x.left, s) and t[x])
+                if s[x] != want:
+                    return False
+            elif isinstance(x, LRelease):
+                want = truth(x.right, s) and (truth(x.left, s) or t[x])
+                if s[x] != want:
+                    return False
+        return True
 
     untils = [x for x in temporals if isinstance(x, LUntil)]
     k = len(untils)
 
     # degeneralized product with a cyclic acceptance counter
+    base_succ: dict = {}
+    for i, s in enumerate(raw_states):
+        base_succ[i] = [j for j, t in enumerate(raw_states) if step_ok(s, t)]
+
     def sat_acc(i: int, a: int) -> bool:
         u = untils[a]
         return (not raw_states[i][u]) or truth(u.right, raw_states[i])
@@ -417,6 +381,7 @@ def ltl_to_buchi(f: LtlFormula) -> BuchiAutomaton:
         if truth(g, s):
             initial.append(intern(i, 0))
             pendingq.append((i, 0))
+    seen = set(pendingq)
     while pendingq:
         (i, cnt) = pendingq.pop()
         idx = index[(i, cnt)]
@@ -426,14 +391,13 @@ def ltl_to_buchi(f: LtlFormula) -> BuchiAutomaton:
         else:
             accepting[idx] = cnt == 0 and sat_acc(i, 0)
             nxt_cnt = (cnt + 1) % k if sat_acc(i, cnt) else cnt
-        out = succ[idx]
-        for j in successors(i):
+        for j in base_succ[i]:
             key = (j, nxt_cnt)
-            tgt = index.get(key)
-            if tgt is None:  # first visit: every interned key is queued once
-                tgt = intern(j, nxt_cnt)
+            tgt = intern(j, nxt_cnt)
+            succ[idx].append(tgt)
+            if key not in seen:
+                seen.add(key)
                 pendingq.append(key)
-            out.append(tgt)
     return BuchiAutomaton(atoms, states, initial, succ, accepting)
 
 

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from ttscheck import classgraph as cg
-from ttscheck.expr import Name
+from ttscheck.expr import Binary, Name
 from ttscheck.ltl import (
     FF,
     TT,
@@ -57,6 +59,19 @@ def test_weak_until_definition():
         direct = eval_on_lasso(f1, stem, cycle)
         manual = eval_on_lasso(LOr(LUntil(a, b), LAlways(a)), stem, cycle)
         assert direct == manual
+
+
+def test_atoms_hash_once_and_keep_their_dataclass_behaviour():
+    for cls, field in ((EventAtom, "pred"), (StateAtom, "expr")):
+        expr = Binary("&", Name("x"), Name("y"))
+        atom = cls(expr)
+        assert hash(atom) == hash((expr,)) == hash(cls(expr))
+        assert atom == cls(Binary("&", Name("x"), Name("y")))
+        assert atom != cls(Name("x"))
+        assert repr(atom) == f"{cls.__name__}({field}={expr!r})"
+        assert {atom: 1}[cls(expr)] == 1
+        with pytest.raises(AttributeError):
+            setattr(atom, field, Name("z"))
 
 
 FORMULAS = [
