@@ -33,7 +33,7 @@ from .patterns import (
     pattern_constants,
     validate_pattern,
 )
-from .traces import DelayPolicy, TraceError, parse_trace, serialize_trace, simulate
+from .traces import TraceError, parse_trace, serialize_trace, simulate
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -180,7 +180,7 @@ def cmd_simulate(args) -> int:
     horizon = _parse_horizon(args.horizon)
     _at_least_one("--denominator", args.denominator)
     model = _load_model(args.model)
-    trace = simulate(model, horizon, args.seed, DelayPolicy(args.denominator))
+    trace = simulate(model, horizon, args.seed, args.denominator)
     text = serialize_trace(trace)
     if args.out:
         outdir = Path(args.out)

@@ -365,11 +365,8 @@ def ltl_to_buchi(f: LtlFormula) -> BuchiAutomaton:
     accepting: list = []
 
     def intern(i: int, cnt: int) -> int:
-        key = (i, cnt)
-        if key in index:
-            return index[key]
         idx = len(states)
-        index[key] = idx
+        index[(i, cnt)] = idx
         states.append({a: raw_states[i][a] for a in atoms})
         succ.append([])
         accepting.append(False)
@@ -381,7 +378,6 @@ def ltl_to_buchi(f: LtlFormula) -> BuchiAutomaton:
         if truth(g, s):
             initial.append(intern(i, 0))
             pendingq.append((i, 0))
-    seen = set(pendingq)
     while pendingq:
         (i, cnt) = pendingq.pop()
         idx = index[(i, cnt)]
@@ -393,11 +389,11 @@ def ltl_to_buchi(f: LtlFormula) -> BuchiAutomaton:
             nxt_cnt = (cnt + 1) % k if sat_acc(i, cnt) else cnt
         for j in base_succ[i]:
             key = (j, nxt_cnt)
-            tgt = intern(j, nxt_cnt)
-            succ[idx].append(tgt)
-            if key not in seen:
-                seen.add(key)
+            tgt = index.get(key)
+            if tgt is None:
+                tgt = intern(j, nxt_cnt)
                 pendingq.append(key)
+            succ[idx].append(tgt)
     return BuchiAutomaton(atoms, states, initial, succ, accepting)
 
 
@@ -614,22 +610,21 @@ def _fast_path_target(f: LtlFormula) -> Optional[LtlFormula]:
     return None
 
 
-def check(g: ClassGraph, f: LtlFormula, use_fast_path: bool = True) -> CheckResult:
+def check(g: ClassGraph, f: LtlFormula) -> CheckResult:
     """Automata-theoretic check that every run of the graph satisfies f."""
-    if use_fast_path:
-        if isinstance(f, LAnd):
-            left = check(g, f.left, use_fast_path)
-            if not left.passed:
-                return left
-            right = check(g, f.right, use_fast_path)
-            if not right.passed:
-                return right
-            return CheckResult(True, None,
-                               left.states_explored + right.states_explored,
-                               left.used_fast_path and right.used_fast_path)
-        body = _fast_path_target(f)
-        if body is not None:
-            return _check_safety(g, body)
+    if isinstance(f, LAnd):
+        left = check(g, f.left)
+        if not left.passed:
+            return left
+        right = check(g, f.right)
+        if not right.passed:
+            return right
+        return CheckResult(True, None,
+                           left.states_explored + right.states_explored,
+                           left.used_fast_path and right.used_fast_path)
+    body = _fast_path_target(f)
+    if body is not None:
+        return _check_safety(g, body)
     return _check_buchi(g, f)
 
 

@@ -97,7 +97,6 @@ PrioSide = tuple
 class Fragment:
     prefix: str
     vars: tuple = ()
-    places: tuple = ()
     transitions: tuple = ()
     hooks: tuple = ()
     priorities: tuple = ()  # pairs (higher: PrioSide, lower: PrioSide)
@@ -180,14 +179,19 @@ def _synth(p: Pattern, fresh_prefix):
         fr, phi2 = _synth(p.right, fresh_prefix)
         return fl + fr, LImplies(phi1, phi2)
     px = fresh_prefix()
-    if isinstance(p, PresentAfterWithin):
-        return [_synth_window_watcher(px, p.a, p.b, p.interval)], \
-            _formula_present_after(px, p)
-    if isinstance(p, AbsentAfterInterval):
-        return [_synth_window_watcher(px, p.a, p.b, p.interval)], \
-            _formula_absent_after(px, p)
+    if isinstance(p, (PresentAfterWithin, AbsentAfterInterval)):
+        # the window opens d1 after the first B; an A counts only inside it
+        hooks = (Hook("E1", p.a, _acts(px, "if flag then foundA := true")),
+                 Hook("E2", p.b, _acts(px, "foundB := true")))
+        formula = (_formula_present_after if isinstance(p, PresentAfterWithin)
+                   else _formula_absent_after)(px, p)
+        return [_synth_window(px, "foundB", "foundA", "E1", p.interval, hooks)], formula
     if isinstance(p, PresentFirstBeforeWithin):
-        return [_synth_first_before(px, p)], _formula_first_before(px, p)
+        # the window opens d1 after the first A; the first B must land inside
+        hooks = (Hook("E1", p.a, _acts(px, "foundA := true")),
+                 Hook("E2", p.b, _acts(px, "foundB := true")))
+        return [_synth_window(px, "foundA", "foundB", "E2", p.interval, hooks)], \
+            _formula_first_before(px, p)
     if isinstance(p, PresentLasting):
         return [_synth_lasting(px, p)], \
             LAnd(LAlways(LNot(EventAtom(Name(px + "Error")))),
@@ -200,46 +204,53 @@ def _synth(p: Pattern, fresh_prefix):
     raise AssertionError
 
 
-def _boundary_prio(closed_pair: tuple, open_pair: tuple, closed: bool) -> tuple:
-    return closed_pair if closed else open_pair
+def _boundary_prio(first: PrioSide, second: PrioSide, closed: bool) -> tuple:
+    """Priority pair at a window bound: `first` wins when the bound is
+    closed, `second` when it is open."""
+    return (first, second) if closed else (second, first)
 
 
-def _synth_window_watcher(px: str, a: EventPredicate, b: EventPredicate,
-                          iv: TimeInterval) -> Fragment:
-    """Shared watcher: arms on the first B, latches an A inside the window.
+def _synth_window(px: str, trigger: str, target: str, role: str,
+                  iv: TimeInterval, hooks: tuple) -> Fragment:
+    """Window watcher: arms on the `trigger` latch, expects the `target` one.
 
-    `Start` opens the window d1 after the first B; an A occurrence is latched
-    only while the window flag is up; `Error` trips d2 after the first B
-    unless an in-window A was latched.  For an unbounded window there is no
-    Error deadline and verdicts read the latch directly.
+    `Start` raises the window flag d1 after the trigger latch is set;
+    `Error` trips d2 after it unless the target latch is set by then.  At
+    both bounds the watcher is ordered against the `role` hook, which sets
+    the target latch.  For an unbounded window there is no Error deadline
+    and verdicts read the latches directly.
     """
     d1, d2 = iv.lower, iv.upper
+    hook = ("hook", role)
     transitions = [
-        Transition(px + "Start", guard=_guard(px, "foundB & !flag"),
+        Transition(px + "Start", guard=_guard(px, f"{trigger} & !flag"),
                    action=_acts(px, "flag := true"), timing=_punctual(d1.value)),
     ]
-    prios = [_boundary_prio((("obs", px + "Start"), ("hook", "E1")),
-                            (("hook", "E1"), ("obs", px + "Start")),
-                            not d1.strict)]
+    prios = [_boundary_prio(("obs", px + "Start"), hook, not d1.strict)]
     varnames = ["foundA", "foundB", "flag"]
     if not d2.is_infinite:
         varnames.append("errored")
         transitions.append(
-            Transition(px + "Error", guard=_guard(px, "foundB & !foundA & !errored"),
+            Transition(px + "Error", guard=_guard(px, f"{trigger} & !{target} & !errored"),
                        action=_acts(px, "errored := true"), timing=_punctual(d2.value)))
-        prios.append(_boundary_prio((("hook", "E1"), ("obs", px + "Error")),
-                                    (("obs", px + "Error"), ("hook", "E1")),
-                                    not d2.strict))
+        prios.append(_boundary_prio(hook, ("obs", px + "Error"), not d2.strict))
     return Fragment(
         prefix=px,
         vars=_bools(px, *varnames),
         transitions=tuple(transitions),
-        hooks=(
-            Hook("E1", a, _acts(px, "if flag then foundA := true")),
-            Hook("E2", b, _acts(px, "foundB := true")),
-        ),
+        hooks=hooks,
         priorities=tuple(prios),
     )
+
+
+def _rearm_pair(px: str, stem: str, d: Fraction) -> tuple:
+    """Two countdowns of delay d that clear `bad`.  Each arming flips `ping`,
+    so the countdown it starts is always a newly enabled one: re-arming
+    restarts the clock."""
+    return tuple(
+        Transition(px + stem + side, guard=_guard(px, f"bad & {ping}"),
+                   action=_acts(px, "bad := false"), timing=_punctual(d))
+        for side, ping in (("P", "ping"), ("Q", "!ping")))
 
 
 def _formula_present_after(px: str, p: PresentAfterWithin) -> LtlFormula:
@@ -253,36 +264,6 @@ def _formula_absent_after(px: str, p: AbsentAfterInterval) -> LtlFormula:
         return LAlways(LNot(_state(px, "foundA")))
     return LImplies(LEventually(EventAtom(p.b)),
                     LEventually(EventAtom(Name(px + "Error"))))
-
-
-def _synth_first_before(px: str, p: PresentFirstBeforeWithin) -> Fragment:
-    d1, d2 = p.interval.lower, p.interval.upper
-    transitions = [
-        Transition(px + "Start", guard=_guard(px, "foundA & !flag"),
-                   action=_acts(px, "flag := true"), timing=_punctual(d1.value)),
-    ]
-    prios = [_boundary_prio((("obs", px + "Start"), ("hook", "E2")),
-                            (("hook", "E2"), ("obs", px + "Start")),
-                            not d1.strict)]
-    varnames = ["foundA", "foundB", "flag"]
-    if not d2.is_infinite:
-        varnames.append("errored")
-        transitions.append(
-            Transition(px + "Error", guard=_guard(px, "foundA & !foundB & !errored"),
-                       action=_acts(px, "errored := true"), timing=_punctual(d2.value)))
-        prios.append(_boundary_prio((("hook", "E2"), ("obs", px + "Error")),
-                                    (("obs", px + "Error"), ("hook", "E2")),
-                                    not d2.strict))
-    return Fragment(
-        prefix=px,
-        vars=_bools(px, *varnames),
-        transitions=tuple(transitions),
-        hooks=(
-            Hook("E1", p.a, _acts(px, "foundA := true")),
-            Hook("E2", p.b, _acts(px, "foundB := true")),
-        ),
-        priorities=tuple(prios),
-    )
 
 
 def _formula_first_before(px: str, p: PresentFirstBeforeWithin) -> LtlFormula:
@@ -323,12 +304,7 @@ def _synth_absent_before(px: str, p: AbsentBeforeDuration) -> Fragment:
     return Fragment(
         prefix=px,
         vars=_bools(px, "bad", "done", "viol", "ping"),
-        transitions=(
-            Transition(px + "ResetP", guard=_guard(px, "bad & ping"),
-                       action=_acts(px, "bad := false"), timing=_punctual(p.d)),
-            Transition(px + "ResetQ", guard=_guard(px, "bad & !ping"),
-                       action=_acts(px, "bad := false"), timing=_punctual(p.d)),
-        ),
+        transitions=_rearm_pair(px, "Reset", p.d),
         hooks=(
             # check-then-arm: the trigger hook must see the state before an
             # occurrence at the very same event arms the watcher again
@@ -353,17 +329,9 @@ def _synth_leadsto(px: str, p: LeadstoFirstWithin) -> Fragment:
                    f" {e1_cond}ping := !ping")
     e2 = _acts(px, f"{e2_cond}foundA := false")
 
-    transitions = [
-        Transition(px + "StartP", guard=_guard(px, "bad & ping"),
-                   action=_acts(px, "bad := false"), timing=_punctual(d1.value)),
-        Transition(px + "StartQ", guard=_guard(px, "bad & !ping"),
-                   action=_acts(px, "bad := false"), timing=_punctual(d1.value)),
-    ]
-    prios = []
-    for start in ("StartP", "StartQ"):
-        prios.append(_boundary_prio((("obs", px + start), ("hook", "E2")),
-                                    (("hook", "E2"), ("obs", px + start)),
-                                    not d1.strict))
+    transitions = list(_rearm_pair(px, "Start", d1.value))
+    prios = [_boundary_prio(("obs", t.name), ("hook", "E2"), not d1.strict)
+             for t in transitions]
     vars_ = ["foundA", "bad", "ping"]
     if not d2.is_infinite:
         vars_.append("errored")
@@ -374,8 +342,7 @@ def _synth_leadsto(px: str, p: LeadstoFirstWithin) -> Fragment:
             # closed bound, the error transition wins for an open one
             transitions.append(Transition(px + "Error", guard=err_guard,
                                           action=err_act, timing=_punctual(d2.value)))
-            prios.append(_boundary_prio((("hook", "E2"), ("obs", px + "Error")),
-                                        (("obs", px + "Error"), ("hook", "E2")),
+            prios.append(_boundary_prio(("hook", "E2"), ("obs", px + "Error"),
                                         not d2.strict))
         else:
             # scoped closed bound: an open-ended error window starting just
@@ -427,7 +394,6 @@ def compose(system: TtsModel, spec: ObserverSpec) -> InstrumentedModel:
     for n in list(system.places) + list(system.vars) + list(system.transitions):
         provenance[n] = "system"
 
-    places = dict(system.places)
     vars_ = dict(system.vars)
     for frag in spec.fragments:
         for decl in frag.vars:
@@ -435,11 +401,6 @@ def compose(system: TtsModel, spec: ObserverSpec) -> InstrumentedModel:
                 raise ObserverError(f"name clash on {decl.name!r}")
             vars_[decl.name] = decl
             provenance[decl.name] = "observer"
-        for pdecl in frag.places:
-            if pdecl.name in provenance:
-                raise ObserverError(f"name clash on {pdecl.name!r}")
-            places[pdecl.name] = pdecl
-            provenance[pdecl.name] = "observer"
 
     # hook matching per fragment, in fragment hook order
     matches: dict = {}  # (prefix, role) -> set of system transition names
@@ -481,7 +442,7 @@ def compose(system: TtsModel, spec: ObserverSpec) -> InstrumentedModel:
                     if hiname != loname and (hiname, loname) not in priority:
                         priority.append((hiname, loname))
 
-    model = TtsModel(system.name + "+obs", places, vars_, transitions,
+    model = TtsModel(system.name + "+obs", dict(system.places), vars_, transitions,
                      tuple(priority))
     diags = validate_model(model)
     if diags:

@@ -37,7 +37,6 @@ from .model import EventPredicate, TimeInterval, eval_predicate
 from .patterns import (
     AbsentAfterInterval,
     AbsentBeforeDuration,
-    AfterScope,
     AndPattern,
     BeforeScope,
     GlobalScope,
@@ -49,7 +48,6 @@ from .patterns import (
     MEventually,
     MImplies,
     MNot,
-    MOr,
     MTrue,
     MUntil,
     MWeakUntil,
@@ -277,13 +275,11 @@ def _fott_leadsto(p: LeadstoFirstWithin, tl: Timeline) -> TraceVerdict:
         if ir is None:
             return _holds("scope trigger never occurs")
         lo, hi, b_stop = 0, ir, ir
-    elif isinstance(scope, AfterScope):
+    else:  # after R
         ir = _first_match(tl, scope.r)
         if ir is None:
             return _holds("scope trigger never occurs")
         lo, hi, b_stop = ir + 1, n, None
-    else:
-        raise AssertionError("unsupported scope must be rejected in validation")
 
     saw_open = False
     for i in range(lo, hi):
@@ -344,7 +340,7 @@ def _contains_state_atom(f: MtlFormula) -> bool:
         return f.state
     if isinstance(f, MNot):
         return _contains_state_atom(f.f)
-    if isinstance(f, (MAnd, MOr, MImplies, MUntil, MWeakUntil)):
+    if isinstance(f, (MAnd, MImplies, MUntil, MWeakUntil)):
         return _contains_state_atom(f.left) or _contains_state_atom(f.right)
     if isinstance(f, (MAlways, MEventually)):
         return _contains_state_atom(f.f)
@@ -362,8 +358,6 @@ def _meval(f: MtlFormula, tl: Timeline, i: int):
         return _not3(_meval(f.f, tl, i))
     if isinstance(f, MAnd):
         return _and3v(_meval(f.left, tl, i), _meval(f.right, tl, i))
-    if isinstance(f, MOr):
-        return _or3v(_meval(f.left, tl, i), _meval(f.right, tl, i))
     if isinstance(f, MImplies):
         return _or3v(_not3(_meval(f.left, tl, i)), _meval(f.right, tl, i))
     if isinstance(f, MUntil):

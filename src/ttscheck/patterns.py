@@ -47,19 +47,7 @@ class AfterScope:
     r: EventPredicate
 
 
-@dataclass(frozen=True)
-class BetweenScope:  # parsed, rejected in validation (not in this catalog)
-    q: EventPredicate
-    r: EventPredicate
-
-
-@dataclass(frozen=True)
-class AfterUntilScope:  # parsed, rejected in validation (not in this catalog)
-    q: EventPredicate
-    r: EventPredicate
-
-
-Scope = Union[GlobalScope, BeforeScope, AfterScope, BetweenScope, AfterUntilScope]
+Scope = Union[GlobalScope, BeforeScope, AfterScope]
 
 
 @dataclass(frozen=True)
@@ -127,13 +115,12 @@ Pattern = Union[
     ImpliesPattern,
 ]
 
-ATOMIC_KINDS = (PresentAfterWithin, PresentFirstBeforeWithin, PresentLasting,
-                AbsentAfterInterval, AbsentBeforeDuration, LeadstoFirstWithin)
-
 
 # ---------------------------------------------------------------------------
 # Concrete syntax
 
+# `between` and `until` name no scope, but they still end a predicate, so a
+# scope written with them is trailing input rather than part of a predicate
 _KEYWORDS = {
     "present", "absent", "first", "after", "before", "within", "lasting",
     "for", "interval", "duration", "leadsto", "and", "between", "until",
@@ -290,17 +277,7 @@ class _PatternParser(_Parser):
             scope = BeforeScope(self.parse_predicate())
         elif self.at_keyword("after"):
             self.next()
-            q = self.parse_predicate()
-            if self.at_keyword("until"):
-                self.next()
-                scope = AfterUntilScope(q, self.parse_predicate())
-            else:
-                scope = AfterScope(q)
-        elif self.at_keyword("between"):
-            self.next()
-            q = self.parse_predicate()
-            self.take_keyword("and")
-            scope = BetweenScope(q, self.parse_predicate())
+            scope = AfterScope(self.parse_predicate())
         return LeadstoFirstWithin(a, b, interval, scope)
 
 
@@ -350,10 +327,6 @@ def format_pattern(p: Pattern) -> str:
             return f"{base} before {_pred(p.scope.r)}"
         if isinstance(p.scope, AfterScope):
             return f"{base} after {_pred(p.scope.r)}"
-        if isinstance(p.scope, BetweenScope):
-            return f"{base} between {_pred(p.scope.q)} and {_pred(p.scope.r)}"
-        if isinstance(p.scope, AfterUntilScope):
-            return f"{base} after {_pred(p.scope.q)} until {_pred(p.scope.r)}"
         return base
     if isinstance(p, AndPattern):
         return f"({format_pattern(p.left)}) and ({format_pattern(p.right)})"
@@ -405,18 +378,14 @@ def validate_pattern(p: Pattern, model: TtsModel) -> list:
     elif isinstance(p, LeadstoFirstWithin):
         pred(p.a, "leadsto/A")
         pred(p.b, "leadsto/B")
-        if isinstance(p.scope, BeforeScope):
+        if not isinstance(p.scope, GlobalScope):
             pred(p.scope.r, "leadsto/R")
-        elif isinstance(p.scope, AfterScope):
-            pred(p.scope.r, "leadsto/R")
-        elif isinstance(p.scope, (BetweenScope, AfterUntilScope)):
-            diags.append(Diagnostic("leadsto", "scope unsupported in this catalog"))
     elif isinstance(p, (AndPattern, ImpliesPattern)):
         diags.extend(validate_pattern(p.left, model))
         diags.extend(validate_pattern(p.right, model))
     else:
         raise AssertionError
-    if isinstance(p, ATOMIC_KINDS) and hasattr(p, "interval"):
+    if hasattr(p, "interval"):
         err = p.interval.check()
         if err:
             diags.append(Diagnostic("interval", err))
@@ -439,12 +408,6 @@ class MNot:
 
 @dataclass(frozen=True)
 class MAnd:
-    left: "MtlFormula"
-    right: "MtlFormula"
-
-
-@dataclass(frozen=True)
-class MOr:
     left: "MtlFormula"
     right: "MtlFormula"
 
@@ -486,7 +449,7 @@ class MTrue:
     pass
 
 
-MtlFormula = Union[MAtom, MNot, MAnd, MOr, MImplies, MUntil, MWeakUntil,
+MtlFormula = Union[MAtom, MNot, MAnd, MImplies, MUntil, MWeakUntil,
                    MAlways, MEventually, MTrue]
 
 
@@ -527,10 +490,8 @@ def to_mtl(p: Pattern) -> MtlFormula:
             scoped = MImplies(MAnd(a, MNot(r)),
                               MUntil(MAnd(MNot(b), MNot(r)), MAnd(b, MNot(r)), p.interval))
             return MImplies(MEventually(r), MUntil(scoped, r))
-        if isinstance(p.scope, AfterScope):
-            # obligations start strictly after the scope trigger itself
-            return MAlways(MImplies(r, MAlways(body, strict=True)))
-        raise PatternError("scope unsupported in this catalog")
+        # after R: obligations start strictly after the scope trigger itself
+        return MAlways(MImplies(r, MAlways(body, strict=True)))
     if isinstance(p, AndPattern):
         return MAnd(to_mtl(p.left), to_mtl(p.right))
     if isinstance(p, ImpliesPattern):

@@ -103,14 +103,6 @@ def duration(s: TimedTrace) -> Fraction:
 ENDPOINT_BIAS = 0.25
 
 
-@dataclass(frozen=True)
-class DelayPolicy:
-    """Random delay sampling: denominator-bounded rationals, endpoint biased
-    (see `ENDPOINT_BIAS`)."""
-
-    max_denominator: int = 8
-
-
 @dataclass
 class _Pending:
     """Firing window of an enabled transition, in absolute time."""
@@ -128,7 +120,7 @@ def _window(model: TtsModel, name: str, now: Fraction) -> _Pending:
 
 
 def _sample_in(rng: random.Random, lo: Fraction, lo_strict: bool, hi: Fraction,
-               hi_strict: bool, policy: DelayPolicy) -> Optional[Fraction]:
+               hi_strict: bool, q: int) -> Optional[Fraction]:
     """Pick a rational in the window, biased toward its endpoints."""
     if lo > hi or (lo == hi and (lo_strict or hi_strict)):
         return None
@@ -141,7 +133,6 @@ def _sample_in(rng: random.Random, lo: Fraction, lo_strict: bool, hi: Fraction,
         endpoints.append(hi)
     if endpoints and rng.random() < ENDPOINT_BIAS:
         return rng.choice(endpoints)
-    q = policy.max_denominator
     # grid of q-ths strictly inside, falling back to the midpoint
     first = (lo * q).__floor__() + 1
     last = (hi * q).__ceil__() - 1
@@ -153,8 +144,12 @@ def _sample_in(rng: random.Random, lo: Fraction, lo_strict: bool, hi: Fraction,
 
 
 def simulate(model: TtsModel, horizon: Fraction, seed: int,
-             policy: DelayPolicy = DelayPolicy()) -> TimedTrace:
+             denominator: int = 8) -> TimedTrace:
     """Random timed run of the model up to `horizon` or deadlock.
+
+    Delays favor a window's closed endpoints (see `ENDPOINT_BIAS`) and
+    otherwise fall on the 1/denominator grid strictly inside the window, or
+    on its midpoint when no grid point is inside.
 
     Tracks exact enabling times; a transition may be picked to fire at time
     tau only if tau lies in its own window, no enabled transition's deadline
@@ -206,7 +201,7 @@ def simulate(model: TtsModel, horizon: Fraction, seed: int,
         if not candidates:
             raise AssertionError("time-blocked state: some deadline is unreachable")
         name, lo, lo_s, hi, hi_s = candidates[rng.randrange(len(candidates))]
-        tau = _sample_in(rng, lo, lo_s, hi, hi_s, policy)
+        tau = _sample_in(rng, lo, lo_s, hi, hi_s, denominator)
         assert tau is not None
         if tau > horizon:
             items.append(Duration(horizon - now))

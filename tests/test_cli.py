@@ -140,8 +140,13 @@ def test_malformed_numeric_option_is_input_error(args):
     (("check", "models/airlock.tts"), "present Ventil lasting 1/0"),
     (("check", "models/airlock.tts"), "absent Open1 before Close1 for duration 3/0"),
     (("xcheck", "models/airlock.tts"), "absent Open1 before Close1 for duration 3/0"),
+    (("oracle", "Button1 leadsto first Open1 within [0,2] between Open2 and Close2"),
+     "! Open1 | m:{Idle=1} | s:{}"),
+    (("oracle", "Button1 leadsto first Open1 within [0,2] after Open2 until Close2"),
+     "! Open1 | m:{Idle=1} | s:{}"),
 ], ids=["trace-marking", "trace-store", "trace-negative-marking", "oracle-lasting",
-        "check-lasting", "check-duration", "xcheck-duration"])
+        "check-lasting", "check-duration", "xcheck-duration", "oracle-between-scope",
+        "oracle-after-until-scope"])
 def test_bad_trace_value_or_zero_denominator_is_input_error(tmp_path, args, text):
     path = tmp_path / "input"
     path.write_text(text + "\n")
@@ -209,7 +214,7 @@ def test_xcheck_detects_injected_observer_corruption(tmp_path, monkeypatch):
         frag = spec.fragments[0]
         # blind the witness hook: its action no longer latches the occurrence
         blinded = obs.Hook(frag.hooks[0].role, frag.hooks[0].predicate, ())
-        broken = obs.Fragment(frag.prefix, frag.vars, frag.places,
+        broken = obs.Fragment(frag.prefix, frag.vars,
                               frag.transitions, (blinded,) + frag.hooks[1:],
                               frag.priorities)
         return obs.ObserverSpec((broken,), spec.formula)

@@ -61,11 +61,37 @@ def test_window_watcher_fragment_shape():
     assert (("hook", "E1"), ("obs", "ob1_Error")) in frag.priorities
 
 
-def test_open_brackets_flip_priorities():
-    p = parse_pattern("present a after b within ]1,4[")
-    (frag,) = synthesize(p).fragments
-    assert (("hook", "E1"), ("obs", "ob1_Start")) in frag.priorities
-    assert (("obs", "ob1_Error"), ("hook", "E1")) in frag.priorities
+@pytest.mark.parametrize("text,role,closed", [
+    ("present a after b within [1,4]", "E1", True),
+    ("present a after b within ]1,4[", "E1", False),
+    ("present first a before b within [1,4]", "E2", True),
+    ("present first a before b within ]1,4[", "E2", False),
+], ids=["after-closed", "after-open", "first-closed", "first-open"])
+def test_open_brackets_flip_priorities(text, role, closed):
+    (frag,) = synthesize(parse_pattern(text)).fragments
+    hook, start, error = ("hook", role), ("obs", "ob1_Start"), ("obs", "ob1_Error")
+    if closed:
+        assert set(frag.priorities) == {(start, hook), (hook, error)}
+    else:
+        assert set(frag.priorities) == {(hook, start), (error, hook)}
+
+
+@pytest.mark.parametrize("text,stem,delay", [
+    ("a leadsto first b within [2,5]", "Start", "[2,2]"),
+    ("absent a before b for duration 3", "Reset", "[3,3]"),
+], ids=["leadsto-start", "absent-before-reset"])
+def test_rearm_pair_shape(text, stem, delay):
+    (frag,) = synthesize(parse_pattern(text)).fragments
+    names = {t.name: t for t in frag.transitions}
+    p, q = names[f"ob1_{stem}P"], names[f"ob1_{stem}Q"]
+    assert format_expr(p.guard) == "ob1_bad & ob1_ping"
+    assert format_expr(q.guard) == "ob1_bad & !ob1_ping"
+    for t in (p, q):
+        assert str(t.timing) == delay
+        assert format_actions(t.action) == "ob1_bad := false"
+    # each arming flips ping, handing the countdown to the other transition
+    (arm,) = [h for h in frag.hooks if h.role == "E1"]
+    assert format_actions(arm.actions).endswith("ob1_bad := true; ob1_ping := !ob1_ping")
 
 
 def test_lasting_fragment_gives_ok_priority_over_error():
@@ -137,7 +163,7 @@ def test_compose_rejects_name_clash(airlock):
     p = parse_pattern("present Ventil after Open1 within [0,10]")
     spec = synthesize(p)
     frag = spec.fragments[0]
-    clashing = Fragment(frag.prefix, frag.vars, frag.places,
+    clashing = Fragment(frag.prefix, frag.vars,
                         frag.transitions + (Transition("Ventil"),),
                         frag.hooks, frag.priorities)
     with pytest.raises(ObserverError):

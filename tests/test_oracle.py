@@ -19,7 +19,7 @@ from ttscheck.patterns import (
     parse_pattern,
     to_mtl,
 )
-from ttscheck.traces import DelayPolicy, Duration, TimedTrace, simulate
+from ttscheck.traces import Duration, TimedTrace, simulate
 
 A, B, R = parse_expr("a"), parse_expr("b"), parse_expr("r")
 
@@ -294,7 +294,7 @@ def test_cross_check_agreement_random_traces(airlock, relay, chain):
     for model in (airlock, relay, chain):
         pats = _battery(model)
         for seed in range(50):
-            t = simulate(model, F(18), seed, DelayPolicy())
+            t = simulate(model, F(18), seed)
             for p in pats:
                 rep = cross_check(p, t)
                 total += 1

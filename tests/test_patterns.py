@@ -105,12 +105,13 @@ def test_validate_unknown_identifier(airlock):
     assert any("Nothing" in d.message for d in diags)
 
 
-def test_unsupported_scopes_parsed_then_rejected(airlock):
-    p = parse_pattern("Button1 leadsto first Open1 within [0,2] between Open2 and Close2")
-    diags = validate_pattern(p, airlock)
-    assert any("unsupported" in d.message for d in diags)
-    p2 = parse_pattern("Button1 leadsto first Open1 within [0,2] after Open2 until Close2")
-    assert any("unsupported" in d.message for d in validate_pattern(p2, airlock))
+@pytest.mark.parametrize("text", [
+    "Button1 leadsto first Open1 within [0,2] between Open2 and Close2",
+    "Button1 leadsto first Open1 within [0,2] after Open2 until Close2",
+], ids=["between", "after-until"])
+def test_unsupported_scopes_rejected_by_parser(text):
+    with pytest.raises(PatternError, match="trailing input"):
+        parse_pattern(text)
 
 
 # ---------------------------------------------------------------------------
