@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from .patterns import (
     pattern_constants,
     validate_pattern,
 )
-from .traces import TraceError, parse_trace, serialize_trace, simulate
+from .traces import TraceError, parse_trace, serialize_trace, simulate, truncate
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -227,48 +228,79 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 # xcheck
 
+@dataclass
+class _PatternXcheck:
+    """One pattern's observer, horizon and tallies in a cross-check."""
+
+    pattern: object
+    inst: object
+    horizon: Fraction
+    agreements: int = 0
+    inconclusive: int = 0
+    mismatches: list = field(default_factory=list)  # (run, trace, fott, replay)
+
+
+def _xcheck(model, patterns, runs: int, base_seed: int, horizon, out) -> list:
+    """Simulate runs, replay each through every pattern's instrumented model,
+    and compare with the decomposition oracle on every run where the oracle
+    is decisive.
+
+    Each seed is simulated once, at the largest pattern horizon, and each
+    pattern reads that run cut at its own horizon: the run a simulation to
+    that horizon gives (`traces.truncate`).  One run is held at a time; only
+    mismatching runs are kept."""
+    checks = []
+    for p in patterns:
+        h = horizon
+        if h is None:
+            consts = [c for c in pattern_constants(p) if c is not None]
+            h = 3 * max([Fraction(1)] + consts)
+        checks.append(_PatternXcheck(p, compose(model, synthesize(p)), Fraction(h)))
+    if not checks:
+        return []
+    longest = max(c.horizon for c in checks)
+    for i in range(runs):
+        run = simulate(model, longest, base_seed + i)
+        for c in checks:
+            trace = truncate(run, c.horizon)
+            fv = fott_holds(c.pattern, trace)
+            if fv.value is Verdict.INCONCLUSIVE:
+                c.inconclusive += 1
+                continue
+            rv = replay_instrumented(c.inst, trace)
+            if rv.value is fv.value:
+                c.agreements += 1
+            else:
+                c.mismatches.append((i, trace, fv, rv))
+    entries = []
+    for k, c in enumerate(checks):
+        entry = {
+            "pattern": format_pattern(c.pattern),
+            "runs": runs,
+            "horizon": format_rational(c.horizon),
+            "decisive": c.agreements + len(c.mismatches),
+            "inconclusive": c.inconclusive,
+            "agreements": c.agreements,
+            "mismatches": len(c.mismatches),
+        }
+        if c.mismatches and out:
+            outdir = Path(out)
+            outdir.mkdir(parents=True, exist_ok=True)
+            files = []
+            for (i, trace, fv, rv) in c.mismatches:
+                path = outdir / f"mismatch_{k:03d}_{i}.trace"
+                path.write_text(serialize_trace(trace), encoding="utf-8")
+                files.append({"file": str(path), "fott": fv.value.value,
+                              "replay": rv.value.value})
+            entry["mismatch_files"] = files
+        entries.append(entry)
+    return entries
+
+
 def run_xcheck(model, pattern, runs: int, base_seed: int, horizon=None,
                out=None) -> dict:
-    """Simulate runs, replay through the instrumented model, compare with the
-    decomposition oracle on every run where the oracle is decisive."""
-    inst = compose(model, synthesize(pattern))
-    consts = [c for c in pattern_constants(pattern) if c is not None]
-    if horizon is None:
-        horizon = 3 * max([Fraction(1)] + consts)
-    agreements = 0
-    skipped = 0
-    mismatches = []
-    for i in range(runs):
-        trace = simulate(model, Fraction(horizon), base_seed + i)
-        fv = fott_holds(pattern, trace)
-        if fv.value is Verdict.INCONCLUSIVE:
-            skipped += 1
-            continue
-        rv = replay_instrumented(inst, trace)
-        if rv.value is fv.value:
-            agreements += 1
-        else:
-            mismatches.append((i, trace, fv, rv))
-    entry = {
-        "pattern": format_pattern(pattern),
-        "runs": runs,
-        "horizon": format_rational(Fraction(horizon)),
-        "decisive": agreements + len(mismatches),
-        "inconclusive": skipped,
-        "agreements": agreements,
-        "mismatches": len(mismatches),
-    }
-    if mismatches and out:
-        outdir = Path(out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        files = []
-        for (i, trace, fv, rv) in mismatches:
-            path = outdir / f"mismatch_{i}.trace"
-            path.write_text(serialize_trace(trace), encoding="utf-8")
-            files.append({"file": str(path), "fott": fv.value.value,
-                          "replay": rv.value.value})
-        entry["mismatch_files"] = files
-    return entry
+    """Cross-check one pattern (see `_xcheck`)."""
+    return _xcheck(model, [pattern], runs, base_seed, horizon, out)[0]
 
 
 def cmd_xcheck(args) -> int:
@@ -276,9 +308,7 @@ def cmd_xcheck(args) -> int:
     _at_least_one("--runs", args.runs)
     model = _load_model(args.model)
     patterns = _load_patterns(model, args.patterns)
-    entries = []
-    for p in patterns:
-        entries.append(run_xcheck(model, p, args.runs, args.seed, horizon, args.out))
+    entries = _xcheck(model, patterns, args.runs, args.seed, horizon, args.out)
     lines = []
     for e in entries:
         lines.append(f"[{'ok' if not e['mismatches'] else 'MISMATCH':>8}] "

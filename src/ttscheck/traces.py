@@ -102,6 +102,10 @@ def duration(s: TimedTrace) -> Fraction:
 # wrong.
 ENDPOINT_BIAS = 0.25
 
+# Consecutive firings at one instant before a run is given up: only a cycle
+# of zero-delay transitions fires this often without letting time pass.
+MAX_FIRINGS_AT_ONE_INSTANT = 10_000
+
 
 @dataclass
 class _Pending:
@@ -155,6 +159,11 @@ def simulate(model: TtsModel, horizon: Fraction, seed: int,
     tau only if tau lies in its own window, no enabled transition's deadline
     has passed, and every strictly-higher-priority enabled transition can
     still fire strictly later than tau.
+
+    Random choices do not depend on `horizon` until the first firing past
+    it, so a run to a smaller horizon is this run cut there (`truncate`).
+    More than `MAX_FIRINGS_AT_ONE_INSTANT` firings in a row at one instant
+    raise `ExplorationError`.
     """
     rng = random.Random(seed)
     horizon = Fraction(horizon)
@@ -166,6 +175,7 @@ def simulate(model: TtsModel, horizon: Fraction, seed: int,
         pending[name] = _window(model, name, now)
     items: list = []
     deadlocked = False
+    at_instant = 0  # firings so far at time `now`
 
     while True:
         if not pending:
@@ -195,6 +205,8 @@ def simulate(model: TtsModel, horizon: Fraction, seed: int,
                     hi, hi_s = hw.latest, True
             if hi is None:
                 hi, hi_s = max(lo, now + 1), False  # open-ended: cap arbitrarily
+                if lo == hi and lo_s:
+                    hi = lo + 1  # past a strict lower bound
             if lo > hi or (lo == hi and (lo_s or hi_s)):
                 continue
             candidates.append((name, lo, lo_s, hi, hi_s))
@@ -207,6 +219,11 @@ def simulate(model: TtsModel, horizon: Fraction, seed: int,
             items.append(Duration(horizon - now))
             now = horizon
             break
+        at_instant = at_instant + 1 if tau == now else 1
+        if at_instant > MAX_FIRINGS_AT_ONE_INSTANT:
+            raise ExplorationError(
+                f"more than {MAX_FIRINGS_AT_ONE_INSTANT} firings at time "
+                f"{format_rational(tau)} without time passing")
         items.append(Duration(tau - now))
         marking, store, event, now_enabled, fresh = step(model, marking, store, name)
         items.append(event)
@@ -225,6 +242,26 @@ def simulate(model: TtsModel, horizon: Fraction, seed: int,
 
     return TimedTrace.of(items, (model.initial_marking(), model.initial_store()),
                          deadlocked)
+
+
+def truncate(trace: TimedTrace, horizon) -> TimedTrace:
+    """The run cut at time `horizon`.
+
+    Every item up to `horizon` stays, an event fired exactly at `horizon`
+    included.  A run that goes on past `horizon` ends there with the time
+    left, and is not deadlocked; a run that ends at or before `horizon` is
+    returned unchanged.  For h <= H, `truncate(simulate(m, H, s), h)` is
+    `simulate(m, h, s)`.
+    """
+    horizon = Fraction(horizon)
+    now = Fraction(0)
+    for k, it in enumerate(trace.items):
+        if isinstance(it, Duration):
+            if now + it.value > horizon:
+                rest = (Duration(horizon - now),) if horizon > now else ()
+                return TimedTrace(trace.items[:k] + rest, trace.initial, False)
+            now += it.value
+    return trace
 
 
 def replay(model: TtsModel, trace: TimedTrace) -> bool:

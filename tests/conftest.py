@@ -1,6 +1,8 @@
 import pathlib
+from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from ttscheck.model import load_tts, parse_tts
 
@@ -87,3 +89,38 @@ def xcheck_catalog(model_name: str) -> list:
         "Step2 leadsto first Reset within [4,7] before Exit",
         "Step3 leadsto first Exit within ]0,8] after Step2",
     ]
+
+
+# Random small nets, for hypothesis tests
+
+@st.composite
+def bounds(draw):
+    lo = Fraction(draw(st.integers(0, 12)), draw(st.integers(1, 4)))
+    lo_strict = draw(st.booleans())
+    if draw(st.integers(0, 4)) == 0:
+        return f"{'[]'[lo_strict]}{lo},oo["
+    hi = lo + Fraction(draw(st.integers(0, 12)), draw(st.integers(1, 4)))
+    hi_strict = draw(st.booleans())
+    if hi == lo:
+        lo_strict = hi_strict = False
+    return f"{'[]'[lo_strict]}{lo},{hi}{'[]'[not hi_strict]}"
+
+
+@st.composite
+def nets(draw):
+    """Token-conserving nets: each transition moves one token, optionally
+    under a read arc, so place capacities are never exceeded."""
+    places = [f"P{i}" for i in range(draw(st.integers(2, 3)))]
+    lines = ["places " + " ".join(f"{p}=1/3" for p in places)]
+    n = draw(st.integers(2, 5))
+    for i in range(n):
+        line = f"trans t{i} in {draw(bounds())}"
+        line += f" consume {{{draw(st.sampled_from(places))}}}"
+        line += f" produce {{{draw(st.sampled_from(places))}}}"
+        if draw(st.booleans()):
+            line += f" read {{{draw(st.sampled_from(places))}}}"
+        lines.append(line)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for (i, j) in draw(st.lists(st.sampled_from(pairs), max_size=3, unique=True)):
+        lines.append(f"prio t{i} > t{j}")
+    return "\n".join(lines)

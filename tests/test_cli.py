@@ -111,6 +111,30 @@ def test_simulate_notes_deadlock(tmp_path):
     assert "%deadlock" in r.stdout
 
 
+def test_simulate_open_ended_strict_lower_bound(tmp_path):
+    net = tmp_path / "open.tts"
+    net.write_text("places P=1\ntrans t in ]1,oo[ consume {P} produce {P}\n")
+    r = run_cli("simulate", str(net), "--horizon", "5")
+    assert r.returncode == 0
+    assert "! t" in r.stdout
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "xcheck"])
+def test_zero_delay_cycle_exits_3(tmp_path, command):
+    # a and b hand the token back and forth at once: time never passes
+    net = tmp_path / "zeno.tts"
+    net.write_text("places P=1 Q\ntrans a in [0,0] consume {P} produce {Q}\n"
+                   "trans b in [0,0] consume {Q} produce {P}\n")
+    pat = tmp_path / "zeno.pat"
+    pat.write_text("present b after a within [0,1]\n")
+    args = (command, str(net)) + ((str(pat), "--runs", "3") if command == "xcheck" else ())
+    r = run_cli(*args, "--horizon", "5")
+    assert r.returncode == 3
+    assert r.stderr.splitlines() == [
+        "exploration error: more than 10000 firings at time 0 without time passing"]
+
+
 @pytest.mark.parametrize("args", [
     ("simulate", "models/airlock.tts", "--horizon", "abc"),
     ("simulate", "models/airlock.tts", "--horizon", "-5"),

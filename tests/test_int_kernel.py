@@ -12,9 +12,8 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import n_door_airlock
+from conftest import n_door_airlock, nets
 from ttscheck import classgraph as cg
 from ttscheck import zone
 from ttscheck.model import (
@@ -114,39 +113,6 @@ def assert_same_graph(model, max_classes=1_000_000):
 
 # ---------------------------------------------------------------------------
 # Random small nets
-
-
-@st.composite
-def bounds(draw):
-    lo = Fraction(draw(st.integers(0, 12)), draw(st.integers(1, 4)))
-    lo_strict = draw(st.booleans())
-    if draw(st.integers(0, 4)) == 0:
-        return f"{'[]'[lo_strict]}{lo},oo["
-    hi = lo + Fraction(draw(st.integers(0, 12)), draw(st.integers(1, 4)))
-    hi_strict = draw(st.booleans())
-    if hi == lo:
-        lo_strict = hi_strict = False
-    return f"{'[]'[lo_strict]}{lo},{hi}{'[]'[not hi_strict]}"
-
-
-@st.composite
-def nets(draw):
-    """Token-conserving nets: each transition moves one token, optionally
-    under a read arc, so place capacities are never exceeded."""
-    places = [f"P{i}" for i in range(draw(st.integers(2, 3)))]
-    lines = ["places " + " ".join(f"{p}=1/3" for p in places)]
-    n = draw(st.integers(2, 5))
-    for i in range(n):
-        line = f"trans t{i} in {draw(bounds())}"
-        line += f" consume {{{draw(st.sampled_from(places))}}}"
-        line += f" produce {{{draw(st.sampled_from(places))}}}"
-        if draw(st.booleans()):
-            line += f" read {{{draw(st.sampled_from(places))}}}"
-        lines.append(line)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for (i, j) in draw(st.lists(st.sampled_from(pairs), max_size=3, unique=True)):
-        lines.append(f"prio t{i} > t{j}")
-    return "\n".join(lines)
 
 
 @settings(max_examples=60, deadline=None)

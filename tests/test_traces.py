@@ -1,9 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ttscheck.model import Event, parse_tts
+from conftest import nets
+from ttscheck.model import Event, ExplorationError, parse_tts
 from ttscheck.traces import (
+    MAX_FIRINGS_AT_ONE_INSTANT,
     Duration,
     TimedTrace,
     TraceError,
@@ -13,6 +17,7 @@ from ttscheck.traces import (
     replay,
     serialize_trace,
     simulate,
+    truncate,
 )
 
 
@@ -64,6 +69,23 @@ def test_forced_point_firing_then_deadlock():
     assert t.deadlocked
     assert [it for it in t.items] == [Duration(Fraction(2)), t.events[0]]
     assert t.events[0].transition == "t"
+
+
+def test_open_ended_strict_lower_bound_fires():
+    # a strict lower bound at or past now + 1 used to leave an empty window
+    m = parse_tts("places P=1\ntrans t in ]1,oo[ consume {P} produce {P}\n")
+    t = simulate(m, Fraction(5), seed=0)
+    assert t.events
+    first = t.event_times()[0][0]
+    assert 1 < first <= 2
+
+
+def test_zero_delay_cycle_is_an_exploration_error():
+    m = parse_tts("places P=1 Q\ntrans a in [0,0] consume {P} produce {Q}\n"
+                  "trans b in [0,0] consume {Q} produce {P}\n")
+    with pytest.raises(ExplorationError,
+                       match=f"more than {MAX_FIRINGS_AT_ONE_INSTANT} firings at time 0"):
+        simulate(m, Fraction(5), seed=0)
 
 
 def test_seed_determinism(airlock):
@@ -150,3 +172,47 @@ def test_negative_marking_rejected_negative_store_kept():
 def test_deadlock_marker_round_trip():
     t = TimedTrace.of([Duration(Fraction(1))], None, deadlocked=True)
     assert parse_trace(serialize_trace(t)) == t
+
+
+# ---------------------------------------------------------------------------
+# truncation
+
+def test_truncate_keeps_a_firing_at_the_horizon():
+    t = tr(Duration(Fraction(2)), ev("a"), Duration(Fraction(3)), ev("b"), dl=True)
+    assert truncate(t, 2) == tr(Duration(Fraction(2)), ev("a"))
+    assert truncate(t, 4) == tr(Duration(Fraction(2)), ev("a"), Duration(Fraction(2)))
+    assert truncate(t, 1) == tr(Duration(Fraction(1)))
+    assert truncate(t, 0) == tr()
+
+
+def test_truncate_keeps_a_run_that_ends_by_the_horizon():
+    t = tr(Duration(Fraction(2)), ev("a"), dl=True)
+    assert truncate(t, 2) is t
+    assert truncate(t, 7) is t
+
+
+horizons = st.builds(Fraction, st.integers(0, 40), st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(nets(), horizons, horizons, st.integers(0, 1000))
+# the two nets that once broke `simulate`: a strict open-ended window, and a
+# zero-delay cycle
+@example("places P0=1/3 P1=1/3\ntrans t0 in ]1,oo[ consume {P0} produce {P0}",
+         Fraction(3, 2), Fraction(5), 0)
+@example("places P0=1/3 P1=1/3\ntrans t0 in [0,0] consume {P0} produce {P1}\n"
+         "trans t1 in [0,0] consume {P1} produce {P0}", Fraction(0), Fraction(5), 0)
+def test_truncated_run_is_the_run_to_the_smaller_horizon(text, a, b, seed):
+    model = parse_tts(text)
+    h, H = sorted((a, b))
+    try:
+        short = simulate(model, h, seed)
+    except ExplorationError:
+        with pytest.raises(ExplorationError):
+            simulate(model, H, seed)
+        return
+    try:
+        run = simulate(model, H, seed)
+    except ExplorationError:
+        return
+    assert truncate(run, h) == short
