@@ -247,8 +247,8 @@ def _xcheck(model, patterns, runs: int, base_seed: int, horizon, out) -> list:
 
     Each seed is simulated once, at the largest pattern horizon, and each
     pattern reads that run cut at its own horizon: the run a simulation to
-    that horizon gives (`traces.truncate`).  One run is held at a time; only
-    mismatching runs are kept."""
+    that horizon gives (`traces.truncate`), cut once per distinct horizon.
+    One run and its cuts are held at a time; only mismatching runs are kept."""
     checks = []
     for p in patterns:
         h = horizon
@@ -258,11 +258,13 @@ def _xcheck(model, patterns, runs: int, base_seed: int, horizon, out) -> list:
         checks.append(_PatternXcheck(p, compose(model, synthesize(p)), Fraction(h)))
     if not checks:
         return []
-    longest = max(c.horizon for c in checks)
+    horizons = {c.horizon for c in checks}
+    longest = max(horizons)
     for i in range(runs):
         run = simulate(model, longest, base_seed + i)
+        cuts = {h: truncate(run, h) for h in horizons}
         for c in checks:
-            trace = truncate(run, c.horizon)
+            trace = cuts[c.horizon]
             fv = fott_holds(c.pattern, trace)
             if fv.value is Verdict.INCONCLUSIVE:
                 c.inconclusive += 1

@@ -335,24 +335,32 @@ def validate_model(model: TtsModel) -> list:
         for n in (hi, lo):
             if n not in model.transitions:
                 diags.append(Diagnostic(n, "priority references undeclared transition"))
-    # acyclicity of the priority relation
+    # acyclicity of the priority relation; an explicit stack, since a
+    # priority chain may be longer than the interpreter's recursion limit
     adj: dict = {}
     for (hi, lo) in model.priority:
         adj.setdefault(hi, []).append(lo)
     state: dict = {}
 
-    def visit(n: str) -> bool:
-        state[n] = 1
-        for nxt in adj.get(n, ()):
-            if state.get(nxt) == 1:
-                return False
-            if state.get(nxt) is None and not visit(nxt):
-                return False
-        state[n] = 2
+    def acyclic_from(root: str) -> bool:
+        state[root] = 1
+        stack = [(root, iter(adj.get(root, ())))]
+        while stack:
+            n, succs = stack[-1]
+            for nxt in succs:
+                if state.get(nxt) == 1:
+                    return False
+                if state.get(nxt) is None:
+                    state[nxt] = 1
+                    stack.append((nxt, iter(adj.get(nxt, ()))))
+                    break
+            else:
+                state[n] = 2
+                stack.pop()
         return True
 
     for n in adj:
-        if state.get(n) is None and not visit(n):
+        if state.get(n) is None and not acyclic_from(n):
             diags.append(Diagnostic(n, "cyclic priority relation"))
             break
     return diags

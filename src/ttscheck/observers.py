@@ -493,11 +493,23 @@ def _prio_side_names(side: PrioSide, frag: Fragment, matches: dict,
 # ---------------------------------------------------------------------------
 # Instrumented replay: run a recorded system trace through the composition
 
+# Most watcher firings between two system events, or over the idle tail:
+# synthesized watchers latch, so more means a watcher that never settles.
+MAX_WATCHER_FIRINGS = 10_000
+
+
 class _ReplayState:
     """Discrete-event execution of the composed net with exogenous system
-    events; watcher transitions fire at their deadlines, ordered at shared
-    instants by the declared priorities with system events first otherwise.
-    Each step is recorded as the letter the model checker reads off it."""
+    events.  Each step is recorded as the letter the model checker reads
+    off it.
+
+    One ordering rule (`_next`) decides what fires before a system event at
+    time t: first an open-ended watcher that is already ripe; else one whose
+    lower bound comes before the next deadline and before t, fired midway;
+    else the watcher with the earliest deadline d <= t, where at d == t only
+    watchers with priority over the event fire.  A watcher never fires while
+    a higher-priority watcher is due at the same instant; ties go by name.
+    """
 
     def __init__(self, inst: InstrumentedModel):
         self.model = inst.model
@@ -523,21 +535,8 @@ class _ReplayState:
             if n in self.obs_names and (n in fresh or n not in self.watches):
                 self.watches[n] = _window(self.model, n, self.now)
 
-    def due_observers(self) -> list:
-        """Watchers that must fire at the current instant (deadline hit)."""
-        out = []
-        for name, w in self.watches.items():
-            if w.latest is not None and w.latest == self.now:
-                out.append(name)
-        return sorted(out)
-
-    def next_deadline(self) -> Optional[Fraction]:
-        ds = [w.latest for w in self.watches.values() if w.latest is not None]
-        return min(ds) if ds else None
-
-    def ripe_open_watcher(self) -> Optional[str]:
-        """An open-ended watcher whose firing window has opened strictly
-        before the current instant (or at it, for a non-strict bound)."""
+    def _ripe(self) -> Optional[str]:
+        """An open-ended watcher whose firing window is open by now."""
         for name in sorted(self.watches):
             w = self.watches[name]
             if w.latest is None and (w.earliest < self.now
@@ -545,85 +544,46 @@ class _ReplayState:
                 return name
         return None
 
-    def next_open_lower(self) -> Optional[Fraction]:
-        lows = [w.earliest for w in self.watches.values() if w.latest is None]
-        return min(lows) if lows else None
-
-    def obs_precedes(self, obs: str, sys_name: str) -> bool:
-        return (obs, sys_name) in self.model.priority
-
-    def fire_due(self, before_sys: Optional[str]) -> bool:
-        """Fire watchers whose deadline is the current instant; restricted to
-        those prioritized above the given system transition, if any.  Tells
-        whether any fired."""
-        fired_any = False
-        for _ in range(200):
-            fired = False
-            for name in self.due_observers():
-                if before_sys is not None and not self.obs_precedes(name, before_sys):
-                    continue
-                if self._blocked_by_higher(name):
-                    continue
-                self._fire(name)
-                fired = fired_any = True
-                break
-            if not fired:
-                return fired_any
-        raise ExplorationError("observer firing loop exceeded bound")
-
-    def fire_before(self, sys_name: Optional[str]):
-        """Fire what precedes a system event at the current instant: a ripe
-        open-ended watcher, then the due watchers prioritized above the
-        event (every due watcher when there is no event)."""
-        ripe = self.ripe_open_watcher()
+    def _next(self, t: Optional[Fraction], sys: Optional[str]) -> Optional[str]:
+        """The watcher that fires next before system event `sys` at time `t`,
+        with the current instant moved to its firing; None if none does."""
+        ripe = self._ripe()
         if ripe is not None:
-            self._fire(ripe)
-        self.fire_due(sys_name)
-
-    def _blocked_by_higher(self, name: str) -> bool:
-        """A due watcher yields to a higher-priority watcher also due now."""
-        for h in self.model.higher_than(name):
-            if h in self.watches:
-                w = self.watches[h]
-                if w.latest is not None and w.latest == self.now:
-                    return True
-        return False
-
-    def advance_to(self, t: Optional[Fraction] = None):
-        """Move time to t, playing out watcher firings due strictly before.
-
-        An open-ended watcher fires eagerly, at an instant strictly past its
-        lower bound but never beyond a pending deadline or the target time.
-        With no target time, this is an idle tail after the last system
-        event: every watcher deadline plays out until a step fires nothing
-        (bounded: watcher state spaces are tiny and latched, so refirings
-        change nothing new).
-        """
-        for _ in range(64 if t is None else 10_000):
-            ripe = self.ripe_open_watcher()
-            if ripe is not None:
-                self._fire(ripe)
+            return ripe
+        d = min((w.latest for w in self.watches.values() if w.latest is not None),
+                default=None)
+        lows = [w.earliest for w in self.watches.values() if w.latest is None]
+        if lows:
+            # strictly past the lower bound, never past a deadline or `t`
+            base = max(min(lows), self.now)
+            cap = min(x for x in (base + 2, d, t) if x is not None)
+            if base < cap:
+                self.now = (base + cap) / 2
+                return self._ripe()
+        if d is None or (t is not None and d > t):
+            return None
+        due = sorted(n for n, w in self.watches.items() if w.latest == d)
+        for name in due:
+            if d == t and sys is not None and (name, sys) not in self.model.priority:
                 continue
-            d = self.next_deadline()
-            lo = self.next_open_lower()
-            if lo is not None:
-                base = max(lo, self.now)
-                cap = min(x for x in (base + 2, d, t) if x is not None)
-                if base < cap:
-                    self.now = (base + cap) / 2
-                    continue
-            if d is None or d < self.now or (t is not None and d >= t):
-                break
+            if any(h in due for h in self.model.higher_than(name)):
+                continue
             self.now = d
-            if not self.fire_due(None) and self.ripe_open_watcher() is None:
+            return name
+        return None
+
+    def play_until(self, t: Optional[Fraction], sys: Optional[str] = None):
+        """Fire every watcher that precedes system event `sys` at time `t`,
+        then move time to `t`; with `t` None, play out the idle tail."""
+        for _ in range(MAX_WATCHER_FIRINGS):
+            name = self._next(t, sys)
+            if name is None:
                 break
+            self._fire(name)
         else:
-            if t is not None:
-                raise ExplorationError("watcher scheduling did not settle")
+            raise ExplorationError(
+                f"more than {MAX_WATCHER_FIRINGS} watcher firings without a system event")
         if t is not None:
-            d = self.next_deadline()
-            if d is not None and d < t:
-                raise ExplorationError("watcher deadline missed during replay")
             self.now = t
 
 
@@ -633,18 +593,16 @@ def replay_instrumented(inst: InstrumentedModel, trace: TimedTrace) -> TraceVerd
     path that ends in a deadlock: the final state stutters forever."""
     st = _ReplayState(inst)
     for (t, ev) in trace.event_times():
-        st.advance_to(t)
-        st.fire_before(ev.transition)
+        st.play_until(t, ev.transition)
         st._fire(ev.transition)
         # recorded post-state must agree on the system projection
         for k, v in ev.store.items():
             if st.store.get(k) != v:
                 raise ExplorationError(f"replay diverged on variable {k!r}")
-    st.advance_to(max(duration(trace), st.now))
-    st.fire_before(None)
+    st.play_until(max(duration(trace), st.now))
     # play out remaining watcher deadlines over an idle tail: decisive oracle
     # verdicts are stable under every continuation, including this one
-    st.advance_to()
+    st.play_until(None)
     final = run_letter(st.atoms, st.marking, st.store, None)
     holds = eval_on_lasso(inst.formula, st.letters, [final])
     return TraceVerdict(Verdict.HOLDS if holds else Verdict.FAILS)

@@ -69,7 +69,25 @@ def test_undeclared_guard_variable_diagnosed():
 def test_cyclic_priority_diagnosed():
     ts = {n: Transition(n) for n in ("a", "b")}
     m = TtsModel("m", {}, {}, ts, (("a", "b"), ("b", "a")))
-    assert any("cyclic" in d.message for d in validate_model(m))
+    assert [str(d) for d in validate_model(m)] == ["a: cyclic priority relation"]
+
+
+def _priority_chain(pairs: int) -> str:
+    """`prio T0 > T1` ... declared top-down, every transition consuming its
+    own empty place."""
+    n = pairs + 1
+    lines = ["places " + " ".join(f"P{i}" for i in range(n))]
+    lines += [f"trans T{i} consume {{P{i}}}" for i in range(n)]
+    lines += [f"prio T{i} > T{i + 1}" for i in range(pairs)]
+    return "\n".join(lines) + "\n"
+
+
+def test_priority_chain_longer_than_recursion_limit():
+    m = parse_tts(_priority_chain(1500))
+    assert len(m.priority) == 1500 and validate_model(m) == []
+    cyclic = TtsModel("m", m.places, m.vars, m.transitions,
+                      m.priority + (("T1500", "T0"),))
+    assert [str(d) for d in validate_model(cyclic)] == ["T0: cyclic priority relation"]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from ttscheck.ltl import (
     formula_atoms,
     run_letter,
 )
-from ttscheck.model import Transition, closed_interval, eval_predicate
+from ttscheck.model import ExplorationError, Transition, closed_interval, eval_predicate
 from ttscheck.observers import (
     Fragment,
     ObserverError,
@@ -32,7 +32,7 @@ from ttscheck.observers import (
 )
 from ttscheck.oracle import Verdict, fott_holds
 from ttscheck.patterns import parse_pattern, pattern_constants
-from ttscheck.traces import simulate
+from ttscheck.traces import duration, simulate
 from ttscheck.expr import Name
 
 from conftest import xcheck_catalog
@@ -323,6 +323,169 @@ def test_lasso_reading_agrees_with_weak_run_evaluation(monkeypatch, airlock, rel
                 holds += expected
     assert compared == 3 * 8 * 100
     assert 0 < holds < compared
+
+
+# ---------------------------------------------------------------------------
+# replay scheduling: the one ordering rule against the three-loop scheduler
+
+class RefReplayState(observers._ReplayState):
+    """Reference scheduler: what fires before a system event is decided by
+    three loops, `advance_to` (deadlines and open-ended watchers strictly
+    before the event), `fire_before` (a ripe watcher, then the due watchers
+    prioritized above the event) and `fire_due`, each with its own bound."""
+
+    def due_observers(self) -> list:
+        return sorted(n for n, w in self.watches.items()
+                      if w.latest is not None and w.latest == self.now)
+
+    def next_deadline(self):
+        ds = [w.latest for w in self.watches.values() if w.latest is not None]
+        return min(ds) if ds else None
+
+    def ripe_open_watcher(self):
+        for name in sorted(self.watches):
+            w = self.watches[name]
+            if w.latest is None and (w.earliest < self.now
+                                     or (w.earliest == self.now and not w.earliest_strict)):
+                return name
+        return None
+
+    def next_open_lower(self):
+        lows = [w.earliest for w in self.watches.values() if w.latest is None]
+        return min(lows) if lows else None
+
+    def fire_due(self, before_sys) -> bool:
+        fired_any = False
+        for _ in range(200):
+            fired = False
+            for name in self.due_observers():
+                if before_sys is not None and (name, before_sys) not in self.model.priority:
+                    continue
+                if self._blocked_by_higher(name):
+                    continue
+                self._fire(name)
+                fired = fired_any = True
+                break
+            if not fired:
+                return fired_any
+        raise ExplorationError("observer firing loop exceeded bound")
+
+    def fire_before(self, sys_name):
+        ripe = self.ripe_open_watcher()
+        if ripe is not None:
+            self._fire(ripe)
+        self.fire_due(sys_name)
+
+    def _blocked_by_higher(self, name: str) -> bool:
+        for h in self.model.higher_than(name):
+            w = self.watches.get(h)
+            if w is not None and w.latest is not None and w.latest == self.now:
+                return True
+        return False
+
+    def advance_to(self, t=None):
+        for _ in range(64 if t is None else 10_000):
+            ripe = self.ripe_open_watcher()
+            if ripe is not None:
+                self._fire(ripe)
+                continue
+            d = self.next_deadline()
+            lo = self.next_open_lower()
+            if lo is not None:
+                base = max(lo, self.now)
+                cap = min(x for x in (base + 2, d, t) if x is not None)
+                if base < cap:
+                    self.now = (base + cap) / 2
+                    continue
+            if d is None or d < self.now or (t is not None and d >= t):
+                break
+            self.now = d
+            if not self.fire_due(None) and self.ripe_open_watcher() is None:
+                break
+        else:
+            if t is not None:
+                raise ExplorationError("watcher scheduling did not settle")
+        if t is not None:
+            d = self.next_deadline()
+            if d is not None and d < t:
+                raise ExplorationError("watcher deadline missed during replay")
+            self.now = t
+
+
+def ref_replay_instrumented(inst, trace, state_cls=RefReplayState):
+    st = state_cls(inst)
+    for (t, ev) in trace.event_times():
+        st.advance_to(t)
+        st.fire_before(ev.transition)
+        st._fire(ev.transition)
+    st.advance_to(max(duration(trace), st.now))
+    st.fire_before(None)
+    st.advance_to()
+    final = run_letter(st.atoms, st.marking, st.store, None)
+    holds = eval_on_lasso(inst.formula, st.letters, [final])
+    return Verdict.HOLDS if holds else Verdict.FAILS
+
+
+def scheduling_cases(model) -> tuple:
+    """The model's catalog plus one `and` and one `=>` composite, and the
+    horizons H/3, H and 5H, H being three times the largest constant."""
+    cat = xcheck_catalog(model.name)
+    texts = cat + [f"({cat[2]}) and ({cat[4]})", f"({cat[6]}) => ({cat[0]})"]
+    patterns = [parse_pattern(t) for t in texts]
+    h = 3 * max([Fraction(1)] + [c for p in patterns for c in pattern_constants(p)
+                                 if c is not None])
+    return patterns, (h / 3, h, 5 * h)
+
+
+def test_replay_scheduling_matches_reference(monkeypatch, airlock, relay, chain):
+    # same composed run: every firing, the instant it happens, the window of
+    # every live watcher after it, and the verdict
+    logs = []
+
+    def recording(cls):
+        class Recording(cls):
+            def __init__(self, inst):
+                super().__init__(inst)
+                self.log = [(None, self.now, dict(self.watches))]
+                logs.append(self.log)
+
+            def _fire(self, name):
+                super()._fire(name)
+                self.log.append((name, self.now, dict(self.watches)))
+        return Recording
+
+    ref_state = recording(RefReplayState)
+    monkeypatch.setattr(observers, "_ReplayState", recording(observers._ReplayState))
+    compared = watcher_firings = 0
+    for model in (airlock, relay, chain):
+        patterns, horizons = scheduling_cases(model)
+        insts = [compose(model, synthesize(p)) for p in patterns]
+        for h in horizons:
+            for seed in range(40):
+                trace = simulate(model, h, seed)
+                for p, inst in zip(patterns, insts):
+                    logs.clear()
+                    ref = ref_replay_instrumented(inst, trace, ref_state)
+                    got = replay_instrumented(inst, trace).value
+                    ref_log, log = logs
+                    assert (log, got) == (ref_log, ref), (model.name, p, h, seed)
+                    compared += 1
+                    watcher_firings += sum(n in inst.observer_transitions
+                                           for (n, _, _) in log)
+    assert compared == 3 * 10 * 3 * 40
+    assert watcher_firings > 0
+
+
+def test_idle_tail_that_never_settles_is_an_exploration_error():
+    from ttscheck.model import parse_tts
+
+    m = parse_tts("places P=1\ntrans go consume {P}\n", name="once")
+    tick = Transition("ob_Tick", timing=closed_interval(Fraction(1), Fraction(1)))
+    inst = compose(m, ObserverSpec((Fragment("ob_", transitions=(tick,)),),
+                                   LAlways(LNot(EventAtom(Name("ob_Tick"))))))
+    trace = simulate(m, Fraction(3), 0)
+    with pytest.raises(ExplorationError, match="watcher firings"):
+        replay_instrumented(inst, trace)
 
 
 # ---------------------------------------------------------------------------

@@ -125,3 +125,17 @@ def test_mismatch_files_are_named_per_pattern(tmp_path, capsys, monkeypatch):
     assert len(set(all_files)) == len(all_files)
     assert sorted(p.name for p in out.iterdir()) == sorted(
         pathlib.Path(f).name for f in all_files)
+
+
+def test_each_run_is_cut_once_per_distinct_horizon(tmp_path, capsys, monkeypatch):
+    cuts = []
+    real_truncate = cli.truncate
+    monkeypatch.setattr(cli, "truncate",
+                        lambda run, h: cuts.append(h) or real_truncate(run, h))
+    pat = tmp_path / "relay.pat"
+    pat.write_text("\n".join(xcheck_catalog("relay")) + "\n")
+    entries = xcheck_json(capsys, str(MODELS / "relay.tts"), str(pat),
+                          "--runs", "5", "--seed", "1")
+    horizons = {e["horizon"] for e in entries}
+    assert 1 < len(horizons) < len(entries)
+    assert sorted(map(format_rational, cuts)) == sorted(list(horizons) * 5)
