@@ -95,7 +95,8 @@ def successor(model: TtsModel, c: StateClass, t: str) -> StateClass:
     higher = model.higher_than(t)
     if t not in c.domain.names or not zone.firable(c.domain, t, higher):
         raise ExplorationError(f"transition {t!r} not firable from this class")
-    new_marking, new_store, _, now_enabled, fresh = step(model, c.marking, c.store, t)
+    new_marking, new_store, _, now_enabled, fresh = step(
+        model, c.marking, c.store, t, c.domain.names)
     persistent = sorted(now_enabled - fresh)
     intervals = {name: model.transitions[name].timing for name in fresh}
     d = zone.fire(c.domain, t, higher, persistent, intervals)

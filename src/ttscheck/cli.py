@@ -299,12 +299,6 @@ def _xcheck(model, patterns, runs: int, base_seed: int, horizon, out) -> list:
     return entries
 
 
-def run_xcheck(model, pattern, runs: int, base_seed: int, horizon=None,
-               out=None) -> dict:
-    """Cross-check one pattern (see `_xcheck`)."""
-    return _xcheck(model, [pattern], runs, base_seed, horizon, out)[0]
-
-
 def cmd_xcheck(args) -> int:
     horizon = None if args.horizon is None else _parse_horizon(args.horizon)
     _at_least_one("--runs", args.runs)

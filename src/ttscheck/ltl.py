@@ -773,7 +773,8 @@ def _schedule_constraints(model: TtsModel, firing: list) -> list:
                 cons.append((k, eu, (uiv.upper.value, strict)))
             # unbounded competitors never force anything
         cons.append((k - 1, k, (Fraction(0), False)))  # time monotone
-        marking, store, _, now_enabled, fresh = step(model, marking, store, t)
+        marking, store, _, now_enabled, fresh = step(model, marking, store, t,
+                                                      enable_step)
         # a preempted higher-priority competitor must fire strictly later,
         # as long as it stays continuously enabled
         for h in higher:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Collection, Optional, Union
 
 from .expr import (
     Assign,
@@ -430,15 +430,16 @@ def fire(model: TtsModel, marking: Marking, store: Store, name: str):
     return new_marking, new_store, Event(name, new_marking, new_store)
 
 
-def step(model: TtsModel, marking: Marking, store: Store, name: str):
+def step(model: TtsModel, marking: Marking, store: Store, name: str,
+         before: Collection[str]):
     """Fire `name`; returns (marking, store, event, enabled, fresh).
 
-    `enabled` is the post-state's enabled set and `fresh` the part of it
-    whose clocks restart.  Intermediate-marking semantics: a transition is
-    fresh if it was not enabled in the intermediate state (the pre-state
-    with the fired transition's input tokens removed, original store).  The
-    fired transition itself restarts whenever it is enabled afterwards; a
-    guard flipping from false to true also restarts.
+    `before` is the pre-state's enabled set, `enabled` the post-state's and
+    `fresh` the part of it whose clocks restart.  Intermediate-marking
+    semantics: a clock restarts when its transition fires, or when the
+    transition was disabled before the firing or in the intermediate state
+    (the pre-state with the fired transition's input tokens removed,
+    original store).  So a guard flipping from false to true also restarts.
     """
     new_marking, new_store, event = fire(model, marking, store, name)
     now_enabled = enabled(model, new_marking, new_store)
@@ -446,7 +447,8 @@ def step(model: TtsModel, marking: Marking, store: Store, name: str):
     for p in model.transitions[name].pre:
         mid_marking[p] -= 1
     fresh = {u for u in now_enabled
-             if u == name or not is_enabled(model, model.transitions[u], mid_marking, store)}
+             if u == name or u not in before
+             or not is_enabled(model, model.transitions[u], mid_marking, store)}
     return new_marking, new_store, event, now_enabled, fresh
 
 

@@ -518,21 +518,22 @@ class _ReplayState:
         self.marking = self.model.initial_marking()
         self.store = self.model.initial_store()
         self.now = Fraction(0)
+        self.enabled = enabled(self.model, self.marking, self.store)
         self.watches: dict = {}
         self.letters: list = []
-        for name in sorted(enabled(self.model, self.marking, self.store)):
+        for name in sorted(self.enabled):
             if name in self.obs_names:
                 self.watches[name] = _window(self.model, name, Fraction(0))
 
     def _fire(self, name: str):
         prev_m, prev_s = self.marking, self.store
-        self.marking, self.store, event, live, fresh = step(
-            self.model, self.marking, self.store, name)
+        self.marking, self.store, event, self.enabled, fresh = step(
+            self.model, self.marking, self.store, name, self.enabled)
         self.letters.append(run_letter(self.atoms, prev_m, prev_s, event))
-        for gone in [n for n in self.watches if n not in live]:
+        for gone in [n for n in self.watches if n not in self.enabled]:
             del self.watches[gone]
-        for n in sorted(live):
-            if n in self.obs_names and (n in fresh or n not in self.watches):
+        for n in sorted(fresh):
+            if n in self.obs_names:
                 self.watches[n] = _window(self.model, n, self.now)
 
     def _ripe(self) -> Optional[str]:

@@ -2,12 +2,14 @@
 
 `fott_holds` implements the first-order decomposition reading of each pattern
 directly; `mtl_holds` evaluates the pattern's MTL form with a pointwise
-finite-trace semantics.  Both are three-valued: `INCONCLUSIVE` marks prefixes
-too short to decide.  Untimed modalities get the weak reading (the prefix is
-judged as if it were the complete behavior); a timed window that is still
-open at the end of the prefix is inconclusive, unless the trace ended in a
-deadlock, in which case no further event can arrive and the window closes
-decisively.
+finite-trace semantics.  MTL has one bounded search, `until`: `eventually_I g`
+reads `true U_I g` and `always_I g` reads `not (true U_I not g)`, except a
+timed `always` over a state predicate (below).  Both are three-valued:
+`INCONCLUSIVE` marks prefixes too short to decide.  Untimed modalities get
+the weak reading (the prefix is judged as if it were the complete behavior);
+a timed window that is still open at the end of the prefix is inconclusive,
+unless the trace ended in a deadlock, in which case no further event can
+arrive and the window closes decisively.
 
 Conventions shared by both semantics (sequence rendering of dense time):
   - positions are the trace's events plus a virtual start position at time 0;
@@ -366,16 +368,15 @@ def _meval(f: MtlFormula, tl: Timeline, i: int):
         u = _meval_until(MUntil(f.left, f.right), tl, i)
         if u is True:
             return True
-        g = _meval_always_untimed(f.left, tl, i)
-        return _or3v(u, g)
+        return _or3v(u, _meval(MAlways(f.left), tl, i))
     if isinstance(f, MAlways):
-        if f.interval is None:
-            return _meval_always_untimed(f.f, tl, i, strict=f.strict)
-        if _contains_state_atom(f.f):
+        if f.interval is not None and _contains_state_atom(f.f):
             return _meval_always_state(f, tl, i)
-        return _meval_always_timed(f, tl, i)
+        # always g == not (true U not g); a strict untimed window starts at i+1
+        start = i + 1 if f.strict and f.interval is None else i
+        return _not3(_meval_until(MUntil(MTrue(), MNot(f.f), f.interval), tl, start))
     if isinstance(f, MEventually):
-        return _meval_eventually(f, tl, i)
+        return _meval_until(MUntil(MTrue(), f.f, f.interval), tl, i)
     raise AssertionError
 
 
@@ -415,39 +416,6 @@ def _meval_until(f: MUntil, tl: Timeline, i: int):
     return None
 
 
-def _meval_always_untimed(g: MtlFormula, tl: Timeline, i: int, strict: bool = False):
-    saw_unknown = False
-    for j in range(i + 1 if strict else i, len(tl.events)):
-        v = _meval(g, tl, j)
-        if v is False:
-            return False
-        if v is None:
-            saw_unknown = True
-    return None if saw_unknown else True
-
-
-def _meval_always_timed(f: MAlways, tl: Timeline, i: int):
-    saw_unknown = False
-    t0 = tl.time_at(i)
-    for j in range(i + 1, len(tl.events)):
-        delta = tl.time_at(j) - t0
-        if not _window_still_open(f.interval, delta):
-            break
-        if f.interval.contains(delta):
-            v = _meval(f.f, tl, j)
-            if v is False:
-                return False
-            if v is None:
-                saw_unknown = True
-    if saw_unknown:
-        return None
-    if tl.deadlocked:
-        return True
-    if _window_still_open(f.interval, tl.total - t0):
-        return None
-    return True
-
-
 def _meval_always_state(f: MAlways, tl: Timeline, i: int):
     """Timed always over a state predicate: every reigning state in the
     window satisfies it; changes exactly at the right endpoint do not count.
@@ -473,31 +441,6 @@ def _meval_always_state(f: MAlways, tl: Timeline, i: int):
         return None
     if tl.total - t0 >= d or tl.deadlocked:
         return True
-    return None
-
-
-def _meval_eventually(f: MEventually, tl: Timeline, i: int):
-    timed = f.interval is not None
-    saw_unknown = False
-    t0 = tl.time_at(i)
-    for j in range(i + 1 if timed else max(i, -1), len(tl.events)):
-        if timed:
-            delta = tl.time_at(j) - t0
-            if not _window_still_open(f.interval, delta):
-                break
-            if not f.interval.contains(delta):
-                continue
-        v = _meval(f.f, tl, j)
-        if v is True:
-            return True
-        if v is None:
-            saw_unknown = True
-    if saw_unknown:
-        return None
-    if not timed or tl.deadlocked:
-        return False
-    if not _window_still_open(f.interval, tl.total - t0):
-        return False
     return None
 
 

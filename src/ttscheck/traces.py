@@ -225,19 +225,19 @@ def simulate(model: TtsModel, horizon: Fraction, seed: int,
                 f"more than {MAX_FIRINGS_AT_ONE_INSTANT} firings at time "
                 f"{format_rational(tau)} without time passing")
         items.append(Duration(tau - now))
-        marking, store, event, now_enabled, fresh = step(model, marking, store, name)
+        marking, store, event, now_enabled, fresh = step(
+            model, marking, store, name, pending)
         items.append(event)
         # strict-later obligation for higher-priority competitors we preempted
         for h in model.higher_than(name):
-            w = pending.get(h)
-            if w is not None and h in now_enabled and h not in fresh:
+            if h in now_enabled and h not in fresh:
+                w = pending[h]
                 if w.earliest < tau or (w.earliest == tau and not w.earliest_strict):
                     w.earliest, w.earliest_strict = tau, True
         for gone in [n for n in pending if n not in now_enabled]:
             del pending[gone]
-        for n in sorted(now_enabled):
-            if n in fresh or n not in pending:
-                pending[n] = _window(model, n, tau)
+        for n in sorted(fresh):
+            pending[n] = _window(model, n, tau)
         now = tau
 
     return TimedTrace.of(items, (model.initial_marking(), model.initial_store()),

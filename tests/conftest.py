@@ -124,3 +124,18 @@ def nets(draw):
     for (i, j) in draw(st.lists(st.sampled_from(pairs), max_size=3, unique=True)):
         lines.append(f"prio t{i} > t{j}")
     return "\n".join(lines)
+
+
+@st.composite
+def guarded_nets(draw):
+    """`nets()` with an optional place guard, `pre {Pk}` or `pre {!Pk}`, on
+    each transition.  A guard may read a place that another firing consumes,
+    so a transition can be disabled before a firing and enabled in its
+    intermediate marking."""
+    lines = draw(nets()).split("\n")
+    places = [p.split("=")[0] for p in lines[0].split()[1:]]
+    for k, line in enumerate(lines):
+        if line.startswith("trans ") and draw(st.booleans()):
+            neg = "!" if draw(st.booleans()) else ""
+            lines[k] = f"{line} pre {{{neg}{draw(st.sampled_from(places))}}}"
+    return "\n".join(lines)

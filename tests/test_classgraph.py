@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import guarded_nets
 from ttscheck import classgraph as cg
-from ttscheck.model import fire, parse_tts
+from ttscheck.model import ExplorationError, fire, parse_tts
 from ttscheck.traces import Duration, simulate
 
 
@@ -162,3 +165,31 @@ def test_simulated_traces_map_to_graph_paths(airlock, relay, chain):
         for seed in range(runs):
             tr = simulate(model, Fraction(30), seed)
             assert _walk_graph(model, g, tr), (model.name, seed)
+
+
+# u is disabled before t fires and enabled in t's intermediate marking: its
+# clock starts when t fires, so the graph has 2 classes and 2 edges
+GUARD_READS_CONSUMED = ("places P=1 Q\ntrans t in [1,1] consume {P} produce {Q}\n"
+                        "trans u in [2,3] pre {!P}")
+
+
+def test_guard_on_consumed_place_restarts_clock():
+    g = cg.build_graph(parse_tts(GUARD_READS_CONSUMED))
+    assert (g.node_count, g.edge_count) == (2, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(guarded_nets(), st.integers(0, 1000))
+@example(GUARD_READS_CONSUMED, 0)
+def test_simulated_traces_map_to_graph_paths_on_guarded_nets(text, seed):
+    model = parse_tts(text)
+    try:
+        g = cg.build_graph(model, max_classes=300)
+    except cg.ClassBudgetExceeded:
+        return
+    for s in range(seed, seed + 5):
+        try:
+            tr = simulate(model, Fraction(20), s)
+        except ExplorationError:  # a zero-delay cycle
+            return
+        assert _walk_graph(model, g, tr), s

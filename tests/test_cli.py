@@ -221,6 +221,22 @@ def test_xcheck_zero_mismatches(tmp_path):
     assert report["xcheck"][0]["agreements"] > 0
 
 
+def test_guard_on_consumed_place_checks_and_xchecks(tmp_path):
+    # the observer's guards read !Idle; Open1 consumes Idle, so a watcher
+    # disabled before Open1 is enabled in its intermediate marking and its
+    # clock must start at Open1
+    pat = tmp_path / "lasting.pat"
+    pat.write_text("present !Idle lasting 3\n")
+    r = run_cli("--json", "check", "models/airlock.tts", str(pat))
+    assert "Traceback" not in r.stderr
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["verdicts"][0]["result"] == "pass"
+    r = run_cli("--json", "xcheck", "models/airlock.tts", str(pat), "--runs", "20")
+    assert "Traceback" not in r.stderr
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["xcheck"][0]["mismatches"] == 0
+
+
 def test_xcheck_detects_injected_observer_corruption(tmp_path, monkeypatch):
     """Negative control: a deliberately broken observer must be caught."""
     import ttscheck.cli as cli
@@ -244,7 +260,7 @@ def test_xcheck_detects_injected_observer_corruption(tmp_path, monkeypatch):
         return obs.ObserverSpec((broken,), spec.formula)
 
     monkeypatch.setattr(cli, "synthesize", corrupted)
-    entry = cli.run_xcheck(model, pattern, runs=15, base_seed=2)
+    entry = cli._xcheck(model, [pattern], 15, 2, None, None)[0]
     assert entry["mismatches"] > 0
 
 

@@ -54,7 +54,8 @@ def ref_successor(model, cls, t):
     marking, store, d = cls
     fired = ref_fire_window(model, d, t)
     assert fired is not None
-    new_marking, new_store, _, now_enabled, fresh = step(model, marking, store, t)
+    new_marking, new_store, _, now_enabled, fresh = step(
+        model, marking, store, t, enabled(model, marking, store))
     names = tuple(sorted(now_enabled - fresh))
     ti = fired.index(t)
     old = [ti] + [fired.index(n) for n in names]

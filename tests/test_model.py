@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import n_door_airlock
+from conftest import guarded_nets, n_door_airlock
 from test_int_kernel import nets
 from ttscheck.expr import parse_expr
 from ttscheck.model import (
@@ -163,8 +163,8 @@ def test_range_overflow_is_error():
 
 def ref_step(model, marking, store, name):
     """Reference for `step`: fire, then test every transition of the net
-    against the post-state and the intermediate state, then recompute the
-    post-state's enabled set from scratch."""
+    against the post-state, the pre-state and the intermediate state, then
+    recompute the post-state's enabled set from scratch."""
     new_marking, new_store, event = fire(model, marking, store, name)
     mid_marking = dict(marking)
     for p in model.transitions[name].pre:
@@ -173,7 +173,8 @@ def ref_step(model, marking, store, name):
     for u in model.transitions.values():
         if not is_enabled(model, u, new_marking, new_store):
             continue
-        if u.name == name or not is_enabled(model, u, mid_marking, store):
+        if (u.name == name or not is_enabled(model, u, marking, store)
+                or not is_enabled(model, u, mid_marking, store)):
             fresh.add(u.name)
     return new_marking, new_store, event, enabled(model, new_marking, new_store), fresh
 
@@ -181,13 +182,13 @@ def ref_step(model, marking, store, name):
 def test_open_newly_enables_close(airlock):
     mk, st = airlock.initial_marking(), airlock.initial_store()
     _, st, _ = fire(airlock, mk, st, "Button1")
-    fresh = step(airlock, mk, st, "Open1")[4]
+    fresh = step(airlock, mk, st, "Open1", enabled(airlock, mk, st))[4]
     assert "Close1" in fresh
 
 
 def test_guard_flip_counts_as_newly_enabled(airlock):
     mk, st = airlock.initial_marking(), airlock.initial_store()
-    fresh = step(airlock, mk, st, "Button1")[4]
+    fresh = step(airlock, mk, st, "Button1", enabled(airlock, mk, st))[4]
     assert "Open1" in fresh  # guard req1 flipped false -> true
     assert "Shutdown" not in fresh  # guard flipped true -> false: disabled
 
@@ -200,7 +201,7 @@ trans bump read {P} in [1,1] act {x := x + 1}
 trans other pre {x >= 0} in [0,oo[
 """)
     mk, st = m.initial_marking(), m.initial_store()
-    _, _, _, now_enabled, fresh = step(m, mk, st, "bump")
+    _, _, _, now_enabled, fresh = step(m, mk, st, "bump", enabled(m, mk, st))
     assert "other" not in fresh
     assert "bump" in fresh  # the fired transition itself restarts
     assert now_enabled == {"bump", "other"}
@@ -211,11 +212,11 @@ def assert_step_matches_reference(model, choices):
     `choices`, and compare `step` with `ref_step` at every firing."""
     mk, st = model.initial_marking(), model.initial_store()
     for c in choices:
-        live = sorted(enabled(model, mk, st))
+        live = enabled(model, mk, st)
         if not live:
             break
-        name = live[c % len(live)]
-        got = step(model, mk, st, name)
+        name = sorted(live)[c % len(live)]
+        got = step(model, mk, st, name, live)
         assert got == ref_step(model, mk, st, name), name
         assert got[4] <= got[3]
         mk, st = got[0], got[1]
@@ -225,6 +226,21 @@ def assert_step_matches_reference(model, choices):
 @given(nets(), st.lists(st.integers(0, 20), max_size=12))
 def test_step_matches_reference_on_random_nets(text, choices):
     assert_step_matches_reference(parse_tts(text), choices)
+
+
+@settings(max_examples=80, deadline=None)
+@given(guarded_nets(), st.lists(st.integers(0, 20), max_size=12))
+def test_step_matches_reference_on_guarded_nets(text, choices):
+    assert_step_matches_reference(parse_tts(text), choices)
+
+
+def test_guard_on_consumed_place_is_fresh_after_firing():
+    # u reads !P: disabled before t, enabled once t has taken P's token
+    m = parse_tts("places P=1 Q\ntrans t in [1,1] consume {P} produce {Q}\n"
+                  "trans u in [2,3] pre {!P}\n")
+    mk, st = m.initial_marking(), m.initial_store()
+    assert enabled(m, mk, st) == {"t"}
+    assert step(m, mk, st, "t", {"t"})[4] == {"u"}
 
 
 @settings(max_examples=40, deadline=None)

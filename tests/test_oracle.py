@@ -1,18 +1,38 @@
 import random
 from fractions import Fraction as F
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ttscheck.expr import parse_expr
 from ttscheck.model import Event, parse_interval
-from ttscheck.oracle import Verdict, cross_check, fott_holds, mtl_holds
+from ttscheck.oracle import (
+    Timeline,
+    Verdict,
+    _and3v,
+    _contains_state_atom,
+    _not3,
+    _or3v,
+    _window_still_open,
+    cross_check,
+    fott_holds,
+    mtl_holds,
+)
 from ttscheck.patterns import (
     AbsentAfterInterval,
     AbsentBeforeDuration,
     AfterScope,
     BeforeScope,
     LeadstoFirstWithin,
+    MAlways,
+    MAnd,
     MAtom,
+    MEventually,
+    MImplies,
+    MNot,
     MTrue,
     MUntil,
+    MWeakUntil,
     PresentAfterWithin,
     PresentFirstBeforeWithin,
     PresentLasting,
@@ -302,3 +322,210 @@ def test_cross_check_agreement_random_traces(airlock, relay, chain):
                     disagreements += 1
     assert total > 500
     assert disagreements == 0
+
+
+# ---------------------------------------------------------------------------
+# Reference MTL evaluator: one hand-written bounded search per operator
+#
+# `mtl_holds` reads `eventually` and `always` through its one `until`.  The
+# evaluator below keeps a separate search for each of `until`, untimed
+# `always`, timed `always`, timed `always` over a state predicate and
+# `eventually`; both must give the same three-valued verdict.
+
+def ref_mtl_holds(f, s):
+    v = ref_meval(f, Timeline(s), -1)
+    return {True: HOLDS, False: FAILS, None: INC}[v]
+
+
+def ref_meval(f, tl, i):
+    if isinstance(f, MTrue):
+        return True
+    if isinstance(f, MAtom):
+        if f.state:
+            return tl.state_pred(f.pred, i)
+        return tl.event_pred(f.pred, i)
+    if isinstance(f, MNot):
+        return _not3(ref_meval(f.f, tl, i))
+    if isinstance(f, MAnd):
+        return _and3v(ref_meval(f.left, tl, i), ref_meval(f.right, tl, i))
+    if isinstance(f, MImplies):
+        return _or3v(_not3(ref_meval(f.left, tl, i)), ref_meval(f.right, tl, i))
+    if isinstance(f, MUntil):
+        return ref_meval_until(f, tl, i)
+    if isinstance(f, MWeakUntil):
+        u = ref_meval_until(MUntil(f.left, f.right), tl, i)
+        if u is True:
+            return True
+        return _or3v(u, ref_meval_always_untimed(f.left, tl, i))
+    if isinstance(f, MAlways):
+        if f.interval is None:
+            return ref_meval_always_untimed(f.f, tl, i, strict=f.strict)
+        if _contains_state_atom(f.f):
+            return ref_meval_always_state(f, tl, i)
+        return ref_meval_always_timed(f, tl, i)
+    if isinstance(f, MEventually):
+        return ref_meval_eventually(f, tl, i)
+    raise AssertionError
+
+
+def ref_meval_until(f, tl, i):
+    timed = f.interval is not None
+    lhs, saw_unknown = True, False
+    for j in range(i + 1 if timed else i, len(tl.events)):
+        in_window = True
+        if timed:
+            delta = tl.time_at(j) - tl.time_at(i)
+            if not _window_still_open(f.interval, delta):
+                break
+            in_window = f.interval.contains(delta)
+        if in_window:
+            combined = _and3v(ref_meval(f.right, tl, j), lhs)
+            if combined is True:
+                return True
+            saw_unknown |= combined is None
+        lhs = _and3v(lhs, ref_meval(f.left, tl, j))
+        if lhs is False:
+            break
+    if saw_unknown:
+        return None
+    if lhs is False or not timed or tl.deadlocked:
+        return False
+    return None if _window_still_open(f.interval, tl.total - tl.time_at(i)) else False
+
+
+def ref_meval_always_untimed(g, tl, i, strict=False):
+    saw_unknown = False
+    for j in range(i + 1 if strict else i, len(tl.events)):
+        v = ref_meval(g, tl, j)
+        if v is False:
+            return False
+        saw_unknown |= v is None
+    return None if saw_unknown else True
+
+
+def ref_meval_always_timed(f, tl, i):
+    saw_unknown = False
+    t0 = tl.time_at(i)
+    for j in range(i + 1, len(tl.events)):
+        delta = tl.time_at(j) - t0
+        if not _window_still_open(f.interval, delta):
+            break
+        if f.interval.contains(delta):
+            v = ref_meval(f.f, tl, j)
+            if v is False:
+                return False
+            saw_unknown |= v is None
+    if saw_unknown:
+        return None
+    if tl.deadlocked or not _window_still_open(f.interval, tl.total - t0):
+        return True
+    return None
+
+
+def ref_meval_always_state(f, tl, i):
+    d = f.interval.upper.value
+    t0 = tl.time_at(i)
+    v0 = ref_meval(f.f, tl, i)
+    if v0 is False:
+        return False
+    saw_unknown = v0 is None
+    for j in range(i + 1, len(tl.events)):
+        if tl.time_at(j) - t0 >= d:
+            break
+        v = ref_meval(f.f, tl, j)
+        if v is False:
+            return False
+        saw_unknown |= v is None
+    if saw_unknown:
+        return None
+    return True if tl.total - t0 >= d or tl.deadlocked else None
+
+
+def ref_meval_eventually(f, tl, i):
+    timed = f.interval is not None
+    saw_unknown = False
+    t0 = tl.time_at(i)
+    for j in range(i + 1 if timed else i, len(tl.events)):
+        if timed:
+            delta = tl.time_at(j) - t0
+            if not _window_still_open(f.interval, delta):
+                break
+            if not f.interval.contains(delta):
+                continue
+        v = ref_meval(f.f, tl, j)
+        if v is True:
+            return True
+        saw_unknown |= v is None
+    if saw_unknown:
+        return None
+    if not timed or tl.deadlocked:
+        return False
+    return None if _window_still_open(f.interval, tl.total - t0) else False
+
+
+EVENT_ATOMS = [MAtom(parse_expr(e)) for e in ("a", "b", "a | r")]
+STATE_ATOMS = [MAtom(parse_expr(e), state=True) for e in ("P", "!P", "x", "P & !x")]
+times = st.builds(F, st.integers(0, 8), st.sampled_from([1, 2]))
+
+
+@st.composite
+def windows(draw):
+    """Open, closed or half-open windows; some unbounded above."""
+    lo = draw(times)
+    lo_b = "]" if draw(st.booleans()) else "["
+    if draw(st.integers(0, 3)) == 0:
+        return parse_interval(f"{lo_b}{lo},oo[")
+    hi = lo + draw(times)
+    hi_b = "[" if draw(st.booleans()) else "]"
+    if hi == lo:
+        lo_b, hi_b = "[", "]"
+    return parse_interval(f"{lo_b}{lo},{hi}{hi_b}")
+
+
+@st.composite
+def mtl_formulas(draw, depth=3):
+    """Formulas over all nine node classes; a timed `always` over a state
+    atom gets a `[0,d]` window, the only shape the state reading supports."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(EVENT_ATOMS + STATE_ATOMS + [MTrue()]))
+    sub = mtl_formulas(depth - 1)
+    kind = draw(st.sampled_from(
+        [MNot, MAnd, MImplies, MUntil, MWeakUntil, MAlways, MEventually]))
+    if kind is MNot:
+        return MNot(draw(sub))
+    if kind in (MAnd, MImplies, MWeakUntil):
+        return kind(draw(sub), draw(sub))
+    timed = draw(st.booleans())
+    if kind is MUntil:
+        return MUntil(draw(sub), draw(sub), draw(windows()) if timed else None)
+    f = draw(sub)
+    if kind is MEventually:
+        return MEventually(f, draw(windows()) if timed else None)
+    iv = None
+    if timed:
+        iv = (parse_interval(f"[0,{draw(times)}]") if _contains_state_atom(f)
+              else draw(windows()))
+    return MAlways(f, iv, strict=draw(st.booleans()))
+
+
+@st.composite
+def mtl_traces(draw):
+    """Traces over events a, b, r and state P, x, with or without an initial
+    state, deadlocked or not; zero durations make simultaneous events."""
+    def state():
+        return {"P": int(draw(st.booleans()))}, {"x": draw(st.booleans())}
+
+    items = []
+    for _ in range(draw(st.integers(0, 6))):
+        items.append(Duration(draw(times)))
+        if draw(st.integers(0, 4)):
+            marking, store = state()
+            items.append(Event(draw(st.sampled_from("abr")), marking, store))
+    init = state() if draw(st.booleans()) else None
+    return TimedTrace.of(items, init, draw(st.booleans()))
+
+
+@settings(max_examples=600, deadline=None)
+@given(mtl_formulas(), mtl_traces())
+def test_mtl_matches_one_search_per_operator_reference(f, t):
+    assert mtl_holds(f, t).value is ref_mtl_holds(f, t)

@@ -114,7 +114,8 @@ def test_simulated_delays_respect_static_intervals(relay):
                 continue
             iv = relay.transitions[it.transition].timing
             assert iv.contains(now - enable[it.transition]), it.transition
-            mk, st_, _, live, fresh = step(relay, mk, st_, it.transition)
+            mk, st_, _, live, fresh = step(relay, mk, st_, it.transition,
+                                           en(relay, mk, st_))
             enable = {u: (now if u in fresh else enable.get(u, now))
                       for u in live}
 
