@@ -22,7 +22,7 @@ from typing import Callable, Optional, Union
 from .classgraph import ClassGraph, StateClass
 from .expr import EvalContext, Expr, eval_expr, format_expr
 from .model import Event, TtsModel, enabled, fire, step
-from .traces import Duration, TimedTrace
+from .traces import TimedTrace
 
 
 # ---------------------------------------------------------------------------
@@ -736,15 +736,12 @@ def witness_to_trace(model: TtsModel, cx: Counterexample) -> TimedTrace:
     times = solve_schedule(model, firing)
     marking = model.initial_marking()
     store = model.initial_store()
-    items: list = []
-    now = Fraction(0)
+    timed: list = []
     for (t, tau) in zip(firing, times):
-        items.append(Duration(tau - now))
         marking, store, event = fire(model, marking, store, t)
-        items.append(event)
-        now = tau
-    return TimedTrace.of(items, (model.initial_marking(), model.initial_store()),
-                         deadlocked)
+        timed.append((tau, event))
+    return TimedTrace(tuple(timed), times[-1] if times else Fraction(0),
+                      (model.initial_marking(), model.initial_store()), deadlocked)
 
 
 def _schedule_constraints(model: TtsModel, firing: list) -> list:

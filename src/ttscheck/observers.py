@@ -65,7 +65,7 @@ from .patterns import (
     PresentFirstBeforeWithin,
     PresentLasting,
 )
-from .traces import TimedTrace, _window, duration
+from .traces import TimedTrace, _window
 
 
 class ObserverError(ValueError):
@@ -593,14 +593,14 @@ def replay_instrumented(inst: InstrumentedModel, trace: TimedTrace) -> TraceVerd
     the observer formula on the composed run, as the model checker reads a
     path that ends in a deadlock: the final state stutters forever."""
     st = _ReplayState(inst)
-    for (t, ev) in trace.event_times():
+    for (t, ev) in trace.timed:
         st.play_until(t, ev.transition)
         st._fire(ev.transition)
         # recorded post-state must agree on the system projection
         for k, v in ev.store.items():
             if st.store.get(k) != v:
                 raise ExplorationError(f"replay diverged on variable {k!r}")
-    st.play_until(max(duration(trace), st.now))
+    st.play_until(max(trace.end, st.now))
     # play out remaining watcher deadlines over an idle tail: decisive oracle
     # verdicts are stable under every continuation, including this one
     st.play_until(None)

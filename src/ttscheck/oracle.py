@@ -60,7 +60,7 @@ from .patterns import (
     PresentLasting,
     to_mtl,
 )
-from .traces import TimedTrace, duration
+from .traces import TimedTrace
 
 
 class Verdict(enum.Enum):
@@ -98,8 +98,8 @@ class Timeline:
     """Events with absolute times plus the reigning-state sequence."""
 
     def __init__(self, trace: TimedTrace):
-        self.events: list = trace.event_times()  # (time, Event)
-        self.total: Fraction = duration(trace)
+        self.events: tuple = trace.timed  # (time, Event)
+        self.total: Fraction = trace.end
         self.deadlocked: bool = trace.deadlocked
         self.initial = trace.initial
 

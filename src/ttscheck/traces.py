@@ -1,8 +1,9 @@
-"""Timed traces: alternating events and rational durations, plus a simulator.
+"""Timed traces: events at absolute rational times, plus a simulator.
 
 A trace optionally records the state it starts from (needed to evaluate state
 predicates before the first event) and whether it ended in a deadlock, in
 which case the final state persists forever and verdicts on it are decisive.
+Durations exist only in the `.trace` text, between consecutive events.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .expr import ExprError, format_rational, parse_rational
 from .model import (
@@ -30,68 +31,45 @@ class Duration:
     value: Fraction
 
 
-Item = Union[Event, Duration]
-
-
 class TraceError(ValueError):
     """Malformed trace text."""
 
 
 @dataclass(frozen=True)
 class TimedTrace:
-    items: tuple = ()
-    initial: Optional[tuple] = None  # (marking, store) before the first item
+    """A run: `timed` holds (time, Event) pairs in firing order, at
+    non-decreasing absolute times, and `end` is the run's total duration,
+    never before the last event."""
+
+    timed: tuple = ()
+    end: Fraction = Fraction(0)
+    initial: Optional[tuple] = None  # (marking, store) before the first event
     deadlocked: bool = False
+
+    def __post_init__(self):
+        if self.initial is not None:
+            marking, store = self.initial
+            object.__setattr__(self, "initial",
+                               ({p: n for p, n in marking.items() if n}, dict(store)))
 
     @staticmethod
     def of(items, initial=None, deadlocked: bool = False) -> "TimedTrace":
-        if initial is not None:
-            marking, store = initial
-            initial = ({p: n for p, n in marking.items() if n}, dict(store))
-        return TimedTrace(normalize_items(items), initial, deadlocked)
+        """The trace of alternating `Duration`s and `Event`s: each event
+        fires at the sum of the durations before it."""
+        timed = []
+        now = Fraction(0)
+        for it in items:
+            if isinstance(it, Duration):
+                if it.value < 0:
+                    raise TraceError("negative duration")
+                now += it.value
+            else:
+                timed.append((now, it))
+        return TimedTrace(tuple(timed), now, initial, deadlocked)
 
     @property
     def events(self) -> tuple:
-        return tuple(it for it in self.items if isinstance(it, Event))
-
-    def event_times(self) -> list:
-        """(time, event) pairs in sequence order."""
-        out = []
-        t = Fraction(0)
-        for it in self.items:
-            if isinstance(it, Duration):
-                t += it.value
-            else:
-                out.append((t, it))
-        return out
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-
-def normalize_items(items) -> tuple:
-    """Drop zero durations and merge adjacent ones; idempotent."""
-    out: list = []
-    for it in items:
-        if isinstance(it, Duration):
-            if it.value == 0:
-                continue
-            if it.value < 0:
-                raise TraceError("negative duration")
-            if out and isinstance(out[-1], Duration):
-                out[-1] = Duration(out[-1].value + it.value)
-                continue
-        out.append(it)
-    return tuple(out)
-
-
-def duration(s: TimedTrace) -> Fraction:
-    """Total elapsed time of a trace."""
-    total = Fraction(0)
-    for it in s.items:
-        if isinstance(it, Duration):
-            total += it.value
-    return total
+        return tuple(e for _, e in self.timed)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +151,7 @@ def simulate(model: TtsModel, horizon: Fraction, seed: int,
     pending: dict = {}
     for name in sorted(enabled(model, marking, store)):
         pending[name] = _window(model, name, now)
-    items: list = []
+    timed: list = []
     deadlocked = False
     at_instant = 0  # firings so far at time `now`
 
@@ -216,7 +194,6 @@ def simulate(model: TtsModel, horizon: Fraction, seed: int,
         tau = _sample_in(rng, lo, lo_s, hi, hi_s, denominator)
         assert tau is not None
         if tau > horizon:
-            items.append(Duration(horizon - now))
             now = horizon
             break
         at_instant = at_instant + 1 if tau == now else 1
@@ -224,10 +201,9 @@ def simulate(model: TtsModel, horizon: Fraction, seed: int,
             raise ExplorationError(
                 f"more than {MAX_FIRINGS_AT_ONE_INSTANT} firings at time "
                 f"{format_rational(tau)} without time passing")
-        items.append(Duration(tau - now))
         marking, store, event, now_enabled, fresh = step(
             model, marking, store, name, pending)
-        items.append(event)
+        timed.append((tau, event))
         # strict-later obligation for higher-priority competitors we preempted
         for h in model.higher_than(name):
             if h in now_enabled and h not in fresh:
@@ -240,28 +216,23 @@ def simulate(model: TtsModel, horizon: Fraction, seed: int,
             pending[n] = _window(model, n, tau)
         now = tau
 
-    return TimedTrace.of(items, (model.initial_marking(), model.initial_store()),
-                         deadlocked)
+    return TimedTrace(tuple(timed), now,
+                      (model.initial_marking(), model.initial_store()), deadlocked)
 
 
 def truncate(trace: TimedTrace, horizon) -> TimedTrace:
     """The run cut at time `horizon`.
 
-    Every item up to `horizon` stays, an event fired exactly at `horizon`
-    included.  A run that goes on past `horizon` ends there with the time
-    left, and is not deadlocked; a run that ends at or before `horizon` is
-    returned unchanged.  For h <= H, `truncate(simulate(m, H, s), h)` is
-    `simulate(m, h, s)`.
+    A run that ends at or before `horizon` is returned unchanged.  A longer
+    run keeps its events up to `horizon`, an event fired exactly at
+    `horizon` included, ends at `horizon` and is not deadlocked.  For
+    h <= H, `truncate(simulate(m, H, s), h)` is `simulate(m, h, s)`.
     """
     horizon = Fraction(horizon)
-    now = Fraction(0)
-    for k, it in enumerate(trace.items):
-        if isinstance(it, Duration):
-            if now + it.value > horizon:
-                rest = (Duration(horizon - now),) if horizon > now else ()
-                return TimedTrace(trace.items[:k] + rest, trace.initial, False)
-            now += it.value
-    return trace
+    if trace.end <= horizon:
+        return trace
+    return TimedTrace(tuple(p for p in trace.timed if p[0] <= horizon), horizon,
+                      trace.initial, False)
 
 
 def replay(model: TtsModel, trace: TimedTrace) -> bool:
@@ -272,9 +243,7 @@ def replay(model: TtsModel, trace: TimedTrace) -> bool:
         compact = {p: n for p, n in marking.items() if n}
         if trace.initial[0] != compact or trace.initial[1] != store:
             return False
-    for it in trace.items:
-        if isinstance(it, Duration):
-            continue
+    for it in trace.events:
         try:
             marking, store, event = fire(model, marking, store, it.transition)
         except ExplorationError:
@@ -297,15 +266,20 @@ def _fmt_store(s: Store) -> str:
 
 
 def serialize_trace(s: TimedTrace) -> str:
+    """`.trace` text: one `@` line per positive gap between consecutive
+    event times, and one for the time left after the last event."""
     lines = []
     if s.initial is not None:
         lines.append(f"= m:{{{_fmt_marking(s.initial[0])}}} | s:{{{_fmt_store(s.initial[1])}}}")
-    for it in s.items:
-        if isinstance(it, Duration):
-            lines.append(f"@ {format_rational(it.value)}")
-        else:
-            lines.append(f"! {it.transition} | m:{{{_fmt_marking(it.marking)}}}"
-                         f" | s:{{{_fmt_store(it.store)}}}")
+    now = Fraction(0)
+    for t, e in s.timed:
+        if t > now:
+            lines.append(f"@ {format_rational(t - now)}")
+        now = t
+        lines.append(f"! {e.transition} | m:{{{_fmt_marking(e.marking)}}}"
+                     f" | s:{{{_fmt_store(e.store)}}}")
+    if s.end > now:
+        lines.append(f"@ {format_rational(s.end - now)}")
     if s.deadlocked:
         lines.append("%deadlock")
     return "\n".join(lines) + "\n"

@@ -93,7 +93,7 @@ def test_a2_timing_verdicts(airlock):
     def violating_with_delay_ten(tr: TimedTrace) -> bool:
         if fott_holds(tight, tr).value is not Verdict.FAILS:
             return False
-        evs = tr.event_times()
+        evs = tr.timed
         opens = [t for t, e in evs if e.transition in ("Open1", "Open2")]
         vents = [t for t, e in evs if e.transition == "Ventil"]
         return bool(opens and vents) and vents[0] - opens[0] == F(10)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import guarded_nets
 from ttscheck import classgraph as cg
 from ttscheck.model import ExplorationError, fire, parse_tts
-from ttscheck.traces import Duration, simulate
+from ttscheck.traces import simulate
 
 
 def test_initial_class_airlock(airlock):
@@ -149,9 +149,7 @@ def test_priority_filter_only_removes(airlock):
 
 def _walk_graph(model, g, trace):
     node = g.initial
-    for it in trace.items:
-        if isinstance(it, Duration):
-            continue
+    for it in trace.events:
         nxt = [b for (t, b) in g.succ.get(node, []) if t == it.transition]
         if not nxt:
             return False

@@ -32,7 +32,7 @@ from ttscheck.observers import (
 )
 from ttscheck.oracle import Verdict, fott_holds
 from ttscheck.patterns import parse_pattern, pattern_constants
-from ttscheck.traces import duration, simulate
+from ttscheck.traces import simulate
 from ttscheck.expr import Name
 
 from conftest import xcheck_catalog
@@ -414,11 +414,11 @@ class RefReplayState(observers._ReplayState):
 
 def ref_replay_instrumented(inst, trace, state_cls=RefReplayState):
     st = state_cls(inst)
-    for (t, ev) in trace.event_times():
+    for (t, ev) in trace.timed:
         st.advance_to(t)
         st.fire_before(ev.transition)
         st._fire(ev.transition)
-    st.advance_to(max(duration(trace), st.now))
+    st.advance_to(max(trace.end, st.now))
     st.fire_before(None)
     st.advance_to()
     final = run_letter(st.atoms, st.marking, st.store, None)

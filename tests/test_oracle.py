@@ -297,13 +297,26 @@ def _battery(model):
     ]
 
 
+def _items(trace) -> list:
+    """The trace as alternating positive `Duration`s and `Event`s."""
+    items, now = [], F(0)
+    for t, e in trace.timed:
+        if t > now:
+            items.append(Duration(t - now))
+        now = t
+        items.append(e)
+    if trace.end > now:
+        items.append(Duration(trace.end - now))
+    return items
+
+
 def test_failure_is_monotone_under_extension(relay):
     rng = random.Random(5)
     pats = _battery(relay)
     for seed in range(40):
         full = simulate(relay, F(24), seed)
         for cut in (3, 5, 8):
-            prefix = TimedTrace.of(full.items[:cut], full.initial, False)
+            prefix = TimedTrace.of(_items(full)[:cut], full.initial, False)
             for p in pats:
                 if fott_holds(p, prefix).value is FAILS:
                     assert fott_holds(p, full).value is FAILS

@@ -5,14 +5,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import nets
+from ttscheck.expr import format_rational
 from ttscheck.model import Event, ExplorationError, parse_tts
 from ttscheck.traces import (
     MAX_FIRINGS_AT_ONE_INSTANT,
     Duration,
     TimedTrace,
     TraceError,
-    duration,
-    normalize_items,
+    _fmt_marking,
+    _fmt_store,
     parse_trace,
     replay,
     serialize_trace,
@@ -33,19 +34,20 @@ def tr(*items, dl=False):
 # duration / normalization
 
 def test_duration_empty():
-    assert duration(tr()) == 0
+    assert tr().end == 0
 
 
 def test_duration_sums():
     t = tr(Duration(Fraction(3, 2)), ev("e"), Duration(Fraction(5, 2)))
-    assert duration(t) == 4
+    assert t.end == 4
 
 
 def test_normalize_merges_and_drops():
-    items = normalize_items([Duration(Fraction(0)), Duration(Fraction(1)),
-                             Duration(Fraction(2)), ev("e"), Duration(Fraction(0))])
-    assert items == (Duration(Fraction(3)), ev("e"))
-    assert normalize_items(items) == items
+    t = tr(Duration(Fraction(0)), Duration(Fraction(1)), Duration(Fraction(2)),
+           ev("e"), Duration(Fraction(0)))
+    assert t == tr(Duration(Fraction(3)), ev("e"))
+    assert serialize_trace(t) == "= m:{} | s:{}\n@ 3\n! e | m:{} | s:{}\n"
+    assert parse_trace(serialize_trace(t)) == t
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +56,7 @@ def test_normalize_merges_and_drops():
 def test_airlock_door_timing(airlock):
     for seed in (0, 3, 11):
         t = simulate(airlock, Fraction(60), seed)
-        evs = t.event_times()
+        evs = t.timed
         opens = [(tt, e) for tt, e in evs if e.transition.startswith("Open")]
         closes = [(tt, e) for tt, e in evs if e.transition.startswith("Close")]
         assert len(opens) == len(closes) or len(opens) == len(closes) + 1
@@ -67,7 +69,8 @@ def test_forced_point_firing_then_deadlock():
     m = parse_tts("places P=1\ntrans t in [2,2] consume {P}\n")
     t = simulate(m, Fraction(10), seed=5)
     assert t.deadlocked
-    assert [it for it in t.items] == [Duration(Fraction(2)), t.events[0]]
+    assert t.timed == ((Fraction(2), t.events[0]),)
+    assert t.end == 2
     assert t.events[0].transition == "t"
 
 
@@ -76,7 +79,7 @@ def test_open_ended_strict_lower_bound_fires():
     m = parse_tts("places P=1\ntrans t in ]1,oo[ consume {P} produce {P}\n")
     t = simulate(m, Fraction(5), seed=0)
     assert t.events
-    first = t.event_times()[0][0]
+    first = t.timed[0][0]
     assert 1 < first <= 2
 
 
@@ -101,17 +104,13 @@ def test_simulated_delays_respect_static_intervals(relay):
         t = simulate(relay, Fraction(40), seed)
         assert replay(relay, t)
         enable: dict = {}
-        now = Fraction(0)
         # recompute enabling times to check each firing against its interval
         from ttscheck.model import enabled as en, step
 
         mk, st_ = relay.initial_marking(), relay.initial_store()
         for n in en(relay, mk, st_):
             enable[n] = Fraction(0)
-        for it in t.items:
-            if isinstance(it, Duration):
-                now += it.value
-                continue
+        for now, it in t.timed:
             iv = relay.transitions[it.transition].timing
             assert iv.contains(now - enable[it.transition]), it.transition
             mk, st_, _, live, fresh = step(relay, mk, st_, it.transition,
@@ -125,18 +124,18 @@ def test_priority_respected_in_simulation(airlock):
     # Open2 would have been simultaneously firable
     for seed in range(60):
         t = simulate(airlock, Fraction(60), seed)
-        for tt, e in t.event_times():
+        for tt, e in t.timed:
             if e.transition == "Open1":
                 assert e.store["req2"] is False
 
 
 def test_replay_rejects_corrupted_trace(airlock):
     t = simulate(airlock, Fraction(20), 3)
-    bad_items = tuple(
-        Event("Open2", it.marking, it.store) if getattr(it, "transition", None) == "Open1"
-        else it for it in t.items)
-    if bad_items != t.items:
-        bad = TimedTrace(bad_items, t.initial, t.deadlocked)
+    bad_timed = tuple(
+        (tt, Event("Open2", e.marking, e.store) if e.transition == "Open1" else e)
+        for tt, e in t.timed)
+    if bad_timed != t.timed:
+        bad = TimedTrace(bad_timed, t.end, t.initial, t.deadlocked)
         assert not replay(airlock, bad)
 
 
@@ -167,7 +166,7 @@ def test_negative_marking_rejected_negative_store_kept():
             parse_trace(text)
     t = parse_trace("= m:{P=1} | s:{x=-4}\n! t | m:{P=2} | s:{x=-1}\n")
     assert t.initial == ({"P": 1}, {"x": -4})
-    assert t.items == (Event("t", {"P": 2}, {"x": -1}),)
+    assert t.events == (Event("t", {"P": 2}, {"x": -1}),)
 
 
 def test_deadlock_marker_round_trip():
@@ -217,3 +216,81 @@ def test_truncated_run_is_the_run_to_the_smaller_horizon(text, a, b, seed):
     except ExplorationError:
         return
     assert truncate(run, h) == short
+
+
+# ---------------------------------------------------------------------------
+# the item-walking reference: a trace as alternating durations and events
+
+def ref_normalize_items(items) -> tuple:
+    """Drop zero durations and merge adjacent ones; idempotent."""
+    out: list = []
+    for it in items:
+        if isinstance(it, Duration):
+            if it.value == 0:
+                continue
+            if it.value < 0:
+                raise TraceError("negative duration")
+            if out and isinstance(out[-1], Duration):
+                out[-1] = Duration(out[-1].value + it.value)
+                continue
+        out.append(it)
+    return tuple(out)
+
+
+def ref_truncate(items: tuple, deadlocked: bool, horizon) -> tuple:
+    """(items, deadlocked) of the normalized run cut at `horizon`."""
+    now = Fraction(0)
+    for k, it in enumerate(items):
+        if isinstance(it, Duration):
+            if now + it.value > horizon:
+                rest = (Duration(horizon - now),) if horizon > now else ()
+                return items[:k] + rest, False
+            now += it.value
+    return items, deadlocked
+
+
+def ref_serialize_trace(items: tuple, initial, deadlocked: bool) -> str:
+    lines = []
+    if initial is not None:
+        lines.append(f"= m:{{{_fmt_marking(initial[0])}}} | s:{{{_fmt_store(initial[1])}}}")
+    for it in items:
+        if isinstance(it, Duration):
+            lines.append(f"@ {format_rational(it.value)}")
+        else:
+            lines.append(f"! {it.transition} | m:{{{_fmt_marking(it.marking)}}}"
+                         f" | s:{{{_fmt_store(it.store)}}}")
+    if deadlocked:
+        lines.append("%deadlock")
+    return "\n".join(lines) + "\n"
+
+
+durations = st.builds(lambda n, d: Duration(Fraction(n, d)),
+                      st.integers(0, 6), st.integers(1, 3))
+events = st.sampled_from([ev("a"), Event("b", {"P": 1}, {"x": -1, "y": True}),
+                          Event("c", {"P": 0, "Q": 2}, {})])
+initials = st.one_of(st.none(), st.just(({"P": 1, "Q": 0}, {"x": 2, "y": False})))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(durations, events), max_size=12), initials,
+       st.booleans(), st.data())
+def test_trace_matches_the_item_walking_reference(items, initial, deadlocked, data):
+    t = TimedTrace.of(items, initial, deadlocked)
+    norm = ref_normalize_items(items)
+    text = ref_serialize_trace(norm, initial, deadlocked)
+    assert serialize_trace(t) == text
+    assert parse_trace(text) == t
+    assert t.end == sum(it.value for it in items if isinstance(it, Duration))
+    times, now = [], Fraction(0)
+    for it in norm:
+        if isinstance(it, Duration):
+            now += it.value
+        else:
+            times.append(now)
+    # on an event, at the end, past the end, or anywhere
+    horizon = data.draw(st.one_of(st.sampled_from(times + [now, now + Fraction(1, 2)]),
+                                  horizons))
+    cut_items, cut_deadlocked = ref_truncate(norm, deadlocked, horizon)
+    cut = truncate(t, horizon)
+    assert cut == TimedTrace.of(cut_items, initial, cut_deadlocked)
+    assert serialize_trace(cut) == ref_serialize_trace(cut_items, initial, cut_deadlocked)
