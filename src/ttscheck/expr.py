@@ -336,16 +336,6 @@ def format_expr(e: Expr, parent_prec: int = 0) -> str:
     raise AssertionError(f"unhandled expression node {e!r}")
 
 
-def format_actions(acts: tuple[Assign, ...]) -> str:
-    parts = []
-    for a in acts:
-        if a.cond is not None:
-            parts.append(f"if {format_expr(a.cond)} then {a.target} := {format_expr(a.expr)}")
-        else:
-            parts.append(f"{a.target} := {format_expr(a.expr)}")
-    return "; ".join(parts)
-
-
 # ---------------------------------------------------------------------------
 # Rational literals shared by interval/trace parsers
 

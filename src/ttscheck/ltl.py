@@ -463,37 +463,6 @@ def eval_on_lasso(f: LtlFormula, stem: list, cycle: list) -> bool:
     return values(g)[0]
 
 
-def buchi_accepts(ba: BuchiAutomaton, stem: list, cycle: list) -> bool:
-    """Membership of an ultimately periodic word in the automaton language."""
-    assert cycle
-    word = stem + cycle
-    n = len(word)
-    loop = len(stem)
-
-    def compatible(state_idx: int, a: dict) -> bool:
-        req = ba.states[state_idx]
-        return all(a.get(atom, False) == v for atom, v in req.items())
-
-    # product of the lasso word with the automaton; nested DFS over it
-    def word_next(i: int) -> int:
-        return i + 1 if i + 1 < n else loop
-
-    succ: dict = {}
-
-    def product_succ(node):
-        if node in succ:
-            return succ[node]
-        (i, q) = node
-        out = []
-        if compatible(q, word[i]):
-            out = [(word_next(i), r) for r in ba.succ[q]]
-        succ[node] = out
-        return out
-
-    initial = [(0, q) for q in ba.initial]
-    return _nested_dfs(initial, product_succ, lambda node: ba.accepting[node[1]]) is not None
-
-
 # ---------------------------------------------------------------------------
 # Emptiness: iterative nested DFS returning an accepting lasso
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import classgraph as cg
 from .expr import Assign, Binary, Expr, Lit, Name, Unary, free_names, parse_actions, parse_expr
 from .model import (
     EventPredicate,
@@ -607,42 +606,3 @@ def replay_instrumented(inst: InstrumentedModel, trace: TimedTrace) -> TraceVerd
     final = run_letter(st.atoms, st.marking, st.store, None)
     holds = eval_on_lasso(inst.formula, st.letters, [final])
     return TraceVerdict(Verdict.HOLDS if holds else Verdict.FAILS)
-
-
-# ---------------------------------------------------------------------------
-# Non-intrusiveness
-
-def non_intrusiveness_check(system: TtsModel, inst: InstrumentedModel,
-                            max_classes: int = 200_000) -> bool:
-    """The composition must not disturb the system underneath.
-
-    Compares the system's class graph with the composed one projected onto
-    system components: same reachable (marking, store) set, same
-    system-transition steps between projected states, and every observer
-    step leaves the system components untouched.
-    """
-    g_sys = cg.build_graph(system, max_classes)
-    g_comp = cg.build_graph(inst.model, max_classes)
-    sys_places = set(system.places)
-    sys_vars = set(system.vars)
-    sys_trans = set(system.transitions)
-
-    def proj(c) -> tuple:
-        m = tuple(sorted((p, n) for p, n in c.marking.items()
-                         if p in sys_places and n))
-        s = tuple(sorted((k, v) for k, v in c.store.items() if k in sys_vars))
-        return m, s
-
-    sys_nodes = {proj(c) for c in g_sys.nodes}
-    sys_edges = {(proj(g_sys.nodes[a]), t, proj(g_sys.nodes[b]))
-                 for (a, t, b) in g_sys.edges}
-
-    comp_nodes = {proj(c) for c in g_comp.nodes}
-    comp_edges = set()
-    for (a, t, b) in g_comp.edges:
-        pa, pb = proj(g_comp.nodes[a]), proj(g_comp.nodes[b])
-        if t in sys_trans:
-            comp_edges.add((pa, t, pb))
-        elif pa != pb:
-            return False  # an observer step moved system state
-    return sys_nodes == comp_nodes and sys_edges == comp_edges

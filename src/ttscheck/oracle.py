@@ -3,8 +3,9 @@
 `fott_holds` implements the first-order decomposition reading of each pattern
 directly; `mtl_holds` evaluates the pattern's MTL form with a pointwise
 finite-trace semantics.  MTL has one bounded search, `until`: `eventually_I g`
-reads `true U_I g` and `always_I g` reads `not (true U_I not g)`, except a
-timed `always` over a state predicate (below).  Both are three-valued:
+reads `true U_I g`, `always_I g` reads `not (true U_I not g)`, and a timed
+`always_[0,d] g` over a state predicate reads `g and not (true U_[0,d[ not g)`
+(below).  Both are three-valued:
 `INCONCLUSIVE` marks prefixes too short to decide.  Untimed modalities get
 the weak reading (the prefix is judged as if it were the complete behavior);
 a timed window that is still open at the end of the prefix is inconclusive,
@@ -35,7 +36,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .expr import EvalContext, eval_expr
-from .model import EventPredicate, TimeInterval, eval_predicate
+from .model import EventPredicate, TimeBound, TimeInterval, eval_predicate
 from .patterns import (
     AbsentAfterInterval,
     AbsentBeforeDuration,
@@ -371,7 +372,14 @@ def _meval(f: MtlFormula, tl: Timeline, i: int):
         return _or3v(u, _meval(MAlways(f.left), tl, i))
     if isinstance(f, MAlways):
         if f.interval is not None and _contains_state_atom(f.f):
-            return _meval_always_state(f, tl, i)
+            # the anchor's own state, then every later one strictly before d:
+            # a change exactly at d does not interrupt the window
+            iv = f.interval
+            assert iv.lower == TimeBound(Fraction(0)) and not iv.upper.is_infinite, \
+                "state window must be [0,d] with d finite"
+            before_d = TimeInterval(iv.lower, TimeBound(iv.upper.value, True))
+            return _and3v(_meval(f.f, tl, i), _not3(
+                _meval_until(MUntil(MTrue(), MNot(f.f), before_d), tl, i)))
         # always g == not (true U not g); a strict untimed window starts at i+1
         start = i + 1 if f.strict and f.interval is None else i
         return _not3(_meval_until(MUntil(MTrue(), MNot(f.f), f.interval), tl, start))
@@ -413,34 +421,6 @@ def _meval_until(f: MUntil, tl: Timeline, i: int):
         return False
     if not _window_still_open(f.interval, tl.total - tl.time_at(i)):
         return False
-    return None
-
-
-def _meval_always_state(f: MAlways, tl: Timeline, i: int):
-    """Timed always over a state predicate: every reigning state in the
-    window satisfies it; changes exactly at the right endpoint do not count.
-    Only windows anchored at the current instant are supported."""
-    iv = f.interval
-    assert iv.lower.value == 0 and not iv.lower.strict, "state window must start now"
-    assert not iv.upper.is_infinite, "state window must be bounded"
-    d = iv.upper.value
-    t0 = tl.time_at(i)
-    v0 = _meval(f.f, tl, i)
-    if v0 is False:
-        return False
-    saw_unknown = v0 is None
-    for j in range(max(i, -1) + 1, len(tl.events)):
-        if tl.time_at(j) - t0 >= d:
-            break
-        v = _meval(f.f, tl, j)
-        if v is False:
-            return False
-        if v is None:
-            saw_unknown = True
-    if saw_unknown:
-        return None
-    if tl.total - t0 >= d or tl.deadlocked:
-        return True
     return None
 
 

@@ -38,7 +38,6 @@ from .model import TimeInterval
 Bound = Optional[tuple]
 
 LE_ZERO: Bound = (Fraction(0), False)
-LT_ZERO: Bound = (Fraction(0), True)
 
 
 def bound_le(a: Bound, b: Bound) -> bool:

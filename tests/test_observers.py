@@ -4,7 +4,7 @@ import pytest
 
 from ttscheck import classgraph as cg
 from ttscheck import observers
-from ttscheck.expr import EvalContext, eval_expr, format_actions, format_expr
+from ttscheck.expr import EvalContext, eval_expr, format_expr
 from ttscheck.ltl import (
     TT,
     EventAtom,
@@ -26,7 +26,6 @@ from ttscheck.observers import (
     ObserverError,
     ObserverSpec,
     compose,
-    non_intrusiveness_check,
     replay_instrumented,
     synthesize,
 )
@@ -36,6 +35,7 @@ from ttscheck.traces import simulate
 from ttscheck.expr import Name
 
 from conftest import xcheck_catalog
+from reference import format_actions, non_intrusiveness_check
 
 
 # ---------------------------------------------------------------------------
