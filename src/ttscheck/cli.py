@@ -6,7 +6,9 @@ Subcommands: `check` (synthesize observers, compose, model-check), `graph`
 many runs and confront instrumented replay with the trace oracles).
 
 Exit codes: 0 all pass / agreement, 1 some verdict failed or mismatched,
-2 input or validation error, 3 exploration budget exhausted.
+2 input or validation error, 3 exploration budget exhausted, or exploration
+left the model's declared bounds (a place over capacity, a variable out of
+range) or met a zero-delay cycle.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from . import classgraph as cg
 from .classgraph import ClassBudgetExceeded
 from .expr import ExprError, format_rational, parse_rational
 from .ltl import check, cycle_time_lower_bound, find_decisive_extension, witness_to_trace
-from .model import ExplorationError, ModelError, load_tts
+from .model import CapacityExceeded, ExplorationError, ModelError, load_tts
 from .observers import compose, replay_instrumented, synthesize
 from .oracle import Verdict, cross_check, fott_holds
 from .patterns import (
@@ -368,6 +370,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except ClassBudgetExceeded as exc:
         print(f"budget: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except CapacityExceeded as exc:
+        print(f"capacity: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except ExplorationError as exc:
         print(f"exploration error: {exc}", file=sys.stderr)

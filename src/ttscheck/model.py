@@ -392,9 +392,15 @@ def is_enabled(model: TtsModel, t: Transition, marking: Marking, store: Store) -
     return _arcs_covered(t, marking) and _guard_holds(t, marking, store)
 
 
-def enabled(model: TtsModel, marking: Marking, store: Store) -> set:
-    """Transitions with covered arcs and true guards; priorities do not apply here."""
-    return {t.name for t in model.transitions.values() if is_enabled(model, t, marking, store)}
+def enabled(model: TtsModel, marking: Marking, store: Store,
+            among: Optional[Collection[str]] = None) -> set:
+    """Transitions with covered arcs and true guards; priorities do not apply here.
+
+    With `among`, only the transitions it names are tested: the result is the
+    full enabled set restricted to them."""
+    ts = model.transitions
+    return {n for n in (ts if among is None else among)
+            if is_enabled(model, ts[n], marking, store)}
 
 
 def exec_actions(model: TtsModel, acts: tuple[Assign, ...], marking: Marking,
@@ -425,24 +431,28 @@ def fire(model: TtsModel, marking: Marking, store: Store, name: str):
     for p in t.post:
         new_marking[p] = new_marking.get(p, 0) + 1
         if new_marking[p] > model.places[p].capacity:
-            raise CapacityExceeded(f"place {p!r} exceeds capacity {model.places[p].capacity}")
+            raise CapacityExceeded(f"place {p!r} exceeds capacity "
+                                   f"{model.places[p].capacity} when {name} fires")
     new_store = exec_actions(model, t.action, new_marking, store)
     return new_marking, new_store, Event(name, new_marking, new_store)
 
 
 def step(model: TtsModel, marking: Marking, store: Store, name: str,
-         before: Collection[str]):
+         before: Collection[str], among: Optional[Collection[str]] = None):
     """Fire `name`; returns (marking, store, event, enabled, fresh).
 
     `before` is the pre-state's enabled set, `enabled` the post-state's and
-    `fresh` the part of it whose clocks restart.  Intermediate-marking
+    `fresh` the part of it whose clocks restart.  With `among`, a caller that
+    tracks only some transitions' clocks passes their names and `before`
+    restricted to them, and gets `enabled` and `fresh` restricted to them;
+    `name` itself need not be among them.  Intermediate-marking
     semantics: a clock restarts when its transition fires, or when the
     transition was disabled before the firing or in the intermediate state
     (the pre-state with the fired transition's input tokens removed,
     original store).  So a guard flipping from false to true also restarts.
     """
     new_marking, new_store, event = fire(model, marking, store, name)
-    now_enabled = enabled(model, new_marking, new_store)
+    now_enabled = enabled(model, new_marking, new_store, among)
     mid_marking = dict(marking)
     for p in model.transitions[name].pre:
         mid_marking[p] -= 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .expr import Assign, Binary, Expr, Lit, Name, Unary, free_names, parse_actions, parse_expr
@@ -109,14 +110,29 @@ class ObserverSpec:
 
 @dataclass(frozen=True)
 class InstrumentedModel:
+    """A composed model.  The cached properties are what every replay of it
+    reads; each is computed on first use and never changed afterwards."""
+
     model: TtsModel
     provenance: dict  # element name -> "system" | "observer" | "hooked"
     formula: LtlFormula  # spec formula with event atoms pinned to system events
 
-    @property
-    def observer_transitions(self) -> set:
-        return {n for n, k in self.provenance.items()
-                if k == "observer" and n in self.model.transitions}
+    @cached_property
+    def observer_transitions(self) -> frozenset:
+        return frozenset(n for n, k in self.provenance.items()
+                         if k == "observer" and n in self.model.transitions)
+
+    @cached_property
+    def atoms(self) -> set:
+        return formula_atoms(self.formula)
+
+    @cached_property
+    def replay_start(self) -> tuple:
+        """Initial marking and store, the enabled watchers, and their
+        windows at time 0."""
+        m, s = self.model.initial_marking(), self.model.initial_store()
+        live = frozenset(enabled(self.model, m, s, self.observer_transitions))
+        return m, s, live, {n: _window(self.model, n, Fraction(0)) for n in sorted(live)}
 
 
 # ---------------------------------------------------------------------------
@@ -508,32 +524,30 @@ class _ReplayState:
     else the watcher with the earliest deadline d <= t, where at d == t only
     watchers with priority over the event fire.  A watcher never fires while
     a higher-priority watcher is due at the same instant; ties go by name.
+
+    Observers are non-intrusive, so the only clocks replay follows are the
+    watchers': `enabled` holds the enabled watchers only, and a system event
+    the composed net cannot fire still raises in `model.fire`.
     """
 
     def __init__(self, inst: InstrumentedModel):
         self.model = inst.model
         self.obs_names = inst.observer_transitions
-        self.atoms = formula_atoms(inst.formula)
-        self.marking = self.model.initial_marking()
-        self.store = self.model.initial_store()
+        self.atoms = inst.atoms
+        self.marking, self.store, self.enabled, watches = inst.replay_start
         self.now = Fraction(0)
-        self.enabled = enabled(self.model, self.marking, self.store)
-        self.watches: dict = {}
+        self.watches: dict = dict(watches)
         self.letters: list = []
-        for name in sorted(self.enabled):
-            if name in self.obs_names:
-                self.watches[name] = _window(self.model, name, Fraction(0))
 
     def _fire(self, name: str):
         prev_m, prev_s = self.marking, self.store
         self.marking, self.store, event, self.enabled, fresh = step(
-            self.model, self.marking, self.store, name, self.enabled)
+            self.model, self.marking, self.store, name, self.enabled, self.obs_names)
         self.letters.append(run_letter(self.atoms, prev_m, prev_s, event))
         for gone in [n for n in self.watches if n not in self.enabled]:
             del self.watches[gone]
         for n in sorted(fresh):
-            if n in self.obs_names:
-                self.watches[n] = _window(self.model, n, self.now)
+            self.watches[n] = _window(self.model, n, self.now)
 
     def _ripe(self) -> Optional[str]:
         """An open-ended watcher whose firing window is open by now."""

@@ -2,14 +2,18 @@
 
 Each is an independent reading that a test compares the product against:
 Büchi membership of a lasso word, the non-intrusiveness of an observer
-composition, and the text form of an action list.
+composition, the text form of an action list, and instrumented replay that
+tracks every transition's enabledness.
 """
+
+from fractions import Fraction
 
 from ttscheck import classgraph as cg
 from ttscheck.expr import Assign, format_expr
-from ttscheck.ltl import BuchiAutomaton, _nested_dfs
-from ttscheck.model import TtsModel
-from ttscheck.observers import InstrumentedModel
+from ttscheck.ltl import BuchiAutomaton, _nested_dfs, formula_atoms, run_letter
+from ttscheck.model import TtsModel, enabled, step
+from ttscheck.observers import InstrumentedModel, _ReplayState
+from ttscheck.traces import _window
 
 
 def buchi_accepts(ba: BuchiAutomaton, stem: list, cycle: list) -> bool:
@@ -87,3 +91,36 @@ def format_actions(acts: tuple[Assign, ...]) -> str:
         else:
             parts.append(f"{a.target} := {format_expr(a.expr)}")
     return "; ".join(parts)
+
+
+class FullReplayState(_ReplayState):
+    """Instrumented replay that re-tests every transition of the composed net
+    after every firing, and computes the start state afresh for each run.
+
+    It keeps the product's scheduler (`_next`, `play_until`); only the
+    enabledness tracking differs from `_ReplayState`, which follows the
+    observer's watchers alone."""
+
+    def __init__(self, inst: InstrumentedModel):
+        super().__init__(inst)
+        self.obs_names = {n for n, k in inst.provenance.items()
+                          if k == "observer" and n in self.model.transitions}
+        self.atoms = formula_atoms(inst.formula)
+        self.marking = self.model.initial_marking()
+        self.store = self.model.initial_store()
+        self.enabled = enabled(self.model, self.marking, self.store)
+        self.watches = {}
+        for name in sorted(self.enabled):
+            if name in self.obs_names:
+                self.watches[name] = _window(self.model, name, Fraction(0))
+
+    def _fire(self, name: str):
+        prev_m, prev_s = self.marking, self.store
+        self.marking, self.store, event, self.enabled, fresh = step(
+            self.model, self.marking, self.store, name, self.enabled)
+        self.letters.append(run_letter(self.atoms, prev_m, prev_s, event))
+        for gone in [n for n in self.watches if n not in self.enabled]:
+            del self.watches[gone]
+        for n in sorted(fresh):
+            if n in self.obs_names:
+                self.watches[n] = _window(self.model, n, self.now)

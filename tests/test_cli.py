@@ -135,6 +135,19 @@ def test_zero_delay_cycle_exits_3(tmp_path, command):
         "exploration error: more than 10000 firings at time 0 without time passing"]
 
 
+@pytest.mark.parametrize("command", ["graph", "check", "simulate", "xcheck"])
+def test_capacity_overflow_exits_3_with_its_own_line(tmp_path, command):
+    # T needs no token and produces into B, whose capacity is 1
+    net = tmp_path / "over.tts"
+    net.write_text("places A=1 B\ntrans T in [1,1] produce {B}\n")
+    pat = tmp_path / "over.pat"
+    pat.write_text("present B lasting 1\n")
+    extra = {"check": (str(pat),), "xcheck": (str(pat), "--runs", "3")}.get(command, ())
+    r = run_cli(command, str(net), *extra)
+    assert r.returncode == 3
+    assert r.stderr.splitlines() == ["capacity: place 'B' exceeds capacity 1 when T fires"]
+
+
 @pytest.mark.parametrize("args", [
     ("simulate", "models/airlock.tts", "--horizon", "abc"),
     ("simulate", "models/airlock.tts", "--horizon", "-5"),

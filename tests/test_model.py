@@ -234,6 +234,32 @@ def test_step_matches_reference_on_guarded_nets(text, choices):
     assert_step_matches_reference(parse_tts(text), choices)
 
 
+@settings(max_examples=80, deadline=None)
+@given(guarded_nets(), st.lists(st.integers(0, 20), max_size=12), st.data())
+def test_step_among_is_a_restriction_of_the_full_step(text, choices, data):
+    # along a random walk, for a random subset S at every state: enabledness
+    # and `step` restricted to S read the full results restricted to S
+    model = parse_tts(text)
+    names = sorted(model.transitions)
+    mk, st_ = model.initial_marking(), model.initial_store()
+    for c in choices:
+        live = enabled(model, mk, st_)
+        among = data.draw(st.sets(st.sampled_from(names)))
+        assert enabled(model, mk, st_, among) == live & among
+        for name in names:
+            if name not in live:
+                with pytest.raises(ExplorationError, match="fired while disabled"):
+                    step(model, mk, st_, name, live & among, among)
+        if not live:
+            break
+        name = sorted(live)[c % len(live)]
+        full = step(model, mk, st_, name, live)
+        got = step(model, mk, st_, name, live & among, among)
+        assert got[:3] == full[:3]
+        assert (got[3], got[4]) == (full[3] & among, full[4] & among)
+        mk, st_ = full[0], full[1]
+
+
 def test_guard_on_consumed_place_is_fresh_after_firing():
     # u reads !P: disabled before t, enabled once t has taken P's token
     m = parse_tts("places P=1 Q\ntrans t in [1,1] consume {P} produce {Q}\n"

@@ -1,6 +1,10 @@
+import copy
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttscheck import classgraph as cg
 from ttscheck import observers
@@ -34,8 +38,8 @@ from ttscheck.patterns import parse_pattern, pattern_constants
 from ttscheck.traces import simulate
 from ttscheck.expr import Name
 
-from conftest import xcheck_catalog
-from reference import format_actions, non_intrusiveness_check
+from conftest import guarded_nets, xcheck_catalog
+from reference import FullReplayState, format_actions, non_intrusiveness_check
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +332,12 @@ def test_lasso_reading_agrees_with_weak_run_evaluation(monkeypatch, airlock, rel
 # ---------------------------------------------------------------------------
 # replay scheduling: the one ordering rule against the three-loop scheduler
 
-class RefReplayState(observers._ReplayState):
+class RefReplayState(FullReplayState):
     """Reference scheduler: what fires before a system event is decided by
     three loops, `advance_to` (deadlines and open-ended watchers strictly
     before the event), `fire_before` (a ripe watcher, then the due watchers
-    prioritized above the event) and `fire_due`, each with its own bound."""
+    prioritized above the event) and `fire_due`, each with its own bound.
+    Enabledness is tracked over every transition (`FullReplayState`)."""
 
     def due_observers(self) -> list:
         return sorted(n for n, w in self.watches.items()
@@ -474,6 +479,74 @@ def test_replay_scheduling_matches_reference(monkeypatch, airlock, relay, chain)
                                            for (n, _, _) in log)
     assert compared == 3 * 10 * 3 * 40
     assert watcher_firings > 0
+
+
+# ---------------------------------------------------------------------------
+# replay tracks only the watchers' clocks: against full enabledness tracking
+
+def logged_replay(inst, trace, state_cls) -> tuple:
+    """`replay_instrumented` through `state_cls`: the firing log (each
+    firing, its instant and the live watchers' windows after it), the
+    letters, and the verdict or the message of the error that ended it."""
+    states = []
+
+    class Logged(state_cls):
+        def __init__(self, inst):
+            super().__init__(inst)
+            self.log = [(None, self.now, dict(self.watches))]
+            states.append(self)
+
+        def _fire(self, name):
+            super()._fire(name)
+            self.log.append((name, self.now, dict(self.watches)))
+
+    with mock.patch.object(observers, "_ReplayState", Logged):
+        try:
+            outcome = replay_instrumented(inst, trace).value
+        except ExplorationError as exc:
+            outcome = str(exc)
+    (state,) = states
+    return state.log, state.letters, outcome
+
+
+def assert_watcher_tracking_matches_full(inst, trace, where):
+    start = copy.deepcopy(inst.replay_start)
+    got = logged_replay(inst, trace, observers._ReplayState)
+    assert got == logged_replay(inst, trace, FullReplayState), where
+    assert inst.replay_start == start, where  # shared by every replay, never changed
+
+
+def test_watcher_tracking_matches_full_enabledness_on_the_catalogs(airlock, relay, chain):
+    compared = 0
+    for model in (airlock, relay, chain):
+        patterns, horizons = scheduling_cases(model)
+        insts = [compose(model, synthesize(p)) for p in patterns]
+        for h in horizons:
+            for seed in range(10):
+                trace = simulate(model, h, seed)
+                for p, inst in zip(patterns, insts):
+                    assert_watcher_tracking_matches_full(inst, trace, (model.name, p, h, seed))
+                    compared += 1
+    assert compared == 3 * 3 * 10 * 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(guarded_nets(), st.data())
+def test_watcher_tracking_matches_full_enabledness_on_guarded_nets(text, data):
+    # the watchers' guards read places that system firings consume
+    from ttscheck.model import parse_tts
+
+    model = parse_tts(text)
+    places = st.sampled_from(sorted(model.places))
+    pk, pi, pj = data.draw(places), data.draw(places), data.draw(places)
+    d = Fraction(data.draw(st.integers(1, 12)), data.draw(st.integers(1, 4)))
+    try:
+        trace = simulate(model, Fraction(20), data.draw(st.integers(0, 1000)))
+    except ExplorationError:  # a zero-delay cycle
+        return
+    for p in (f"present {pk} lasting {d}", f"absent {pi} before {pj} for duration {d}"):
+        inst = compose(model, synthesize(parse_pattern(p)))
+        assert_watcher_tracking_matches_full(inst, trace, p)
 
 
 def test_idle_tail_that_never_settles_is_an_exploration_error():
