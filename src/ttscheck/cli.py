@@ -26,7 +26,7 @@ from .classgraph import ClassBudgetExceeded
 from .expr import ExprError, format_rational, parse_rational
 from .ltl import check, cycle_time_lower_bound, find_decisive_extension, witness_to_trace
 from .model import CapacityExceeded, ExplorationError, ModelError, load_tts
-from .observers import compose, replay_instrumented, synthesize
+from .observers import ObserverError, compose, replay_instrumented, synthesize
 from .oracle import Verdict, cross_check, fott_holds
 from .patterns import (
     PatternError,
@@ -70,6 +70,26 @@ class _InputError(Exception):
     pass
 
 
+def _instrument(model, pattern):
+    """The model composed with the pattern's observer."""
+    try:
+        return compose(model, synthesize(pattern))
+    except ObserverError as exc:
+        raise _InputError(f"cannot compose observer for {format_pattern(pattern)!r}: {exc}")
+
+
+def _write_out(out: str, name: str, text: str) -> Path:
+    """Write `text` to file `name` of the `--out` directory, creating it."""
+    outdir = Path(out)
+    path = outdir / name
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc}")
+    return path
+
+
 def _parse_horizon(text: str) -> Fraction:
     try:
         horizon = parse_rational(text)
@@ -98,8 +118,7 @@ def _emit(args, payload: dict, text_lines: list) -> None:
 
 def _check_one(model, pattern, args, index: int = 0):
     t0 = time.perf_counter()
-    spec = synthesize(pattern)
-    inst = compose(model, spec)
+    inst = _instrument(model, pattern)
     graph = cg.build_graph(inst.model, args.max_classes)
     result = check(graph, inst.formula)
     entry = {
@@ -120,10 +139,8 @@ def _check_one(model, pattern, args, index: int = 0):
             lambda t: fott_holds(pattern, t).value is Verdict.FAILS)
         if tr is None:
             tr = witness_to_trace(inst.model, result.counterexample)
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        trace_file = outdir / f"counterexample_{index:03d}.trace"
-        trace_file.write_text(serialize_trace(tr), encoding="utf-8")
+        trace_file = _write_out(args.out, f"counterexample_{index:03d}.trace",
+                                serialize_trace(tr))
         entry["counterexample_trace_file"] = str(trace_file)
     if args.timings:
         # wall-clock timing is opt-in: default reports stay byte-identical;
@@ -165,13 +182,11 @@ def cmd_graph(args) -> int:
     lines = [f"{graph.node_count} classes, {graph.edge_count} edges, "
              f"{len(graph.deadlocks())} deadlock(s)"]
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
         stem = Path(args.model).stem
-        (outdir / f"{stem}.ksg").write_text(ksg, encoding="utf-8")
-        (outdir / f"{stem}.dot").write_text(cg.export_dot(graph), encoding="utf-8")
-        payload["ksg"] = str(outdir / f"{stem}.ksg")
-        lines.append(f"wrote {outdir / (stem + '.ksg')} and .dot")
+        ksg_file = _write_out(args.out, f"{stem}.ksg", ksg)
+        _write_out(args.out, f"{stem}.dot", cg.export_dot(graph))
+        payload["ksg"] = str(ksg_file)
+        lines.append(f"wrote {ksg_file} and .dot")
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -186,10 +201,7 @@ def cmd_simulate(args) -> int:
     trace = simulate(model, horizon, args.seed, args.denominator)
     text = serialize_trace(trace)
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        path = outdir / f"{Path(args.model).stem}_{args.seed}.trace"
-        path.write_text(text, encoding="utf-8")
+        path = _write_out(args.out, f"{Path(args.model).stem}_{args.seed}.trace", text)
         print(f"wrote {path} ({len(trace.events)} events"
               f"{', deadlocked' if trace.deadlocked else ''})")
     else:
@@ -257,7 +269,7 @@ def _xcheck(model, patterns, runs: int, base_seed: int, horizon, out) -> list:
         if h is None:
             consts = [c for c in pattern_constants(p) if c is not None]
             h = 3 * max([Fraction(1)] + consts)
-        checks.append(_PatternXcheck(p, compose(model, synthesize(p)), Fraction(h)))
+        checks.append(_PatternXcheck(p, _instrument(model, p), Fraction(h)))
     if not checks:
         return []
     horizons = {c.horizon for c in checks}
@@ -288,12 +300,9 @@ def _xcheck(model, patterns, runs: int, base_seed: int, horizon, out) -> list:
             "mismatches": len(c.mismatches),
         }
         if c.mismatches and out:
-            outdir = Path(out)
-            outdir.mkdir(parents=True, exist_ok=True)
             files = []
             for (i, trace, fv, rv) in c.mismatches:
-                path = outdir / f"mismatch_{k:03d}_{i}.trace"
-                path.write_text(serialize_trace(trace), encoding="utf-8")
+                path = _write_out(out, f"mismatch_{k:03d}_{i}.trace", serialize_trace(trace))
                 files.append({"file": str(path), "fott": fv.value.value,
                               "replay": rv.value.value})
             entry["mismatch_files"] = files

@@ -109,14 +109,6 @@ class LImplies:
 
 
 @dataclass(frozen=True)
-class LNext:
-    f: "LtlFormula"
-
-    def __str__(self):
-        return f"X({self.f})"
-
-
-@dataclass(frozen=True)
 class LUntil:
     left: "LtlFormula"
     right: "LtlFormula"
@@ -150,23 +142,14 @@ class LEventually:
         return f"<>({self.f})"
 
 
-@dataclass(frozen=True)
-class LWeakUntil:
-    left: "LtlFormula"
-    right: "LtlFormula"
-
-    def __str__(self):
-        return f"({self.left} W {self.right})"
-
-
 LtlFormula = Union[TT, FF, EventAtom, StateAtom, LNot, LAnd, LOr, LImplies,
-                   LNext, LUntil, LRelease, LAlways, LEventually, LWeakUntil]
+                   LUntil, LRelease, LAlways, LEventually]
 
 Atom = Union[EventAtom, StateAtom]
 
 
 def nnf(f: LtlFormula, neg: bool = False) -> LtlFormula:
-    """Negation normal form over the core TT/FF/atom/and/or/X/U/R."""
+    """Negation normal form over the core TT/FF/atom/and/or/U/R."""
     if isinstance(f, TT):
         return FF() if neg else TT()
     if isinstance(f, FF):
@@ -183,15 +166,10 @@ def nnf(f: LtlFormula, neg: bool = False) -> LtlFormula:
         return cls(nnf(f.left, neg), nnf(f.right, neg))
     if isinstance(f, LImplies):
         return nnf(LOr(LNot(f.left), f.right), neg)
-    if isinstance(f, LNext):
-        return LNext(nnf(f.f, neg))
     if isinstance(f, LAlways):
         return nnf(LRelease(FF(), f.f), neg)
     if isinstance(f, LEventually):
         return nnf(LUntil(TT(), f.f), neg)
-    if isinstance(f, LWeakUntil):
-        # l W r == r R (r | l)
-        return nnf(LRelease(f.right, LOr(f.right, f.left)), neg)
     if isinstance(f, LUntil):
         cls = LRelease if neg else LUntil
         return cls(nnf(f.left, neg), nnf(f.right, neg))
@@ -203,9 +181,9 @@ def nnf(f: LtlFormula, neg: bool = False) -> LtlFormula:
 
 def children(f: LtlFormula) -> tuple:
     """Immediate subformulas of f, in field order; atoms have none."""
-    if isinstance(f, (LNot, LNext, LAlways, LEventually)):
+    if isinstance(f, (LNot, LAlways, LEventually)):
         return (f.f,)
-    if isinstance(f, (LAnd, LOr, LImplies, LUntil, LRelease, LWeakUntil)):
+    if isinstance(f, (LAnd, LOr, LImplies, LUntil, LRelease)):
         return (f.left, f.right)
     return ()
 
@@ -305,7 +283,7 @@ def ltl_to_buchi(f: LtlFormula) -> BuchiAutomaton:
     g = nnf(f)
     cl = set(subformulas(g))
     atoms = tuple(sorted(formula_atoms(g), key=str))
-    temporals = tuple(sorted((x for x in cl if isinstance(x, (LNext, LUntil, LRelease))),
+    temporals = tuple(sorted((x for x in cl if isinstance(x, (LUntil, LRelease))),
                              key=str))
     choices = atoms + temporals
 
@@ -324,27 +302,20 @@ def ltl_to_buchi(f: LtlFormula) -> BuchiAutomaton:
                 if not chosen[t] and rv:
                     ok = False
                     break
-            elif isinstance(t, LRelease):
-                rv = truth(t.right, chosen)
-                if chosen[t] and not rv:
-                    ok = False
-                    break
+            elif chosen[t] and not truth(t.right, chosen):
+                ok = False
+                break
         if ok:
             raw_states.append(chosen)
 
     def step_ok(s: dict, t: dict) -> bool:
         for x in temporals:
-            if isinstance(x, LNext):
-                if s[x] != truth(x.f, t):
-                    return False
-            elif isinstance(x, LUntil):
+            if isinstance(x, LUntil):
                 want = truth(x.right, s) or (truth(x.left, s) and t[x])
-                if s[x] != want:
-                    return False
-            elif isinstance(x, LRelease):
+            else:
                 want = truth(x.right, s) and (truth(x.left, s) or t[x])
-                if s[x] != want:
-                    return False
+            if s[x] != want:
+                return False
         return True
 
     untils = [x for x in temporals if isinstance(x, LUntil)]
@@ -411,11 +382,7 @@ def eval_on_lasso(f: LtlFormula, stem: list, cycle: list) -> bool:
     def nxt(i: int) -> int:
         return i + 1 if i + 1 < n else loop
 
-    memo: dict = {}  # by identity: hashing a formula walks its whole tree
-
     def values(formula) -> list:
-        if id(formula) in memo:
-            return memo[id(formula)]
         if isinstance(formula, TT):
             v = [True] * n
         elif isinstance(formula, FF):
@@ -430,9 +397,6 @@ def eval_on_lasso(f: LtlFormula, stem: list, cycle: list) -> bool:
         elif isinstance(formula, LOr):
             l, r = values(formula.left), values(formula.right)
             v = [a or b for a, b in zip(l, r)]
-        elif isinstance(formula, LNext):
-            sub = values(formula.f)
-            v = [sub[nxt(i)] for i in range(n)]
         elif isinstance(formula, LUntil):
             l, r = values(formula.left), values(formula.right)
             v = [False] * n  # least fixpoint
@@ -457,7 +421,6 @@ def eval_on_lasso(f: LtlFormula, stem: list, cycle: list) -> bool:
                         changed = True
         else:
             raise AssertionError(f"unhandled formula {formula!r}")
-        memo[id(formula)] = v
         return v
 
     return values(g)[0]
@@ -573,7 +536,7 @@ class CheckResult:
 def _fast_path_target(f: LtlFormula) -> Optional[LtlFormula]:
     """Body of an `always <propositional>` formula, if f has that shape."""
     if isinstance(f, LAlways) and not any(
-            isinstance(g, (LNext, LUntil, LRelease, LAlways, LEventually, LWeakUntil))
+            isinstance(g, (LUntil, LRelease, LAlways, LEventually))
             for g in subformulas(f.f)):
         return f.f
     return None

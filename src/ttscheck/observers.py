@@ -128,11 +128,11 @@ class InstrumentedModel:
 
     @cached_property
     def replay_start(self) -> tuple:
-        """Initial marking and store, the enabled watchers, and their
-        windows at time 0."""
+        """Initial marking and store, and the enabled watchers' windows at
+        time 0."""
         m, s = self.model.initial_marking(), self.model.initial_store()
-        live = frozenset(enabled(self.model, m, s, self.observer_transitions))
-        return m, s, live, {n: _window(self.model, n, Fraction(0)) for n in sorted(live)}
+        live = enabled(self.model, m, s, self.observer_transitions)
+        return m, s, {n: _window(self.model, n, Fraction(0)) for n in sorted(live)}
 
 
 # ---------------------------------------------------------------------------
@@ -526,25 +526,25 @@ class _ReplayState:
     a higher-priority watcher is due at the same instant; ties go by name.
 
     Observers are non-intrusive, so the only clocks replay follows are the
-    watchers': `enabled` holds the enabled watchers only, and a system event
-    the composed net cannot fire still raises in `model.fire`.
+    watchers': `watches` holds the enabled watchers' windows only, and a
+    system event the composed net cannot fire still raises in `model.fire`.
     """
 
     def __init__(self, inst: InstrumentedModel):
         self.model = inst.model
         self.obs_names = inst.observer_transitions
         self.atoms = inst.atoms
-        self.marking, self.store, self.enabled, watches = inst.replay_start
+        self.marking, self.store, watches = inst.replay_start
         self.now = Fraction(0)
         self.watches: dict = dict(watches)
         self.letters: list = []
 
     def _fire(self, name: str):
         prev_m, prev_s = self.marking, self.store
-        self.marking, self.store, event, self.enabled, fresh = step(
-            self.model, self.marking, self.store, name, self.enabled, self.obs_names)
+        self.marking, self.store, event, live, fresh = step(
+            self.model, self.marking, self.store, name, self.watches, self.obs_names)
         self.letters.append(run_letter(self.atoms, prev_m, prev_s, event))
-        for gone in [n for n in self.watches if n not in self.enabled]:
+        for gone in [n for n in self.watches if n not in live]:
             del self.watches[gone]
         for n in sorted(fresh):
             self.watches[n] = _window(self.model, n, self.now)

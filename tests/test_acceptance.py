@@ -19,12 +19,10 @@ from ttscheck.ltl import (
     LAnd,
     LEventually,
     LImplies,
-    LNext,
     LNot,
     LOr,
     LRelease,
     LUntil,
-    LWeakUntil,
     FF,
     StateAtom,
     TT,
@@ -404,21 +402,21 @@ def _a9_formulas():
         LAlways(LImplies(a, LEventually(b))),
         LUntil(a, b),
         LRelease(a, b),
-        LWeakUntil(LNot(b), LAnd(b, LUntil(TT(), a))),
+        LRelease(LAnd(b, LUntil(TT(), a)), LOr(LAnd(b, LUntil(TT(), a)), LNot(b))),
         LImplies(LEventually(b), LEventually(a)),
-        LAlways(LImplies(a, LNext(b))),
-        LNext(LNext(a)),
+        LAlways(LImplies(a, LAlways(b))),
+        LAlways(LAlways(a)),
         LAnd(LAlways(LEventually(a)), LAlways(LEventually(b))),
         LOr(LAlways(a), LAlways(b)),
         LImplies(LEventually(a), LNot(LEventually(LAnd(b, c)))),
         LUntil(LNot(a), LAnd(a, LUntil(LNot(b), b))),
         LAlways(LImplies(c, LUntil(c, a))),
         LEventually(LAlways(a)),
-        LAlways(LEventually(LAnd(a, LNext(b)))),
+        LAlways(LEventually(LAnd(a, LEventually(b)))),
         LRelease(FF(), LImplies(a, LEventually(b))),
-        LWeakUntil(a, b),
+        LRelease(b, LOr(b, a)),
         LImplies(LAlways(LEventually(a)), LAlways(LEventually(b))),
-        LNot(LUntil(a, LAnd(b, LNext(a)))),
+        LNot(LUntil(a, LAnd(b, LAlways(a)))),
     ]
 
 

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import guarded_nets
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -193,6 +200,43 @@ def test_bad_trace_value_or_zero_denominator_is_input_error(tmp_path, args, text
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
 
 
+@pytest.mark.parametrize("command", ["check", "xcheck"])
+def test_observer_name_clash_is_input_error(tmp_path, command):
+    # the observer of a `lasting` pattern declares ob1_foundA, as the net does
+    net = tmp_path / "clash.tts"
+    net.write_text("places P=1\nvars ob1_foundA=false\ntrans T in [1,1] consume {P}\n")
+    pat = tmp_path / "clash.pat"
+    pat.write_text("present P lasting 2\n")
+    r = run_cli(command, str(net), str(pat))
+    assert r.returncode == 2
+    assert r.stderr.splitlines() == [
+        "error: cannot compose observer for 'present P lasting 2': "
+        "name clash on 'ob1_foundA'"]
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["check", "graph", "simulate", "xcheck"])
+def test_out_naming_a_file_is_input_error(tmp_path, command):
+    # each subcommand gets to write: check a counterexample of a failing
+    # pattern, xcheck a mismatch on the self-loop net of the open `lasting`
+    # divergence (docs/formats.md)
+    failing = tmp_path / "failing.pat"
+    failing.write_text("present Ventil after Open1 within [0,1]\n")
+    loop = tmp_path / "loop.tts"
+    loop.write_text("places P0=1\ntrans t0 in [1,1] consume {P0} produce {P0}\n")
+    lasting = tmp_path / "lasting.pat"
+    lasting.write_text("present P0 lasting 2\n")
+    args = {"check": ("models/airlock.tts", str(failing)),
+            "xcheck": (str(loop), str(lasting), "--runs", "5")}.get(
+                command, ("models/airlock.tts",))
+    out = tmp_path / "taken"
+    out.write_text("")
+    r = run_cli("--out", str(out), command, *args)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith(f"error: cannot write {out}/") and r.stderr.count("\n") == 1, r.stderr
+
+
 @pytest.mark.parametrize("args", [
     ("check", "models/airlock.tts", "models/airlock.pat"),
     ("graph", "models/airlock.tts"),
@@ -316,3 +360,45 @@ def test_timings_cover_witness_extraction(tmp_path, monkeypatch):
                          str(ROOT / "models/airlock.tts"), str(pat), "--timings"])
     assert code == 1
     assert json.loads(out.getvalue())["verdicts"][0]["time_ms"] >= 300
+
+
+# ---------------------------------------------------------------------------
+# The entry point on random nets with place guards
+
+FUZZ_PATTERNS = (
+    "present t1 after t0 within [0,3]",
+    "present first t0 before t1 within ]0,4]",
+    "present P0 lasting 2",  # its observer's ob1_win clashes with the net's
+    "absent t1 after t0 for interval [0,2[",
+    "absent t0 before t1 for duration 2",
+    "t0 leadsto first t1 within [0,3]",
+    "(t1 leadsto first t0 within [0,2]) => (present P1 lasting 1)",
+)
+CLASH = "present P0 lasting 2"
+
+
+@settings(max_examples=40, deadline=None)
+@given(guarded_nets(), st.lists(st.sampled_from(FUZZ_PATTERNS), min_size=1,
+                                max_size=2, unique=True))
+def test_cli_returns_an_exit_code_on_random_guarded_nets(net, patterns):
+    """`main` returns 0-3 and raises nothing.  Exit 1 includes the known
+    `lasting` self-loop mismatch.  A clashing observer name exits 2 once it
+    is composed: `xcheck` composes every pattern first, `check` one at a
+    time."""
+    from ttscheck.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        model = pathlib.Path(tmp) / "net.tts"
+        model.write_text(net + "\nvars ob1_win=false\n")
+        pat = pathlib.Path(tmp) / "p.pat"
+        pat.write_text("\n".join(patterns) + "\n")
+        for args in (["check", str(model), str(pat), "--max-classes", "2000"],
+                     ["xcheck", str(model), str(pat), "--runs", "3"],
+                     ["simulate", str(model)]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(args)
+            assert code in (0, 1, 2, 3), (args, code)
+            if CLASH in {"check": patterns[:1], "xcheck": patterns}.get(args[0], ()):
+                assert code == 2, (args, code)
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

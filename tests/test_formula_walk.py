@@ -25,12 +25,10 @@ from ttscheck.ltl import (
     LAnd,
     LEventually,
     LImplies,
-    LNext,
     LNot,
     LOr,
     LRelease,
     LUntil,
-    LWeakUntil,
     StateAtom,
     children,
     formula_atoms,
@@ -46,8 +44,8 @@ from ttscheck.patterns import parse_pattern
 from conftest import n_door_airlock, xcheck_catalog
 
 ATOMS = (EventAtom(Name("a")), EventAtom(Name("b")), StateAtom(Name("c")))
-UNARY = (LNot, LNext, LAlways, LEventually)
-BINARY = (LAnd, LOr, LImplies, LUntil, LRelease, LWeakUntil)
+UNARY = (LNot, LAlways, LEventually)
+BINARY = (LAnd, LOr, LImplies, LUntil, LRelease)
 
 
 # ---------------------------------------------------------------------------
@@ -58,9 +56,9 @@ def ref_formula_atoms(f) -> set:
         return {f}
     if isinstance(f, LNot):
         return ref_formula_atoms(f.f)
-    if isinstance(f, (LAnd, LOr, LImplies, LUntil, LRelease, LWeakUntil)):
+    if isinstance(f, (LAnd, LOr, LImplies, LUntil, LRelease)):
         return ref_formula_atoms(f.left) | ref_formula_atoms(f.right)
-    if isinstance(f, (LNext, LAlways, LEventually)):
+    if isinstance(f, (LAlways, LEventually)):
         return ref_formula_atoms(f.f)
     return set()
 
@@ -71,7 +69,7 @@ def ref_closure(f, acc: set) -> None:
     if isinstance(f, (LAnd, LOr, LUntil, LRelease)):
         ref_closure(f.left, acc)
         ref_closure(f.right, acc)
-    elif isinstance(f, (LNext, LNot)):
+    elif isinstance(f, LNot):
         ref_closure(f.f, acc)
 
 
@@ -191,7 +189,7 @@ def test_every_formula_class_rebuilds_from_its_children():
 def test_subformulas_walks_deep_formulas_without_recursion():
     f = ATOMS[0]
     for _ in range(5000):
-        f = LNext(f)
+        f = LAlways(f)
     assert formula_atoms(f) == {ATOMS[0]}
     assert sum(1 for _ in subformulas(f)) == 5001
 

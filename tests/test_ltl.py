@@ -13,12 +13,10 @@ from ttscheck.ltl import (
     LAnd,
     LEventually,
     LImplies,
-    LNext,
     LNot,
     LOr,
     LRelease,
     LUntil,
-    LWeakUntil,
     StateAtom,
     _check_buchi,
     check,
@@ -50,8 +48,8 @@ def test_nnf_pushes_negations():
 
 
 def test_weak_until_definition():
-    # a W b == b R (b | a): check semantically on words
-    f1 = LWeakUntil(a, b)
+    # a W b, written as its release form b R (b | a), is (a U b) | G a
+    f1 = LRelease(b, LOr(b, a))
     rng = random.Random(3)
     for _ in range(100):
         stem = [{a: rng.random() < 0.5, b: rng.random() < 0.5}
@@ -82,21 +80,21 @@ FORMULAS = [
     LAlways(LImplies(a, LEventually(b))),
     LUntil(a, b),
     LRelease(a, b),
-    LWeakUntil(LNot(b), LAnd(b, LUntil(TT(), a))),
+    LRelease(LAnd(b, LUntil(TT(), a)), LOr(LAnd(b, LUntil(TT(), a)), LNot(b))),
     LImplies(LEventually(b), LEventually(a)),
-    LAlways(LImplies(a, LNext(b))),
-    LNext(LNext(a)),
+    LAlways(LImplies(a, LAlways(b))),
+    LAlways(LAlways(a)),
     LAnd(LAlways(LEventually(a)), LAlways(LEventually(b))),
     LOr(LAlways(a), LAlways(b)),
     LImplies(LEventually(a), LNot(LEventually(LAnd(b, c)))),
     LUntil(LNot(a), LAnd(a, LUntil(LNot(b), b))),
     LAlways(LImplies(c, LUntil(c, a))),
     LEventually(LAlways(a)),
-    LAlways(LEventually(LAnd(a, LNext(b)))),
+    LAlways(LEventually(LAnd(a, LEventually(b)))),
     LRelease(FF(), LImplies(a, LEventually(b))),
-    LWeakUntil(a, b),
+    LRelease(b, LOr(b, a)),
     LImplies(LAlways(LEventually(a)), LAlways(LEventually(b))),
-    LNot(LUntil(a, LAnd(b, LNext(a)))),
+    LNot(LUntil(a, LAnd(b, LAlways(a)))),
 ]
 
 
