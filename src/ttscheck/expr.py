@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 Value = Union[bool, int]
 
@@ -36,22 +36,31 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "num" | "name" | "op" | "end"
     text: str
     pos: int
 
 
 def tokenize(text: str) -> list[Token]:
+    """Split text into tokens.  A name is the longest run that
+    `str.isidentifier` accepts, non-ASCII letters included; the pattern
+    above finds its ASCII start, and the loop below extends it."""
     tokens: list[Token] = []
     i = 0
     while i < len(text):
         m = _TOKEN_RE.match(text, i)
-        if not m:
+        if m is None and not text[i].isidentifier():
             raise ExprError(f"unexpected character {text[i]!r} at column {i + 1}")
+        if m is None or m.lastgroup == "name":
+            j = m.end() if m else i + 1
+            while j < len(text) and ("_" + text[j]).isidentifier():
+                j += 1
+            tokens.append(Token("name", text[i:j], i))
+            i = j
+            continue
         if m.lastgroup != "ws":
-            tokens.append(Token(m.lastgroup or "op", m.group(), i))
+            tokens.append(Token(m.lastgroup, m.group(), i))
         i = m.end()
     tokens.append(Token("end", "", len(text)))
     return tokens
@@ -108,7 +117,8 @@ class _Parser:
 
     def next(self) -> Token:
         tok = self.tokens[self.i]
-        self.i += 1
+        if tok.kind != "end":
+            self.i += 1
         return tok
 
     def expect(self, text: str) -> Token:
@@ -119,6 +129,11 @@ class _Parser:
 
     def at_end(self) -> bool:
         return self.peek().kind == "end"
+
+    def expect_end(self) -> None:
+        if not self.at_end():
+            tok = self.peek()
+            raise ExprError(f"trailing input {tok.text!r} at column {tok.pos + 1}")
 
     # expression grammar ----------------------------------------------------
 
@@ -198,32 +213,27 @@ class _Parser:
         return Assign(target.text, self.parse_expr(), cond)
 
     def parse_actions(self) -> tuple[Assign, ...]:
-        if self.at_end():
-            return ()
-        out = [self.parse_assign()]
-        while self.peek().text == ";":
-            self.next()
-            if self.at_end():
-                break
+        """Assignments up to the end or a `}`; a trailing `;` is allowed."""
+        out: list[Assign] = []
+        while not (self.at_end() or self.peek().text == "}"):
             out.append(self.parse_assign())
+            if self.peek().text != ";":
+                break
+            self.next()
         return tuple(out)
 
 
 def parse_expr(text: str) -> Expr:
     p = _Parser(tokenize(text))
     e = p.parse_expr()
-    if not p.at_end():
-        tok = p.peek()
-        raise ExprError(f"trailing input {tok.text!r} at column {tok.pos + 1}")
+    p.expect_end()
     return e
 
 
 def parse_actions(text: str) -> tuple[Assign, ...]:
     p = _Parser(tokenize(text))
     acts = p.parse_actions()
-    if not p.at_end():
-        tok = p.peek()
-        raise ExprError(f"trailing input {tok.text!r} at column {tok.pos + 1}")
+    p.expect_end()
     return acts
 
 

@@ -25,13 +25,13 @@ from .expr import (
     Lit,
     Name,
     Unary,
+    _Parser,
     action_names,
     eval_expr,
     format_rational,
     free_names,
-    parse_actions,
-    parse_expr,
     parse_rational,
+    tokenize,
 )
 
 Marking = dict  # place name -> token count
@@ -110,34 +110,36 @@ def closed_interval(lo: Fraction, hi: Optional[Fraction]) -> TimeInterval:
 DEFAULT_INTERVAL = closed_interval(Fraction(0), None)
 
 
-def parse_interval(text: str) -> TimeInterval:
-    text = text.strip()
-    if len(text) < 2 or text[0] not in "[]" or text[-1] not in "[]":
-        raise ModelError(f"bad interval {text!r}")
-    lower_strict = text[0] == "]"
-    upper_strict = text[-1] == "["
-    body = text[1:-1]
-    if "," not in body:
-        raise ModelError(f"bad interval {text!r}: missing comma")
-    lo_text, hi_text = body.split(",", 1)
-    try:
-        lo = parse_rational(lo_text)
-    except ExprError as exc:
-        raise ModelError(str(exc)) from exc
-    hi_text = hi_text.strip()
-    if hi_text == "oo":
-        hi: Optional[Fraction] = None
-        if not upper_strict:
-            raise ModelError(f"bad interval {text!r}: infinite upper bound must be open")
-    else:
-        try:
-            hi = parse_rational(hi_text)
-        except ExprError as exc:
-            raise ModelError(str(exc)) from exc
-    iv = TimeInterval(TimeBound(lo, lower_strict), TimeBound(hi, upper_strict))
+def read_interval(p: _Parser) -> TimeInterval:
+    """Read `[`/`]`, a rational, `,`, a rational or `oo`, `[`/`]` from a token
+    stream: the interval syntax of `.tts` and `.pat` files."""
+    tokens = [p.next() for _ in range(5)]
+    lo_b, lo, comma, hi, hi_b = tokens
+    shape = (lo_b.text in ("[", "]"), lo.kind == "num", comma.text == ",",
+             hi.kind == "num" or hi.text == "oo", hi_b.text in ("[", "]"))
+    if not all(shape):
+        tok = tokens[shape.index(False)]
+        raise ExprError(f"expected an interval such as [0,4] but found {tok.text!r} "
+                        f"at column {tok.pos + 1}")
+    text = "".join(t.text for t in tokens)
+    if hi.text == "oo" and hi_b.text == "]":
+        raise ExprError(f"bad interval {text!r}: infinite upper bound must be open")
+    iv = TimeInterval(
+        TimeBound(parse_rational(lo.text), lo_b.text == "]"),
+        TimeBound(None if hi.text == "oo" else parse_rational(hi.text), hi_b.text == "["))
     err = iv.check()
     if err:
-        raise ModelError(f"bad interval {text!r}: {err}")
+        raise ExprError(f"bad interval {text!r}: {err}")
+    return iv
+
+
+def parse_interval(text: str) -> TimeInterval:
+    p = _Parser(tokenize(text))
+    try:
+        iv = read_interval(p)
+        p.expect_end()
+    except ExprError as exc:
+        raise ModelError(str(exc)) from exc
     return iv
 
 
@@ -540,7 +542,8 @@ def parse_tts(text: str, name: str = "model") -> TtsModel:
     priority: list = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
         try:
@@ -552,7 +555,7 @@ def parse_tts(text: str, name: str = "model") -> TtsModel:
                 for spec in rest.split():
                     _parse_var(spec, vars_)
             elif head == "trans":
-                t = _parse_trans(rest)
+                t = _parse_trans(code)
                 if t.name in transitions:
                     raise ModelError(f"duplicate transition {t.name!r}")
                 transitions[t.name] = t
@@ -620,71 +623,51 @@ def _parse_var(spec: str, vars_: dict) -> None:
     vars_[name] = decl
 
 
-_TRANS_KEYS = ("pre", "in", "consume", "produce", "read", "act")
-
-
-def _parse_trans(rest: str) -> Transition:
-    parts = rest.split(None, 1)
-    if not parts:
-        raise ModelError("transition needs a name")
-    name = parts[0]
-    if not name.isidentifier():
-        raise ModelError(f"bad transition name {name!r}")
-    body = parts[1] if len(parts) > 1 else ""
-
+def _parse_trans(line: str) -> Transition:
+    """`trans NAME field*`; each field at most once, in any order.  Columns
+    in errors count from the start of the line."""
+    p = _Parser(tokenize(line))
+    p.next()  # `trans`
+    tok = p.next()
+    if tok.kind != "name":
+        raise ModelError(f"expected a transition name at column {tok.pos + 1}")
+    name = tok.text
     fields: dict = {}
-    i = 0
-    while i < len(body):
-        if body[i].isspace():
-            i += 1
+    while not p.at_end():
+        key = p.next()
+        if key.kind != "name" or key.text not in ("pre", "in", "consume", "produce", "read", "act"):
+            raise ModelError(f"unexpected {key.text!r} in transition {name!r} "
+                             f"at column {key.pos + 1}")
+        if key.text in fields:
+            raise ModelError(f"duplicate field {key.text!r} in transition {name!r}")
+        if key.text == "in":
+            fields["in"] = read_interval(p)
             continue
-        for key in _TRANS_KEYS:
-            if body.startswith(key, i) and (i + len(key) == len(body)
-                                            or not body[i + len(key)].isidentifier()):
-                i += len(key)
-                break
-        else:
-            raise ModelError(f"unexpected text {body[i:].split()[0]!r} in transition {name!r}")
-        while i < len(body) and body[i].isspace():
-            i += 1
-        if key in fields:
-            raise ModelError(f"duplicate field {key!r} in transition {name!r}")
-        if key == "in":
-            j = i
-            depth = 0
-            while j < len(body):
-                if body[j] in "[]":
-                    depth += 1
-                if depth == 2:
-                    j += 1
-                    break
-                j += 1
-            if depth < 2:
-                raise ModelError(f"unterminated interval in transition {name!r}")
-            fields["in"] = body[i:j]
-            i = j
-        else:
-            if i >= len(body) or body[i] != "{":
-                raise ModelError(f"expected '{{' after {key!r} in transition {name!r}")
-            j = body.find("}", i)
-            if j < 0:
-                raise ModelError(f"unterminated '{{' after {key!r} in transition {name!r}")
-            fields[key] = body[i + 1:j]
-            i = j + 1
-
-    def place_list(key: str) -> tuple[str, ...]:
-        raw = fields.get(key, "")
-        items = [s.strip() for s in raw.replace(",", " ").split()]
-        return tuple(items)
+        p.expect("{")
+        if key.text == "pre":
+            fields["pre"] = p.parse_expr()
+        elif key.text == "act":
+            fields["act"] = p.parse_actions()
+        else:  # place names; commas are optional
+            places = []
+            while p.peek().text != "}":
+                tok = p.next()
+                if tok.kind == "name":
+                    places.append(tok.text)
+                elif tok.text != ",":
+                    raise ModelError(f"expected a place name but found {tok.text!r} "
+                                     f"at column {tok.pos + 1}")
+            fields[key.text] = tuple(places)
+        p.expect("}")
 
     return Transition(
         name=name,
-        guard=parse_expr(fields["pre"]) if "pre" in fields else None,
-        action=parse_actions(fields["act"]) if "act" in fields else (),
-        timing=parse_interval(fields["in"]) if "in" in fields else DEFAULT_INTERVAL,
-        pre=place_list("consume"),
-        post=place_list("produce"),
-        read=frozenset(place_list("read")),
+        guard=fields.get("pre"),
+        action=fields.get("act", ()),
+        timing=fields.get("in", DEFAULT_INTERVAL),
+        pre=fields.get("consume", ()),
+        post=fields.get("produce", ()),
+        read=frozenset(fields.get("read", ())),
     )
 
 

@@ -12,16 +12,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .expr import ExprError, Token, _Parser, format_expr, format_rational, parse_rational, tokenize
+from .expr import ExprError, _Parser, format_expr, format_rational, parse_rational, tokenize
 from .model import (
     Diagnostic,
     EventPredicate,
-    ModelError,
     TimeInterval,
     TtsModel,
     check_predicate,
-    parse_interval,
     predicate_is_state_only,
+    read_interval,
 )
 
 
@@ -119,92 +118,28 @@ Pattern = Union[
 # ---------------------------------------------------------------------------
 # Concrete syntax
 
-# `between` and `until` name no scope, but they still end a predicate, so a
-# scope written with them is trailing input rather than part of a predicate
-_KEYWORDS = {
-    "present", "absent", "first", "after", "before", "within", "lasting",
-    "for", "interval", "duration", "leadsto", "and", "between", "until",
-}
-
-
 class _PatternParser(_Parser):
-    def peek_text(self) -> str:
-        return self.peek().text
-
-    def take_keyword(self, *words: str) -> None:
-        for w in words:
-            tok = self.next()
-            if tok.text != w:
-                raise PatternError(
-                    f"expected {w!r} but found {tok.text!r} at column {tok.pos + 1}")
+    """Predicates are read by `parse_expr`, which stops at the first token
+    that continues no expression: a keyword, `=>` or `)`.  So a
+    keyword can still name a variable where an operand is expected, and a
+    scope written with `between` or `until` is trailing input."""
 
     def at_keyword(self, *words: str) -> bool:
         return self.peek().kind == "name" and self.peek().text in words
 
-    # predicates end where a keyword or composite operator appears at depth 0
-    def parse_predicate(self) -> EventPredicate:
-        start = self.i
-        depth = 0
-        j = self.i
-        while True:
-            tok = self.tokens[j]
-            if tok.kind == "end":
-                break
-            if tok.text == "(":
-                depth += 1
-            elif tok.text == ")":
-                if depth == 0:
-                    break
-                depth -= 1
-            elif depth == 0 and ((tok.kind == "name" and tok.text in _KEYWORDS)
-                                 or tok.text == "=>"):
-                break
-            j += 1
-        if j == start:
-            tok = self.peek()
-            raise PatternError(f"expected a predicate at column {tok.pos + 1}")
-        sub = _PatternParser(self.tokens[start:j] + [Token("end", "", self.tokens[j].pos)])
-        try:
-            pred = sub.parse_expr()
-        except ExprError as exc:
-            raise PatternError(str(exc)) from exc
-        if not sub.at_end():
-            tok = sub.peek()
-            raise PatternError(f"unexpected {tok.text!r} in predicate at column {tok.pos + 1}")
-        self.i = j
-        return pred
-
-    def parse_interval_tok(self) -> TimeInterval:
-        tok = self.peek()
-        if tok.text not in ("[", "]"):
-            raise PatternError(f"expected an interval at column {tok.pos + 1}")
-        text = ""
-        while True:
-            tok = self.next()
-            if tok.kind == "end":
-                raise PatternError("unterminated interval")
-            text += tok.text
-            if tok.text in ("[", "]") and len(text) > 1:
-                break
-        # `oo` arrives as a name token inside the interval text
-        try:
-            return parse_interval(text)
-        except ModelError as exc:
-            raise PatternError(str(exc)) from exc
-
     def parse_rational_tok(self) -> Fraction:
         tok = self.next()
         if tok.kind != "num":
-            raise PatternError(f"expected a number at column {tok.pos + 1}")
+            raise ExprError(f"expected a number at column {tok.pos + 1}")
         try:
             return parse_rational(tok.text)
         except ExprError as exc:
-            raise PatternError(f"{exc} at column {tok.pos + 1}") from exc
+            raise ExprError(f"{exc} at column {tok.pos + 1}") from exc
 
     # pattern grammar: implies > and > atom
     def parse_pattern(self) -> Pattern:
         left = self.parse_and_pattern()
-        if self.peek_text() == "=>":
+        if self.peek().text == "=>":
             self.next()
             return ImpliesPattern(left, self.parse_pattern())
         return left
@@ -217,7 +152,7 @@ class _PatternParser(_Parser):
         return left
 
     def parse_atom_pattern(self) -> Pattern:
-        if self.peek_text() == "(":
+        if self.peek().text == "(":
             save = self.i
             self.next()
             # parenthesized composite, unless it is a predicate's parenthesis
@@ -225,7 +160,7 @@ class _PatternParser(_Parser):
                 inner = self.parse_pattern()
                 self.expect(")")
                 return inner
-            except (PatternError, ExprError):
+            except ExprError:
                 self.i = save
         if self.at_keyword("present"):
             return self.parse_present()
@@ -234,71 +169,73 @@ class _PatternParser(_Parser):
         return self.parse_leadsto()
 
     def parse_present(self) -> Pattern:
-        self.take_keyword("present")
+        self.expect("present")
         if self.at_keyword("first"):
             self.next()
-            a = self.parse_predicate()
-            self.take_keyword("before")
-            b = self.parse_predicate()
-            self.take_keyword("within")
-            return PresentFirstBeforeWithin(a, b, self.parse_interval_tok())
-        a = self.parse_predicate()
+            a = self.parse_expr()
+            self.expect("before")
+            b = self.parse_expr()
+            self.expect("within")
+            return PresentFirstBeforeWithin(a, b, read_interval(self))
+        a = self.parse_expr()
         if self.at_keyword("lasting"):
             self.next()
             return PresentLasting(a, self.parse_rational_tok())
-        self.take_keyword("after")
-        b = self.parse_predicate()
-        self.take_keyword("within")
-        return PresentAfterWithin(a, b, self.parse_interval_tok())
+        self.expect("after")
+        b = self.parse_expr()
+        self.expect("within")
+        return PresentAfterWithin(a, b, read_interval(self))
 
     def parse_absent(self) -> Pattern:
-        self.take_keyword("absent")
-        a = self.parse_predicate()
+        self.expect("absent")
+        a = self.parse_expr()
         kw = self.next()
         if kw.text == "after":
-            b = self.parse_predicate()
-            self.take_keyword("for", "interval")
-            return AbsentAfterInterval(a, b, self.parse_interval_tok())
+            b = self.parse_expr()
+            self.expect("for")
+            self.expect("interval")
+            return AbsentAfterInterval(a, b, read_interval(self))
         if kw.text == "before":
-            b = self.parse_predicate()
-            self.take_keyword("for", "duration")
+            b = self.parse_expr()
+            self.expect("for")
+            self.expect("duration")
             return AbsentBeforeDuration(a, b, self.parse_rational_tok())
-        raise PatternError(f"expected 'after' or 'before' at column {kw.pos + 1}")
+        raise ExprError(f"expected 'after' or 'before' at column {kw.pos + 1}")
 
     def parse_leadsto(self) -> Pattern:
-        a = self.parse_predicate()
-        self.take_keyword("leadsto", "first")
-        b = self.parse_predicate()
-        self.take_keyword("within")
-        interval = self.parse_interval_tok()
+        a = self.parse_expr()
+        self.expect("leadsto")
+        self.expect("first")
+        b = self.parse_expr()
+        self.expect("within")
+        interval = read_interval(self)
         scope: Scope = GlobalScope()
         if self.at_keyword("before"):
             self.next()
-            scope = BeforeScope(self.parse_predicate())
+            scope = BeforeScope(self.parse_expr())
         elif self.at_keyword("after"):
             self.next()
-            scope = AfterScope(self.parse_predicate())
+            scope = AfterScope(self.parse_expr())
         return LeadstoFirstWithin(a, b, interval, scope)
 
 
 def parse_pattern(text: str) -> Pattern:
     try:
         p = _PatternParser(tokenize(text))
+        out = p.parse_pattern()
+        p.expect_end()
     except ExprError as exc:
         raise PatternError(str(exc)) from exc
-    out = p.parse_pattern()
-    if not p.at_end():
-        tok = p.peek()
-        raise PatternError(f"trailing input {tok.text!r} at column {tok.pos + 1}")
     return out
 
 
 def parse_pattern_file(text: str) -> list:
-    """One pattern per line; `#` comments."""
+    """One pattern per line; `#` comments.  Columns in errors count from the
+    start of the line."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]
+        if not line.strip():
             continue
         try:
             out.append(parse_pattern(line))

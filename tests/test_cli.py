@@ -402,3 +402,65 @@ def test_cli_returns_an_exit_code_on_random_guarded_nets(net, patterns):
             if CLASH in {"check": patterns[:1], "xcheck": patterns}.get(args[0], ()):
                 assert code == 2, (args, code)
                 assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# The entry point on random text of each input format
+
+TTS_LINES = ["places P=1 Q R=1/2", "vars x=true n:0..2=1",
+             "trans T in [1,2] consume {P} produce {Q}",
+             "trans U in ]0,3] consume {Q} produce {P} pre {n < 2} act {n := n + 1}",
+             "trans V in [1,2] read {R} act {x := !x;}", "trans W in [3,4] read {Q} produce {R}",
+             "prio T > U"]
+PAT_LINES = ["present U after T within [0,3]", "present first T before U within ]0,4]",
+             "present Q lasting 2", "absent U after T for interval [0,2[",
+             "absent T before U for duration 2", "T leadsto first U within [0,3] after x",
+             "(absent T before U for duration 2) => (present !P lasting 1)"]
+TRACE_LINES = ["= m:{P=1,R=1} | s:{n=1,x=true}", "@ 1", "@ 1/2",
+               "! T | m:{Q=1,R=1} | s:{n=1,x=true}", "! U | m:{P=1,R=1} | s:{n=2,x=true}",
+               "%deadlock"]
+TOKENS = ["places", "vars", "trans", "prio", "P", "Q", "T", "U", "x", "n", "=", "1", "0",
+          "1/2", "oo", "{", "}", "[", "]", ",", ";", ":", "..", ":=", "!", "&", "|", ">", "<",
+          "in", "pre", "consume", "act", "present", "absent", "first", "after", "before",
+          "within", "lasting", "leadsto", "for", "and", "=>", "(", ")", "@", "m:{P=1}", "s:{}",
+          "%deadlock"]
+
+
+@st.composite
+def near_texts(draw, lines, max_lines, always=0):
+    """The first `always` of a format's lines and some others, in order, with
+    one word inserted or dropped two times in three."""
+    picked = draw(st.lists(st.integers(always, len(lines) - 1), min_size=1,
+                           max_size=max_lines, unique=True))
+    text = [lines[k].split(" ") for k in list(range(always)) + sorted(picked)]
+    words = draw(st.sampled_from(text))
+    edit = draw(st.sampled_from(["none", "insert", "drop"]))
+    if edit == "insert":
+        words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(TOKENS)))
+    elif edit == "drop":
+        del words[draw(st.integers(0, len(words) - 1))]
+    return "\n".join(" ".join(w) for w in text) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_texts(TTS_LINES, 3, always=4), near_texts(PAT_LINES, 2), near_texts(TRACE_LINES, 5))
+def test_cli_returns_an_exit_code_on_random_input_text(tts, pat, trace):
+    """`main` returns 0-3 and raises nothing on text built from the lines and
+    tokens of `.tts`, `.pat` and `.trace` files, whether or not it parses."""
+    from ttscheck.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, text in (("m.tts", tts), ("p.pat", pat), ("r.trace", trace)):
+            paths.append(pathlib.Path(tmp) / name)
+            paths[-1].write_text(text, encoding="utf-8")
+        model, patterns, run = map(str, paths)
+        for args in (["check", model, patterns, "--max-classes", "500"],
+                     ["graph", model, "--max-classes", "500"],
+                     ["simulate", model],
+                     ["xcheck", model, patterns, "--runs", "3"],
+                     ["oracle", pat.splitlines()[0], run]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(args)
+            assert code in (0, 1, 2, 3), (args, code)
