@@ -9,8 +9,9 @@ strict ordering constraints to firability.
 Domains are `zone.Domain`s: every interval constant of the model is scaled
 by the LCM of their denominators and each bound is one int, so firability is
 an O(n) test and a successor one incremental closure (see `zone`).  The
-rescaling is exact, and `Domain` decodes back to Fractions wherever a
-domain's values are read, so exports and reports see rational bounds.
+rescaling is exact.  No product code reads a domain's values: the exports
+print each class's marking and store only, and `Domain.bounds_of`, `entry`
+and `dump`, which decode bounds back to Fractions, serve the tests.
 """
 
 from __future__ import annotations

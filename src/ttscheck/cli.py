@@ -267,8 +267,7 @@ def _xcheck(model, patterns, runs: int, base_seed: int, horizon, out) -> list:
     for p in patterns:
         h = horizon
         if h is None:
-            consts = [c for c in pattern_constants(p) if c is not None]
-            h = 3 * max([Fraction(1)] + consts)
+            h = 3 * max([Fraction(1)] + pattern_constants(p))
         checks.append(_PatternXcheck(p, _instrument(model, p), Fraction(h)))
     if not checks:
         return []

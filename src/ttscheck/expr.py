@@ -240,38 +240,35 @@ def parse_actions(text: str) -> tuple[Assign, ...]:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-@dataclass
-class EvalContext:
-    """Name resolution environment for expression evaluation.
+def eval_expr(e: Expr, marking: dict, store: dict,
+              transition: Optional[str] = None) -> Value:
+    """Value of `e` in a marking and a store.
 
-    `transition` is the fired transition's name when evaluating an event
-    predicate, else None (guards never mention transitions).
+    A name is read from the store first, then as "the place holds a token";
+    any other name is a transition atom, true iff it is `transition`, the
+    fired transition's name when an event predicate is read (guards and
+    actions pass none, and never mention transitions).
     """
-
-    marking: dict
-    store: dict
-    transition: Optional[str] = None
-
-
-def eval_expr(e: Expr, ctx: EvalContext) -> Value:
     if isinstance(e, Lit):
         return e.value
     if isinstance(e, Name):
-        if e.ident in ctx.store:
-            return ctx.store[e.ident]
-        if e.ident in ctx.marking:
-            return ctx.marking[e.ident] >= 1
-        # transition-name atom: true iff it names the fired transition
-        return ctx.transition is not None and e.ident == ctx.transition
+        if e.ident in store:
+            return store[e.ident]
+        if e.ident in marking:
+            return marking[e.ident] >= 1
+        return transition is not None and e.ident == transition
     if isinstance(e, Unary):
-        v = eval_expr(e.operand, ctx)
+        v = eval_expr(e.operand, marking, store, transition)
         return (not v) if e.op == "!" else -v
     if isinstance(e, Binary):
         if e.op == "&":
-            return bool(eval_expr(e.left, ctx)) and bool(eval_expr(e.right, ctx))
+            return (bool(eval_expr(e.left, marking, store, transition))
+                    and bool(eval_expr(e.right, marking, store, transition)))
         if e.op == "|":
-            return bool(eval_expr(e.left, ctx)) or bool(eval_expr(e.right, ctx))
-        lv, rv = eval_expr(e.left, ctx), eval_expr(e.right, ctx)
+            return (bool(eval_expr(e.left, marking, store, transition))
+                    or bool(eval_expr(e.right, marking, store, transition)))
+        lv = eval_expr(e.left, marking, store, transition)
+        rv = eval_expr(e.right, marking, store, transition)
         if e.op == "=":
             return lv == rv
         if e.op == "!=":

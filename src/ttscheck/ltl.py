@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .classgraph import ClassGraph, StateClass
-from .expr import EvalContext, Expr, eval_expr, format_expr
+from .expr import Expr, eval_expr, format_expr
 from .model import Event, TtsModel, enabled, fire, step
 from .traces import TimedTrace
 
@@ -233,15 +233,13 @@ def run_letter(atoms, marking, store, event: Optional[Event]) -> dict:
     event, that is its transition and post-state.  `event=None` is the
     stutter step, on which no event atom holds.
     """
-    state = EvalContext(marking, store)
-    fired = None if event is None else EvalContext(event.marking, event.store,
-                                                   event.transition)
     out = {}
     for a in atoms:
         if isinstance(a, EventAtom):
-            out[a] = fired is not None and bool(eval_expr(a.pred, fired))
+            out[a] = event is not None and bool(
+                eval_expr(a.pred, event.marking, event.store, event.transition))
         else:
-            out[a] = bool(eval_expr(a.expr, state))
+            out[a] = bool(eval_expr(a.expr, marking, store))
     return out
 
 
@@ -831,13 +829,21 @@ def cycle_time_lower_bound(model: TtsModel, cx: Counterexample) -> Optional[Frac
     return max(Fraction(0), -bound[0])
 
 
+# Steps `find_decisive_extension` adds to a counterexample at most, and
+# candidate extensions it tries at most, before it gives up.
+MAX_EXTENSION_DEPTH = 14
+MAX_EXTENSION_PATHS = 4000
+
+
 def find_decisive_extension(g: ClassGraph, model: TtsModel, cx: Counterexample,
-                            decide: Callable, max_depth: int = 14,
-                            max_paths: int = 4000) -> Optional[TimedTrace]:
+                            decide: Callable,
+                            max_depth: int = MAX_EXTENSION_DEPTH) -> Optional[TimedTrace]:
     """Breadth-first search over run extensions until `decide` accepts one.
 
     `decide` receives each candidate trace; used to lengthen a violating run
     until a trace-level oracle can confirm the violation on the finite prefix.
+    The search adds at most `max_depth` steps (`MAX_EXTENSION_DEPTH` unless
+    given) and tries at most `MAX_EXTENSION_PATHS` candidates.
     """
     base = list(cx.stem) + list(cx.cycle)
 
@@ -852,7 +858,7 @@ def find_decisive_extension(g: ClassGraph, model: TtsModel, cx: Counterexample,
         return t0
     queue = deque([base])
     tried = 0
-    while queue and tried < max_paths:
+    while queue and tried < MAX_EXTENSION_PATHS:
         steps = queue.popleft()
         if len(steps) - len(base) >= max_depth:
             continue

@@ -19,7 +19,6 @@ from typing import Collection, Optional, Union
 from .expr import (
     Assign,
     Binary,
-    EvalContext,
     Expr,
     ExprError,
     Lit,
@@ -384,14 +383,9 @@ def _arcs_covered(t: Transition, marking: Marking) -> bool:
     return True
 
 
-def _guard_holds(t: Transition, marking: Marking, store: Store) -> bool:
-    if t.guard is None:
-        return True
-    return bool(eval_expr(t.guard, EvalContext(marking, store)))
-
-
 def is_enabled(model: TtsModel, t: Transition, marking: Marking, store: Store) -> bool:
-    return _arcs_covered(t, marking) and _guard_holds(t, marking, store)
+    return _arcs_covered(t, marking) and (
+        t.guard is None or bool(eval_expr(t.guard, marking, store)))
 
 
 def enabled(model: TtsModel, marking: Marking, store: Store,
@@ -410,10 +404,9 @@ def exec_actions(model: TtsModel, acts: tuple[Assign, ...], marking: Marking,
     """Run an action sequence left to right on a copy of the store."""
     new_store = dict(store)
     for a in acts:
-        ctx = EvalContext(marking, new_store)
-        if a.cond is not None and not eval_expr(a.cond, ctx):
+        if a.cond is not None and not eval_expr(a.cond, marking, new_store):
             continue
-        v = eval_expr(a.expr, ctx)
+        v = eval_expr(a.expr, marking, new_store)
         decl = model.vars[a.target]
         if not decl.in_range(v):
             raise ExplorationError(
@@ -466,7 +459,7 @@ def step(model: TtsModel, marking: Marking, store: Store, name: str,
 
 def eval_predicate(p: EventPredicate, e: Event) -> bool:
     """Evaluate an event predicate on an event's transition and post-state."""
-    return bool(eval_expr(p, EvalContext(e.marking, e.store, e.transition)))
+    return bool(eval_expr(p, e.marking, e.store, e.transition))
 
 
 def check_predicate(p: EventPredicate, model: TtsModel, where: str = "predicate") -> list:
@@ -547,7 +540,8 @@ def parse_tts(text: str, name: str = "model") -> TtsModel:
         if not line:
             continue
         try:
-            head, _, rest = line.partition(" ")
+            head = line.split(None, 1)[0]
+            rest = line[len(head):]
             if head == "places":
                 for spec in rest.split():
                     _parse_place(spec, places)

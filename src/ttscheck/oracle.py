@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .expr import EvalContext, eval_expr
+from .expr import eval_expr
 from .model import EventPredicate, TimeBound, TimeInterval, eval_predicate
 from .patterns import (
     AbsentAfterInterval,
@@ -93,37 +93,26 @@ def _inconclusive(witness: Optional[str] = None) -> TraceVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Timeline view shared by both semantics
+# Positions of a trace, shared by both semantics: event i of `trace.timed` is
+# position i, and position -1 is the start
 
-class Timeline:
-    """Events with absolute times plus the reigning-state sequence."""
+def _time_at(s: TimedTrace, pos: int) -> Fraction:
+    return s.timed[pos][0] if pos >= 0 else Fraction(0)
 
-    def __init__(self, trace: TimedTrace):
-        self.events: tuple = trace.timed  # (time, Event)
-        self.total: Fraction = trace.end
-        self.deadlocked: bool = trace.deadlocked
-        self.initial = trace.initial
 
-    def state_at(self, pos: int):
-        """State reigning at position `pos` (-1 = start); None if unknown."""
-        if pos >= 0:
-            e = self.events[pos][1]
-            return e.marking, e.store
-        return self.initial
+def _event_pred(s: TimedTrace, p: EventPredicate, pos: int) -> bool:
+    """Event atoms are false at the start."""
+    return pos >= 0 and eval_predicate(p, s.timed[pos][1])
 
-    def time_at(self, pos: int) -> Fraction:
-        return self.events[pos][0] if pos >= 0 else Fraction(0)
 
-    def event_pred(self, p: EventPredicate, pos: int) -> bool:
-        if pos < 0:
-            return False
-        return eval_predicate(p, self.events[pos][1])
-
-    def state_pred(self, p: EventPredicate, pos: int) -> bool:
-        st = self.state_at(pos)
-        if st is None:
-            return False
-        return bool(eval_expr(p, EvalContext(st[0], st[1])))
+def _state_pred(s: TimedTrace, p: EventPredicate, pos: int) -> bool:
+    """State atoms read the state reigning at `pos`: the event's post-state,
+    or at the start the initial state; an unknown initial state makes them
+    false there."""
+    if pos >= 0:
+        e = s.timed[pos][1]
+        return bool(eval_expr(p, e.marking, e.store))
+    return s.initial is not None and bool(eval_expr(p, s.initial[0], s.initial[1]))
 
 
 def _window_still_open(interval: TimeInterval, elapsed: Fraction) -> bool:
@@ -141,36 +130,35 @@ def _window_still_open(interval: TimeInterval, elapsed: Fraction) -> bool:
 
 def fott_holds(p: Pattern, s: TimedTrace) -> TraceVerdict:
     """Decomposition semantics of a validated pattern on a normalized trace."""
-    tl = Timeline(s)
-    return _fott(p, tl)
+    return _fott(p, s)
 
 
-def _first_match(tl: Timeline, pred: EventPredicate, start: int = 0,
+def _first_match(s: TimedTrace, pred: EventPredicate, start: int = 0,
                  stop: Optional[int] = None) -> Optional[int]:
-    stop = len(tl.events) if stop is None else stop
+    stop = len(s.timed) if stop is None else stop
     for i in range(start, stop):
-        if tl.event_pred(pred, i):
+        if _event_pred(s, pred, i):
             return i
     return None
 
 
-def _fott(p: Pattern, tl: Timeline) -> TraceVerdict:
+def _fott(p: Pattern, s: TimedTrace) -> TraceVerdict:
     if isinstance(p, PresentAfterWithin):
-        return _fott_present_after(p, tl)
+        return _fott_present_after(p, s)
     if isinstance(p, PresentFirstBeforeWithin):
-        return _fott_present_first_before(p, tl)
+        return _fott_present_first_before(p, s)
     if isinstance(p, PresentLasting):
-        return _fott_lasting(p, tl)
+        return _fott_lasting(p, s)
     if isinstance(p, AbsentAfterInterval):
-        return _fott_absent_after(p, tl)
+        return _fott_absent_after(p, s)
     if isinstance(p, AbsentBeforeDuration):
-        return _fott_absent_before(p, tl)
+        return _fott_absent_before(p, s)
     if isinstance(p, LeadstoFirstWithin):
-        return _fott_leadsto(p, tl)
+        return _fott_leadsto(p, s)
     if isinstance(p, AndPattern):
-        return _and3(_fott(p.left, tl), _fott(p.right, tl))
+        return _and3(_fott(p.left, s), _fott(p.right, s))
     if isinstance(p, ImpliesPattern):
-        return _implies3(_fott(p.left, tl), _fott(p.right, tl))
+        return _implies3(_fott(p.left, s), _fott(p.right, s))
     raise AssertionError
 
 
@@ -191,114 +179,114 @@ def _implies3(l: TraceVerdict, r: TraceVerdict) -> TraceVerdict:
     return _inconclusive()
 
 
-def _fott_present_after(p: PresentAfterWithin, tl: Timeline) -> TraceVerdict:
-    ib = _first_match(tl, p.b)
+def _fott_present_after(p: PresentAfterWithin, s: TimedTrace) -> TraceVerdict:
+    ib = _first_match(s, p.b)
     if ib is None:
         return _holds("no trigger occurrence")
-    tb = tl.time_at(ib)
-    for j in range(ib + 1, len(tl.events)):
-        if tl.event_pred(p.a, j) and p.interval.contains(tl.time_at(j) - tb):
-            return _holds(f"witness at {tl.time_at(j) - tb} after trigger")
-    if tl.deadlocked:
+    tb = _time_at(s, ib)
+    for j in range(ib + 1, len(s.timed)):
+        if _event_pred(s, p.a, j) and p.interval.contains(_time_at(s, j) - tb):
+            return _holds(f"witness at {_time_at(s, j) - tb} after trigger")
+    if s.deadlocked:
         return _fails("no witness before deadlock")
-    if _window_still_open(p.interval, tl.total - tb):
+    if _window_still_open(p.interval, s.end - tb):
         return _inconclusive("window still open at end of prefix")
     return _fails("window elapsed without witness")
 
 
-def _fott_present_first_before(p: PresentFirstBeforeWithin, tl: Timeline) -> TraceVerdict:
-    ib = _first_match(tl, p.b)
+def _fott_present_first_before(p: PresentFirstBeforeWithin, s: TimedTrace) -> TraceVerdict:
+    ib = _first_match(s, p.b)
     if ib is None:
         return _holds("no trigger occurrence")
-    ia = _first_match(tl, p.a, 0, ib)
+    ia = _first_match(s, p.a, 0, ib)
     if ia is None:
         return _fails("trigger with no prior occurrence")
-    delta = tl.time_at(ib) - tl.time_at(ia)
+    delta = _time_at(s, ib) - _time_at(s, ia)
     if p.interval.contains(delta):
         return _holds(f"first occurrence {delta} before trigger")
     return _fails(f"separation {delta} outside window")
 
 
-def _fott_lasting(p: PresentLasting, tl: Timeline) -> TraceVerdict:
+def _fott_lasting(p: PresentLasting, s: TimedTrace) -> TraceVerdict:
     first = None  # first position (start or event) whose state satisfies A
-    positions = [-1] + list(range(len(tl.events)))
+    positions = [-1] + list(range(len(s.timed)))
     for pos in positions:
-        if tl.state_pred(p.a, pos):
+        if _state_pred(s, p.a, pos):
             first = pos
             break
     if first is None:
-        return _fails("condition never holds") if tl.deadlocked \
+        return _fails("condition never holds") if s.deadlocked \
             else _inconclusive("condition not yet observed")
-    t0 = tl.time_at(first)
-    for pos in range(max(first, -1) + 1, len(tl.events)):
-        if not tl.state_pred(p.a, pos):
-            stretch = tl.time_at(pos) - t0
+    t0 = _time_at(s, first)
+    for pos in range(max(first, -1) + 1, len(s.timed)):
+        if not _state_pred(s, p.a, pos):
+            stretch = _time_at(s, pos) - t0
             if stretch >= p.d:
                 return _holds(f"held for {stretch}")
             return _fails(f"interrupted after {stretch}")
-    stretch = tl.total - t0
-    if stretch >= p.d or tl.deadlocked:
-        return _holds(f"held for {stretch}{' (deadlock)' if tl.deadlocked else ''}")
+    stretch = s.end - t0
+    if stretch >= p.d or s.deadlocked:
+        return _holds(f"held for {stretch}{' (deadlock)' if s.deadlocked else ''}")
     return _inconclusive("still holding at end of prefix")
 
 
-def _fott_absent_after(p: AbsentAfterInterval, tl: Timeline) -> TraceVerdict:
-    ib = _first_match(tl, p.b)
+def _fott_absent_after(p: AbsentAfterInterval, s: TimedTrace) -> TraceVerdict:
+    ib = _first_match(s, p.b)
     if ib is None:
         return _holds("no trigger occurrence")
-    tb = tl.time_at(ib)
-    for j in range(ib + 1, len(tl.events)):
-        if tl.event_pred(p.a, j) and p.interval.contains(tl.time_at(j) - tb):
-            return _fails(f"occurrence at {tl.time_at(j) - tb} after trigger")
-    if tl.deadlocked:
+    tb = _time_at(s, ib)
+    for j in range(ib + 1, len(s.timed)):
+        if _event_pred(s, p.a, j) and p.interval.contains(_time_at(s, j) - tb):
+            return _fails(f"occurrence at {_time_at(s, j) - tb} after trigger")
+    if s.deadlocked:
         return _holds("window empty before deadlock")
-    if _window_still_open(p.interval, tl.total - tb):
+    if _window_still_open(p.interval, s.end - tb):
         return _inconclusive("window still open at end of prefix")
     return _holds("window elapsed without occurrence")
 
 
-def _fott_absent_before(p: AbsentBeforeDuration, tl: Timeline) -> TraceVerdict:
-    ib = _first_match(tl, p.b)
+def _fott_absent_before(p: AbsentBeforeDuration, s: TimedTrace) -> TraceVerdict:
+    ib = _first_match(s, p.b)
     if ib is None:
         return _holds("no trigger occurrence")
-    tb = tl.time_at(ib)
+    tb = _time_at(s, ib)
     for j in range(ib):
-        if tl.event_pred(p.a, j) and tb - tl.time_at(j) <= p.d:
-            return _fails(f"occurrence {tb - tl.time_at(j)} before trigger")
+        if _event_pred(s, p.a, j) and tb - _time_at(s, j) <= p.d:
+            return _fails(f"occurrence {tb - _time_at(s, j)} before trigger")
     return _holds("no occurrence close before trigger")
 
 
-def _fott_leadsto(p: LeadstoFirstWithin, tl: Timeline) -> TraceVerdict:
+def _fott_leadsto(p: LeadstoFirstWithin, s: TimedTrace) -> TraceVerdict:
     scope = p.scope
-    n = len(tl.events)
+    n = len(s.timed)
     if isinstance(scope, GlobalScope):
         lo, hi, b_stop = 0, n, None
     elif isinstance(scope, BeforeScope):
-        ir = _first_match(tl, scope.r)
+        ir = _first_match(s, scope.r)
         if ir is None:
             return _holds("scope trigger never occurs")
         lo, hi, b_stop = 0, ir, ir
     else:  # after R
-        ir = _first_match(tl, scope.r)
+        ir = _first_match(s, scope.r)
         if ir is None:
             return _holds("scope trigger never occurs")
         lo, hi, b_stop = ir + 1, n, None
 
     saw_open = False
     for i in range(lo, hi):
-        if not tl.event_pred(p.a, i):
+        if not _event_pred(s, p.a, i):
             continue
-        jb = _first_match(tl, p.b, i + 1, b_stop)
+        jb = _first_match(s, p.b, i + 1, b_stop)
         if jb is not None:
-            delta = tl.time_at(jb) - tl.time_at(i)
+            delta = _time_at(s, jb) - _time_at(s, i)
             if not p.interval.contains(delta):
                 return _fails(f"first response after {delta}")
             continue
         if b_stop is not None:
             return _fails("no response inside scope")
-        if tl.deadlocked:
+        if s.deadlocked:
             return _fails("no response before deadlock")
-        if _window_still_open(p.interval, tl.total - tl.time_at(i)):
+        if _window_still_open(p.interval, s.end - _time_at(s, i)):
             saw_open = True
             continue
         return _fails("response window elapsed")
@@ -309,8 +297,7 @@ def _fott_leadsto(p: LeadstoFirstWithin, tl: Timeline) -> TraceVerdict:
 # MTL finite-trace semantics (three-valued Kleene logic; None = unknown)
 
 def mtl_holds(f: MtlFormula, s: TimedTrace) -> TraceVerdict:
-    tl = Timeline(s)
-    v = _meval(f, tl, -1)
+    v = _meval(f, s, -1)
     if v is True:
         return _holds()
     if v is False:
@@ -350,26 +337,26 @@ def _contains_state_atom(f: MtlFormula) -> bool:
     return False
 
 
-def _meval(f: MtlFormula, tl: Timeline, i: int):
+def _meval(f: MtlFormula, s: TimedTrace, i: int):
     if isinstance(f, MTrue):
         return True
     if isinstance(f, MAtom):
         if f.state:
-            return tl.state_pred(f.pred, i)
-        return tl.event_pred(f.pred, i)
+            return _state_pred(s, f.pred, i)
+        return _event_pred(s, f.pred, i)
     if isinstance(f, MNot):
-        return _not3(_meval(f.f, tl, i))
+        return _not3(_meval(f.f, s, i))
     if isinstance(f, MAnd):
-        return _and3v(_meval(f.left, tl, i), _meval(f.right, tl, i))
+        return _and3v(_meval(f.left, s, i), _meval(f.right, s, i))
     if isinstance(f, MImplies):
-        return _or3v(_not3(_meval(f.left, tl, i)), _meval(f.right, tl, i))
+        return _or3v(_not3(_meval(f.left, s, i)), _meval(f.right, s, i))
     if isinstance(f, MUntil):
-        return _meval_until(f, tl, i)
+        return _meval_until(f, s, i)
     if isinstance(f, MWeakUntil):
-        u = _meval_until(MUntil(f.left, f.right), tl, i)
+        u = _meval_until(MUntil(f.left, f.right), s, i)
         if u is True:
             return True
-        return _or3v(u, _meval(MAlways(f.left), tl, i))
+        return _or3v(u, _meval(MAlways(f.left), s, i))
     if isinstance(f, MAlways):
         if f.interval is not None and _contains_state_atom(f.f):
             # the anchor's own state, then every later one strictly before d:
@@ -378,37 +365,37 @@ def _meval(f: MtlFormula, tl: Timeline, i: int):
             assert iv.lower == TimeBound(Fraction(0)) and not iv.upper.is_infinite, \
                 "state window must be [0,d] with d finite"
             before_d = TimeInterval(iv.lower, TimeBound(iv.upper.value, True))
-            return _and3v(_meval(f.f, tl, i), _not3(
-                _meval_until(MUntil(MTrue(), MNot(f.f), before_d), tl, i)))
+            return _and3v(_meval(f.f, s, i), _not3(
+                _meval_until(MUntil(MTrue(), MNot(f.f), before_d), s, i)))
         # always g == not (true U not g); a strict untimed window starts at i+1
         start = i + 1 if f.strict and f.interval is None else i
-        return _not3(_meval_until(MUntil(MTrue(), MNot(f.f), f.interval), tl, start))
+        return _not3(_meval_until(MUntil(MTrue(), MNot(f.f), f.interval), s, start))
     if isinstance(f, MEventually):
-        return _meval_until(MUntil(MTrue(), f.f, f.interval), tl, i)
+        return _meval_until(MUntil(MTrue(), f.f, f.interval), s, i)
     raise AssertionError
 
 
-def _meval_until(f: MUntil, tl: Timeline, i: int):
+def _meval_until(f: MUntil, s: TimedTrace, i: int):
     timed = f.interval is not None
-    n = len(tl.events)
+    n = len(s.timed)
     lhs = True  # running three-valued conjunction of left side at seen positions
     saw_unknown = False
     start = i + 1 if timed else i
     for j in range(start, n):
         if timed:
-            delta = tl.time_at(j) - tl.time_at(i)
+            delta = _time_at(s, j) - _time_at(s, i)
             if not _window_still_open(f.interval, delta):
                 break
             in_window = f.interval.contains(delta)
         else:
             in_window = True
         if in_window:
-            combined = _and3v(_meval(f.right, tl, j), lhs)
+            combined = _and3v(_meval(f.right, s, j), lhs)
             if combined is True:
                 return True
             if combined is None:
                 saw_unknown = True
-        lhs = _and3v(lhs, _meval(f.left, tl, j))
+        lhs = _and3v(lhs, _meval(f.left, s, j))
         if lhs is False:
             break  # no witness at or beyond the next position is possible
     if saw_unknown:
@@ -417,9 +404,9 @@ def _meval_until(f: MUntil, tl: Timeline, i: int):
         return False
     if not timed:
         return False  # weak reading: the prefix is the whole behavior
-    if tl.deadlocked:
+    if s.deadlocked:
         return False
-    if not _window_still_open(f.interval, tl.total - tl.time_at(i)):
+    if not _window_still_open(f.interval, s.end - _time_at(s, i)):
         return False
     return None
 

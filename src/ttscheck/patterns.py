@@ -284,45 +284,35 @@ def _pred(e: EventPredicate) -> str:
 # ---------------------------------------------------------------------------
 # Validation
 
+# Diagnostic label of each catalog pattern kind
+_KIND_LABELS = {
+    PresentAfterWithin: "present",
+    PresentFirstBeforeWithin: "present first",
+    PresentLasting: "lasting",
+    AbsentAfterInterval: "absent",
+    AbsentBeforeDuration: "absent",
+    LeadstoFirstWithin: "leadsto",
+}
+
+
 def validate_pattern(p: Pattern, model: TtsModel) -> list:
-    diags: list = []
-
-    def pred(e: EventPredicate, where: str) -> None:
-        diags.extend(check_predicate(e, model, where))
-
-    if isinstance(p, PresentAfterWithin):
-        pred(p.a, "present/A")
-        pred(p.b, "present/B")
-    elif isinstance(p, PresentFirstBeforeWithin):
-        pred(p.a, "present first/A")
-        pred(p.b, "present first/B")
-    elif isinstance(p, PresentLasting):
-        pred(p.a, "lasting/A")
+    if isinstance(p, (AndPattern, ImpliesPattern)):
+        return validate_pattern(p.left, model) + validate_pattern(p.right, model)
+    label = _KIND_LABELS[type(p)]
+    diags = check_predicate(p.a, model, f"{label}/A")
+    if isinstance(p, PresentLasting):
         if not predicate_is_state_only(p.a, model):
             diags.append(Diagnostic(
-                "lasting/A",
+                f"{label}/A",
                 "condition must be a state predicate: transitions are instantaneous"))
-        if p.d < 0:
-            diags.append(Diagnostic("lasting", "duration must be non-negative"))
-    elif isinstance(p, AbsentAfterInterval):
-        pred(p.a, "absent/A")
-        pred(p.b, "absent/B")
-    elif isinstance(p, AbsentBeforeDuration):
-        pred(p.a, "absent/A")
-        pred(p.b, "absent/B")
-        if p.d < 0:
-            diags.append(Diagnostic("absent", "duration must be non-negative"))
-    elif isinstance(p, LeadstoFirstWithin):
-        pred(p.a, "leadsto/A")
-        pred(p.b, "leadsto/B")
-        if not isinstance(p.scope, GlobalScope):
-            pred(p.scope.r, "leadsto/R")
-    elif isinstance(p, (AndPattern, ImpliesPattern)):
-        diags.extend(validate_pattern(p.left, model))
-        diags.extend(validate_pattern(p.right, model))
     else:
-        raise AssertionError
-    if hasattr(p, "interval"):
+        diags += check_predicate(p.b, model, f"{label}/B")
+    if isinstance(p, LeadstoFirstWithin) and not isinstance(p.scope, GlobalScope):
+        diags += check_predicate(p.scope.r, model, f"{label}/R")
+    if hasattr(p, "d"):
+        if p.d < 0:
+            diags.append(Diagnostic(label, "duration must be non-negative"))
+    else:
         err = p.interval.check()
         if err:
             diags.append(Diagnostic("interval", err))
@@ -438,15 +428,9 @@ def to_mtl(p: Pattern) -> MtlFormula:
 
 def pattern_constants(p: Pattern) -> list:
     """All timing constants, for horizon sizing in simulation campaigns."""
-    out: list = []
     if isinstance(p, (AndPattern, ImpliesPattern)):
-        out += pattern_constants(p.left)
-        out += pattern_constants(p.right)
-        return out
-    if isinstance(p, (PresentLasting, AbsentBeforeDuration)):
+        return pattern_constants(p.left) + pattern_constants(p.right)
+    if hasattr(p, "d"):
         return [p.d]
     iv = p.interval
-    out.append(iv.lower.value)
-    if not iv.upper.is_infinite:
-        out.append(iv.upper.value)
-    return out
+    return [iv.lower.value] + ([] if iv.upper.is_infinite else [iv.upper.value])

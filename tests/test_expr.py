@@ -3,7 +3,6 @@ import pytest
 from ttscheck.expr import (
     Assign,
     Binary,
-    EvalContext,
     ExprError,
     Lit,
     Name,
@@ -49,13 +48,14 @@ def test_parse_errors():
 
 
 def test_eval_with_marking_store_transition():
-    ctx = EvalContext(marking={"P": 1, "Q": 0}, store={"x": 3, "flag": True},
-                      transition="Fire")
-    assert eval_expr(parse_expr("P & flag"), ctx) is True
-    assert eval_expr(parse_expr("Q"), ctx) is False
-    assert eval_expr(parse_expr("x = 3"), ctx) is True
-    assert eval_expr(parse_expr("Fire | Q"), ctx) is True
-    assert eval_expr(parse_expr("Other"), ctx) is False
+    state = ({"P": 1, "Q": 0}, {"x": 3, "flag": True}, "Fire")
+    assert eval_expr(parse_expr("P & flag"), *state) is True
+    assert eval_expr(parse_expr("Q"), *state) is False
+    assert eval_expr(parse_expr("x = 3"), *state) is True
+    assert eval_expr(parse_expr("Fire | Q"), *state) is True
+    assert eval_expr(parse_expr("Other"), *state) is False
+    # without a fired transition, a transition atom is false
+    assert eval_expr(parse_expr("Fire"), *state[:2]) is False
 
 
 def test_actions_parse_and_format_round_trip():

@@ -90,6 +90,16 @@ def test_priority_chain_longer_than_recursion_limit():
     assert [str(d) for d in validate_model(cyclic)] == ["T0: cyclic priority relation"]
 
 
+def test_section_keywords_split_at_any_whitespace():
+    lines = ["places P=1 Q", "vars x=true", "trans t in [1,2] consume {P} produce {Q}",
+             "trans u consume {Q}", "prio t > u"]
+    spaced = parse_tts("\n".join(lines) + "\n")
+    tabbed = parse_tts("\n".join(line.replace(" ", "\t", 1) for line in lines) + "\n")
+    for field in ("places", "vars", "transitions", "priority"):
+        assert getattr(tabbed, field) == getattr(spaced, field)
+    assert list(tabbed.places) == ["P", "Q"] and tabbed.priority == (("t", "u"),)
+
+
 # ---------------------------------------------------------------------------
 # enabledness
 

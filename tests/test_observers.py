@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ttscheck import classgraph as cg
 from ttscheck import observers
-from ttscheck.expr import EvalContext, eval_expr, format_expr
+from ttscheck.expr import eval_expr, format_expr
 from ttscheck.ltl import (
     TT,
     EventAtom,
@@ -271,7 +271,7 @@ def ref_run_eval(f, run: list, final_state: tuple, i: int = 0) -> bool:
             return eval_predicate(g.pred, run[j][2])
         if isinstance(g, StateAtom):
             m, s = final_state if j >= len(run) else run[j][:2]
-            return bool(eval_expr(g.expr, EvalContext(m, s)))
+            return bool(eval_expr(g.expr, m, s))
         raise AssertionError(g)
 
     def ev(g, j: int) -> bool:

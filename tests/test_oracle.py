@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 from ttscheck.expr import parse_expr
 from ttscheck.model import Event, parse_interval
 from ttscheck.oracle import (
-    Timeline,
     Verdict,
     _and3v,
     _contains_state_atom,
+    _event_pred,
     _not3,
     _or3v,
+    _state_pred,
+    _time_at,
     _window_still_open,
     cross_check,
     fott_holds,
@@ -346,134 +348,134 @@ def test_cross_check_agreement_random_traces(airlock, relay, chain):
 # `eventually`; both must give the same three-valued verdict.
 
 def ref_mtl_holds(f, s):
-    v = ref_meval(f, Timeline(s), -1)
+    v = ref_meval(f, s, -1)
     return {True: HOLDS, False: FAILS, None: INC}[v]
 
 
-def ref_meval(f, tl, i):
+def ref_meval(f, s, i):
     if isinstance(f, MTrue):
         return True
     if isinstance(f, MAtom):
         if f.state:
-            return tl.state_pred(f.pred, i)
-        return tl.event_pred(f.pred, i)
+            return _state_pred(s, f.pred, i)
+        return _event_pred(s, f.pred, i)
     if isinstance(f, MNot):
-        return _not3(ref_meval(f.f, tl, i))
+        return _not3(ref_meval(f.f, s, i))
     if isinstance(f, MAnd):
-        return _and3v(ref_meval(f.left, tl, i), ref_meval(f.right, tl, i))
+        return _and3v(ref_meval(f.left, s, i), ref_meval(f.right, s, i))
     if isinstance(f, MImplies):
-        return _or3v(_not3(ref_meval(f.left, tl, i)), ref_meval(f.right, tl, i))
+        return _or3v(_not3(ref_meval(f.left, s, i)), ref_meval(f.right, s, i))
     if isinstance(f, MUntil):
-        return ref_meval_until(f, tl, i)
+        return ref_meval_until(f, s, i)
     if isinstance(f, MWeakUntil):
-        u = ref_meval_until(MUntil(f.left, f.right), tl, i)
+        u = ref_meval_until(MUntil(f.left, f.right), s, i)
         if u is True:
             return True
-        return _or3v(u, ref_meval_always_untimed(f.left, tl, i))
+        return _or3v(u, ref_meval_always_untimed(f.left, s, i))
     if isinstance(f, MAlways):
         if f.interval is None:
-            return ref_meval_always_untimed(f.f, tl, i, strict=f.strict)
+            return ref_meval_always_untimed(f.f, s, i, strict=f.strict)
         if _contains_state_atom(f.f):
-            return ref_meval_always_state(f, tl, i)
-        return ref_meval_always_timed(f, tl, i)
+            return ref_meval_always_state(f, s, i)
+        return ref_meval_always_timed(f, s, i)
     if isinstance(f, MEventually):
-        return ref_meval_eventually(f, tl, i)
+        return ref_meval_eventually(f, s, i)
     raise AssertionError
 
 
-def ref_meval_until(f, tl, i):
+def ref_meval_until(f, s, i):
     timed = f.interval is not None
     lhs, saw_unknown = True, False
-    for j in range(i + 1 if timed else i, len(tl.events)):
+    for j in range(i + 1 if timed else i, len(s.timed)):
         in_window = True
         if timed:
-            delta = tl.time_at(j) - tl.time_at(i)
+            delta = _time_at(s, j) - _time_at(s, i)
             if not _window_still_open(f.interval, delta):
                 break
             in_window = f.interval.contains(delta)
         if in_window:
-            combined = _and3v(ref_meval(f.right, tl, j), lhs)
+            combined = _and3v(ref_meval(f.right, s, j), lhs)
             if combined is True:
                 return True
             saw_unknown |= combined is None
-        lhs = _and3v(lhs, ref_meval(f.left, tl, j))
+        lhs = _and3v(lhs, ref_meval(f.left, s, j))
         if lhs is False:
             break
     if saw_unknown:
         return None
-    if lhs is False or not timed or tl.deadlocked:
+    if lhs is False or not timed or s.deadlocked:
         return False
-    return None if _window_still_open(f.interval, tl.total - tl.time_at(i)) else False
+    return None if _window_still_open(f.interval, s.end - _time_at(s, i)) else False
 
 
-def ref_meval_always_untimed(g, tl, i, strict=False):
+def ref_meval_always_untimed(g, s, i, strict=False):
     saw_unknown = False
-    for j in range(i + 1 if strict else i, len(tl.events)):
-        v = ref_meval(g, tl, j)
+    for j in range(i + 1 if strict else i, len(s.timed)):
+        v = ref_meval(g, s, j)
         if v is False:
             return False
         saw_unknown |= v is None
     return None if saw_unknown else True
 
 
-def ref_meval_always_timed(f, tl, i):
+def ref_meval_always_timed(f, s, i):
     saw_unknown = False
-    t0 = tl.time_at(i)
-    for j in range(i + 1, len(tl.events)):
-        delta = tl.time_at(j) - t0
+    t0 = _time_at(s, i)
+    for j in range(i + 1, len(s.timed)):
+        delta = _time_at(s, j) - t0
         if not _window_still_open(f.interval, delta):
             break
         if f.interval.contains(delta):
-            v = ref_meval(f.f, tl, j)
+            v = ref_meval(f.f, s, j)
             if v is False:
                 return False
             saw_unknown |= v is None
     if saw_unknown:
         return None
-    if tl.deadlocked or not _window_still_open(f.interval, tl.total - t0):
+    if s.deadlocked or not _window_still_open(f.interval, s.end - t0):
         return True
     return None
 
 
-def ref_meval_always_state(f, tl, i):
+def ref_meval_always_state(f, s, i):
     d = f.interval.upper.value
-    t0 = tl.time_at(i)
-    v0 = ref_meval(f.f, tl, i)
+    t0 = _time_at(s, i)
+    v0 = ref_meval(f.f, s, i)
     if v0 is False:
         return False
     saw_unknown = v0 is None
-    for j in range(i + 1, len(tl.events)):
-        if tl.time_at(j) - t0 >= d:
+    for j in range(i + 1, len(s.timed)):
+        if _time_at(s, j) - t0 >= d:
             break
-        v = ref_meval(f.f, tl, j)
+        v = ref_meval(f.f, s, j)
         if v is False:
             return False
         saw_unknown |= v is None
     if saw_unknown:
         return None
-    return True if tl.total - t0 >= d or tl.deadlocked else None
+    return True if s.end - t0 >= d or s.deadlocked else None
 
 
-def ref_meval_eventually(f, tl, i):
+def ref_meval_eventually(f, s, i):
     timed = f.interval is not None
     saw_unknown = False
-    t0 = tl.time_at(i)
-    for j in range(i + 1 if timed else i, len(tl.events)):
+    t0 = _time_at(s, i)
+    for j in range(i + 1 if timed else i, len(s.timed)):
         if timed:
-            delta = tl.time_at(j) - t0
+            delta = _time_at(s, j) - t0
             if not _window_still_open(f.interval, delta):
                 break
             if not f.interval.contains(delta):
                 continue
-        v = ref_meval(f.f, tl, j)
+        v = ref_meval(f.f, s, j)
         if v is True:
             return True
         saw_unknown |= v is None
     if saw_unknown:
         return None
-    if not timed or tl.deadlocked:
+    if not timed or s.deadlocked:
         return False
-    return None if _window_still_open(f.interval, tl.total - t0) else False
+    return None if _window_still_open(f.interval, s.end - t0) else False
 
 
 EVENT_ATOMS = [MAtom(parse_expr(e)) for e in ("a", "b", "a | r")]
