@@ -73,7 +73,7 @@ class _InputError(Exception):
 def _instrument(model, pattern):
     """The model composed with the pattern's observer."""
     try:
-        return compose(model, synthesize(pattern))
+        return compose(model, synthesize(pattern, model))
     except ObserverError as exc:
         raise _InputError(f"cannot compose observer for {format_pattern(pattern)!r}: {exc}")
 

@@ -371,8 +371,12 @@ def ltl_to_buchi(f: LtlFormula) -> BuchiAutomaton:
 
 def eval_on_lasso(f: LtlFormula, stem: list, cycle: list) -> bool:
     """Truth of `f` on the infinite word stem . cycle^w of atom assignments."""
+    return eval_nnf_on_lasso(nnf(f), stem, cycle)
+
+
+def eval_nnf_on_lasso(g: LtlFormula, stem: list, cycle: list) -> bool:
+    """`eval_on_lasso` of a formula already in negation normal form."""
     assert cycle, "lasso needs a nonempty cycle"
-    g = nnf(f)
     word = stem + cycle
     n = len(word)
     loop = len(stem)  # successor of the last position

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Collection, Optional, Union
 
 from .expr import (
@@ -196,6 +197,49 @@ class TtsModel:
 
     def higher_than(self, lower: str) -> tuple[str, ...]:
         return tuple(h for (h, l) in self.priority if l == lower)
+
+    @cached_property
+    def time_scale(self) -> int:
+        """LCM of the denominators of the transitions' finite bounds: every
+        bound is a whole number of 1/time_scale units."""
+        from .zone import scale_of  # zone imports this module
+
+        return scale_of(t.timing for t in self.transitions.values())
+
+    @cached_property
+    def ticks(self) -> dict:
+        """Transition name -> (lower, lower strict, upper, upper strict), its
+        static interval in 1/time_scale units; upper None is infinity."""
+        out = {}
+        for name, t in self.transitions.items():
+            lo, up = t.timing.lower, t.timing.upper
+            out[name] = (int(lo.value * self.time_scale), lo.strict,
+                         None if up.is_infinite else int(up.value * self.time_scale),
+                         up.strict)
+        return out
+
+    @cached_property
+    def dependents(self) -> dict:
+        """Transition name -> the transitions whose enabledness firing it may
+        change: itself, and each one whose consumed or read places or guard
+        name a place it consumes or produces, or a variable its actions may
+        assign.  Any other transition has the same enabledness before the
+        firing, in its intermediate marking and after it, so `step` need not
+        re-test it (passing this set as `among`)."""
+        readers: dict = {}  # place or variable -> transitions it may enable
+        for name, t in self.transitions.items():
+            read = set(t.pre) | set(t.read)
+            if t.guard is not None:
+                read |= free_names(t.guard)
+            for x in read:
+                readers.setdefault(x, set()).add(name)
+        out = {}
+        for name, t in self.transitions.items():
+            deps = {name}
+            for x in set(t.pre) | set(t.post) | {a.target for a in t.action}:
+                deps |= readers.get(x, set())
+            out[name] = frozenset(deps)
+        return out
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ switching a bracket only flips the direction of one priority edge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -47,8 +48,9 @@ from .ltl import (
     LtlFormula,
     StateAtom,
     children,
-    eval_on_lasso,
+    eval_nnf_on_lasso,
     formula_atoms,
+    nnf,
     run_letter,
 )
 from .oracle import TraceVerdict, Verdict
@@ -127,12 +129,27 @@ class InstrumentedModel:
         return formula_atoms(self.formula)
 
     @cached_property
+    def nnf_formula(self) -> LtlFormula:
+        return nnf(self.formula)
+
+    @cached_property
+    def priority_pairs(self) -> frozenset:
+        """The composed model's priority pairs (higher, lower)."""
+        return frozenset(self.model.priority)
+
+    @cached_property
+    def watcher_dependents(self) -> dict:
+        """Transition name -> the watchers whose enabledness firing it may
+        change (`TtsModel.dependents`)."""
+        return {n: deps & self.observer_transitions
+                for n, deps in self.model.dependents.items()}
+
+    @cached_property
     def replay_start(self) -> tuple:
-        """Initial marking and store, and the enabled watchers' windows at
-        time 0."""
+        """Initial marking and store, and the watchers enabled in them, by
+        name."""
         m, s = self.model.initial_marking(), self.model.initial_store()
-        live = enabled(self.model, m, s, self.observer_transitions)
-        return m, s, {n: _window(self.model, n, Fraction(0)) for n in sorted(live)}
+        return m, s, tuple(sorted(enabled(self.model, m, s, self.observer_transitions)))
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +189,22 @@ def _state(prefix: str, text: str) -> LtlFormula:
     return StateAtom(_guard(prefix, text))
 
 
-def synthesize(p: Pattern) -> ObserverSpec:
-    """Observer net and LTL formula deciding the pattern on any system."""
+def synthesize(p: Pattern, system: Optional[TtsModel] = None) -> ObserverSpec:
+    """Observer net and LTL formula deciding the pattern on any system.
+
+    Observers are named `ob1_`, `ob2_`, ... in turn; with `system`, a prefix
+    that one of its places, variables or transitions starts with is skipped,
+    so no observer name can clash with the system's."""
+    declared = () if system is None else \
+        (*system.places, *system.vars, *system.transitions)
     counter = [0]
 
     def fresh_prefix() -> str:
-        counter[0] += 1
-        return f"ob{counter[0]}_"
+        while True:
+            counter[0] += 1
+            prefix = f"ob{counter[0]}_"
+            if not any(n.startswith(prefix) for n in declared):
+                return prefix
 
     fragments, formula = _synth(p, fresh_prefix)
     return ObserverSpec(tuple(fragments), formula)
@@ -526,28 +552,53 @@ class _ReplayState:
     a higher-priority watcher is due at the same instant; ties go by name.
 
     Observers are non-intrusive, so the only clocks replay follows are the
-    watchers': `watches` holds the enabled watchers' windows only, and a
+    watchers': `watches` holds the enabled watchers' windows only, a firing
+    re-tests only the watchers it may change (`watcher_dependents`), and a
     system event the composed net cannot fire still raises in `model.fire`.
+
+    Times are ints, in ticks of 1/scale, an exact rescaling: `scale` starts
+    as a multiple of the model's `time_scale` and of every time of the
+    trace, and doubles, with every time held, whenever a midpoint falls
+    between two ticks.
     """
 
-    def __init__(self, inst: InstrumentedModel):
+    def __init__(self, inst: InstrumentedModel, scale: int):
         self.model = inst.model
-        self.obs_names = inst.observer_transitions
         self.atoms = inst.atoms
-        self.marking, self.store, watches = inst.replay_start
-        self.now = Fraction(0)
-        self.watches: dict = dict(watches)
+        self.priority_pairs = inst.priority_pairs
+        self.dependents = inst.watcher_dependents
+        self.marking, self.store, live = inst.replay_start
+        self.scale = scale
+        self.factor = scale // self.model.time_scale  # ticks per model unit
+        self.now = 0
+        self.until: Optional[int] = None  # time of the next system event
+        self.watches: dict = {n: _window(self.model, n, 0, self.factor) for n in live}
         self.letters: list = []
 
+    def ticks(self, t: Fraction) -> int:
+        """Time `t` of the trace in ticks."""
+        return t.numerator * (self.scale // t.denominator)
+
+    def _double(self):
+        """Halve the tick: rewrite every time held in twice as many ticks."""
+        self.scale *= 2
+        self.factor *= 2
+        self.now *= 2
+        if self.until is not None:
+            self.until *= 2
+        for w in self.watches.values():
+            w.double()
+
     def _fire(self, name: str):
+        among = self.dependents[name]
         prev_m, prev_s = self.marking, self.store
         self.marking, self.store, event, live, fresh = step(
-            self.model, self.marking, self.store, name, self.watches, self.obs_names)
+            self.model, self.marking, self.store, name, self.watches, among)
         self.letters.append(run_letter(self.atoms, prev_m, prev_s, event))
-        for gone in [n for n in self.watches if n not in live]:
+        for gone in [n for n in among if n in self.watches and n not in live]:
             del self.watches[gone]
         for n in sorted(fresh):
-            self.watches[n] = _window(self.model, n, self.now)
+            self.watches[n] = _window(self.model, n, self.now, self.factor)
 
     def _ripe(self) -> Optional[str]:
         """An open-ended watcher whose firing window is open by now."""
@@ -558,65 +609,73 @@ class _ReplayState:
                 return name
         return None
 
-    def _next(self, t: Optional[Fraction], sys: Optional[str]) -> Optional[str]:
-        """The watcher that fires next before system event `sys` at time `t`,
-        with the current instant moved to its firing; None if none does."""
+    def _next(self, sys: Optional[str]) -> Optional[str]:
+        """The watcher that fires next before system event `sys` at time
+        `until`, with the current instant moved to its firing; None if none
+        does."""
         ripe = self._ripe()
         if ripe is not None:
             return ripe
+        t = self.until
         d = min((w.latest for w in self.watches.values() if w.latest is not None),
                 default=None)
         lows = [w.earliest for w in self.watches.values() if w.latest is None]
         if lows:
             # strictly past the lower bound, never past a deadline or `t`
             base = max(min(lows), self.now)
-            cap = min(x for x in (base + 2, d, t) if x is not None)
+            cap = min(x for x in (base + 2 * self.scale, d, t) if x is not None)
             if base < cap:
-                self.now = (base + cap) / 2
+                if (base + cap) % 2:
+                    self._double()
+                    base, cap = 2 * base, 2 * cap
+                self.now = (base + cap) // 2
                 return self._ripe()
         if d is None or (t is not None and d > t):
             return None
         due = sorted(n for n, w in self.watches.items() if w.latest == d)
         for name in due:
-            if d == t and sys is not None and (name, sys) not in self.model.priority:
+            if d == t and sys is not None and (name, sys) not in self.priority_pairs:
                 continue
-            if any(h in due for h in self.model.higher_than(name)):
+            if any((h, name) in self.priority_pairs for h in due):
                 continue
             self.now = d
             return name
         return None
 
-    def play_until(self, t: Optional[Fraction], sys: Optional[str] = None):
-        """Fire every watcher that precedes system event `sys` at time `t`,
+    def play_until(self, t: Optional[int], sys: Optional[str] = None):
+        """Fire every watcher that precedes system event `sys` at tick `t`,
         then move time to `t`; with `t` None, play out the idle tail."""
+        self.until = t
         for _ in range(MAX_WATCHER_FIRINGS):
-            name = self._next(t, sys)
+            name = self._next(sys)
             if name is None:
                 break
             self._fire(name)
         else:
             raise ExplorationError(
                 f"more than {MAX_WATCHER_FIRINGS} watcher firings without a system event")
-        if t is not None:
-            self.now = t
+        if self.until is not None:
+            self.now = self.until
 
 
 def replay_instrumented(inst: InstrumentedModel, trace: TimedTrace) -> TraceVerdict:
     """Feed a recorded system trace through the instrumented model and read
     the observer formula on the composed run, as the model checker reads a
     path that ends in a deadlock: the final state stutters forever."""
-    st = _ReplayState(inst)
+    scale = math.lcm(inst.model.time_scale, trace.end.denominator,
+                     *(t.denominator for t, _ in trace.timed))
+    st = _ReplayState(inst, scale)
     for (t, ev) in trace.timed:
-        st.play_until(t, ev.transition)
+        st.play_until(st.ticks(t), ev.transition)
         st._fire(ev.transition)
         # recorded post-state must agree on the system projection
         for k, v in ev.store.items():
             if st.store.get(k) != v:
                 raise ExplorationError(f"replay diverged on variable {k!r}")
-    st.play_until(max(trace.end, st.now))
+    st.play_until(max(st.ticks(trace.end), st.now))
     # play out remaining watcher deadlines over an idle tail: decisive oracle
     # verdicts are stable under every continuation, including this one
     st.play_until(None)
     final = run_letter(st.atoms, st.marking, st.store, None)
-    holds = eval_on_lasso(inst.formula, st.letters, [final])
+    holds = eval_nnf_on_lasso(inst.nnf_formula, st.letters, [final])
     return TraceVerdict(Verdict.HOLDS if holds else Verdict.FAILS)

@@ -8,6 +8,7 @@ Durations exist only in the `.trace` text, between consecutive events.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,27 +86,36 @@ ENDPOINT_BIAS = 0.25
 MAX_FIRINGS_AT_ONE_INSTANT = 10_000
 
 
-@dataclass
+@dataclass(slots=True)
 class _Pending:
-    """Firing window of an enabled transition, in absolute time."""
+    """Firing window of an enabled transition, in absolute time, in the
+    ticks of the run that holds it."""
 
-    earliest: Fraction
+    earliest: int
     earliest_strict: bool
-    latest: Optional[Fraction]
+    latest: Optional[int]
     latest_strict: bool
 
+    def double(self) -> None:
+        """Rewrite the window in ticks half as long."""
+        self.earliest *= 2
+        if self.latest is not None:
+            self.latest *= 2
 
-def _window(model: TtsModel, name: str, now: Fraction) -> _Pending:
-    iv = model.transitions[name].timing
-    latest = None if iv.upper.is_infinite else now + iv.upper.value
-    return _Pending(now + iv.lower.value, iv.lower.strict, latest, iv.upper.strict)
+
+def _window(model: TtsModel, name: str, now: int, factor: int) -> _Pending:
+    """The window of `name` enabled at tick `now`, with `factor` ticks to a
+    1/time_scale unit of the model."""
+    lo, lo_strict, hi, hi_strict = model.ticks[name]
+    return _Pending(now + lo * factor, lo_strict,
+                    None if hi is None else now + hi * factor, hi_strict)
 
 
-def _sample_in(rng: random.Random, lo: Fraction, lo_strict: bool, hi: Fraction,
-               hi_strict: bool, q: int) -> Optional[Fraction]:
-    """Pick a rational in the window, biased toward its endpoints."""
-    if lo > hi or (lo == hi and (lo_strict or hi_strict)):
-        return None
+def _sample_in(rng: random.Random, lo: int, lo_strict: bool, hi: int,
+               hi_strict: bool, grid: int) -> Optional[int]:
+    """Pick a tick in the non-empty window, biased toward its endpoints;
+    `grid` ticks make one 1/denominator step.  None when the pick is the
+    window's midpoint and that falls between two ticks."""
     if lo == hi:
         return lo
     endpoints = []
@@ -115,14 +125,12 @@ def _sample_in(rng: random.Random, lo: Fraction, lo_strict: bool, hi: Fraction,
         endpoints.append(hi)
     if endpoints and rng.random() < ENDPOINT_BIAS:
         return rng.choice(endpoints)
-    # grid of q-ths strictly inside, falling back to the midpoint
-    first = (lo * q).__floor__() + 1
-    last = (hi * q).__ceil__() - 1
+    # grid of 1/denominator steps strictly inside, falling back to the midpoint
+    first = lo // grid + 1
+    last = -(-hi // grid) - 1
     if first > last:
-        mid = (lo + hi) / 2
-        return mid
-    k = rng.randint(first, last)
-    return Fraction(k, q)
+        return None if (lo + hi) % 2 else (lo + hi) // 2
+    return rng.randint(first, last) * grid
 
 
 def simulate(model: TtsModel, horizon: Fraction, seed: int,
@@ -138,6 +146,11 @@ def simulate(model: TtsModel, horizon: Fraction, seed: int,
     has passed, and every strictly-higher-priority enabled transition can
     still fire strictly later than tau.
 
+    Times are ints, in ticks of 1/scale, an exact rescaling: the scale
+    starts at the LCM of the model's `time_scale`, `denominator` and the
+    horizon's denominator, and doubles, with every time the run holds,
+    whenever a midpoint falls between two ticks.
+
     Random choices do not depend on `horizon` until the first firing past
     it, so a run to a smaller horizon is this run cut there (`truncate`).
     More than `MAX_FIRINGS_AT_ONE_INSTANT` firings in a row at one instant
@@ -145,13 +158,19 @@ def simulate(model: TtsModel, horizon: Fraction, seed: int,
     """
     rng = random.Random(seed)
     horizon = Fraction(horizon)
+    scale = math.lcm(model.time_scale, denominator, horizon.denominator)
+    factor = scale // model.time_scale  # ticks per 1/time_scale unit
+    grid = scale // denominator  # ticks per 1/denominator step
+    end = horizon.numerator * (scale // horizon.denominator)
+    higher = {n: model.higher_than(n) for n in model.transitions}
+    dependents = model.dependents
     marking = model.initial_marking()
     store = model.initial_store()
-    now = Fraction(0)
+    now = 0
     pending: dict = {}
     for name in sorted(enabled(model, marking, store)):
-        pending[name] = _window(model, name, now)
-    timed: list = []
+        pending[name] = _window(model, name, now, factor)
+    timed: list = []  # (tick, Event)
     deadlocked = False
     at_instant = 0  # firings so far at time `now`
 
@@ -160,7 +179,7 @@ def simulate(model: TtsModel, horizon: Fraction, seed: int,
             deadlocked = True
             break
         # global deadline: earliest latest-bound among enabled transitions
-        deadline: Optional[Fraction] = None
+        deadline: Optional[int] = None
         deadline_strict = False
         for w in pending.values():
             if w.latest is None:
@@ -174,7 +193,7 @@ def simulate(model: TtsModel, horizon: Fraction, seed: int,
             if lo < now:
                 lo, lo_s = now, False
             hi, hi_s = deadline, deadline_strict
-            for h in model.higher_than(name):
+            for h in higher[name]:
                 hw = pending.get(h)
                 if hw is None or hw.latest is None:
                     continue
@@ -182,41 +201,47 @@ def simulate(model: TtsModel, horizon: Fraction, seed: int,
                 if hi is None or hw.latest < hi or (hw.latest == hi and not hi_s):
                     hi, hi_s = hw.latest, True
             if hi is None:
-                hi, hi_s = max(lo, now + 1), False  # open-ended: cap arbitrarily
+                hi, hi_s = max(lo, now + scale), False  # open-ended: cap arbitrarily
                 if lo == hi and lo_s:
-                    hi = lo + 1  # past a strict lower bound
+                    hi = lo + scale  # past a strict lower bound
             if lo > hi or (lo == hi and (lo_s or hi_s)):
                 continue
             candidates.append((name, lo, lo_s, hi, hi_s))
         if not candidates:
             raise AssertionError("time-blocked state: some deadline is unreachable")
         name, lo, lo_s, hi, hi_s = candidates[rng.randrange(len(candidates))]
-        tau = _sample_in(rng, lo, lo_s, hi, hi_s, denominator)
-        assert tau is not None
-        if tau > horizon:
-            now = horizon
+        tau = _sample_in(rng, lo, lo_s, hi, hi_s, grid)
+        if tau is None:  # the midpoint lies between two ticks: halve the tick
+            scale, factor, grid, end, now = 2 * scale, 2 * factor, 2 * grid, 2 * end, 2 * now
+            for w in pending.values():
+                w.double()
+            timed = [(2 * t, e) for t, e in timed]
+            tau = lo + hi
+        if tau > end:
+            now = end
             break
         at_instant = at_instant + 1 if tau == now else 1
         if at_instant > MAX_FIRINGS_AT_ONE_INSTANT:
             raise ExplorationError(
                 f"more than {MAX_FIRINGS_AT_ONE_INSTANT} firings at time "
-                f"{format_rational(tau)} without time passing")
+                f"{format_rational(Fraction(tau, scale))} without time passing")
+        among = dependents[name]
         marking, store, event, now_enabled, fresh = step(
-            model, marking, store, name, pending)
+            model, marking, store, name, pending, among)
         timed.append((tau, event))
+        for gone in [n for n in among if n in pending and n not in now_enabled]:
+            del pending[gone]
         # strict-later obligation for higher-priority competitors we preempted
-        for h in model.higher_than(name):
-            if h in now_enabled and h not in fresh:
+        for h in higher[name]:
+            if h in pending and h not in fresh:
                 w = pending[h]
                 if w.earliest < tau or (w.earliest == tau and not w.earliest_strict):
                     w.earliest, w.earliest_strict = tau, True
-        for gone in [n for n in pending if n not in now_enabled]:
-            del pending[gone]
         for n in sorted(fresh):
-            pending[n] = _window(model, n, tau)
+            pending[n] = _window(model, n, tau, factor)
         now = tau
 
-    return TimedTrace(tuple(timed), now,
+    return TimedTrace(tuple((Fraction(t, scale), e) for t, e in timed), Fraction(now, scale),
                       (model.initial_marking(), model.initial_store()), deadlocked)
 
 

@@ -10,8 +10,10 @@ each case the corpus holds what `ttscheck.cli.main` prints and writes:
 - `check.txt`: the text `check` report;
 - `graph.txt`, `<model>.ksg` and `<model>.dot`: `graph --out`;
 - `xcheck.json`: `xcheck --json --seed 5 --runs 30`;
-- `simulate_3.trace` and `simulate_11_d3.trace`: `simulate --seed 3` and
-  `simulate --seed 11 --denominator 3`;
+- `simulate_3.trace`, `simulate_11_d3.trace` and `simulate_0_h50.trace`:
+  `simulate --seed 3`, `simulate --seed 11 --denominator 3` and `simulate
+  --seed 0 --horizon 50`, whose relay run takes `@ 1/32` steps, where
+  midpoints of midpoints leave the model's time grid;
 - `oracle_NNN.json`: `oracle --json` of each failing pattern on the
   counterexample trace written for it;
 - `exit_codes.json`: the exit code of every invocation above.
@@ -97,6 +99,9 @@ def render(name: str, workdir: Path) -> dict:
     files["simulate_11_d3.trace"] = run(
         "simulate --seed 11 --denominator 3", "simulate", model, "--seed", "11",
         "--denominator", "3")
+    files["simulate_0_h50.trace"] = run(
+        "simulate --seed 0 --horizon 50", "simulate", model, "--seed", "0",
+        "--horizon", "50")
     report = json.loads(files["check.json"])
     for k, entry in enumerate(report["verdicts"]):
         trace = entry.get("counterexample_trace_file")

@@ -2,20 +2,32 @@
 
 Each is an independent reading that a test compares the product against:
 Büchi membership of a lasso word, the non-intrusiveness of an observer
-composition, the text form of an action list, instrumented replay that
-tracks every transition's enabledness, and the character-scanning readers of
+composition, the text form of an action list, the simulator and
+instrumented replay with `Fraction` time, a replay that tracks every
+transition's enabledness, and the character-scanning readers of
 `.tts` transition lines and `.pat` lines that the token-level ones replaced.
 """
 
+import random
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from ttscheck import classgraph as cg
-from ttscheck.expr import Assign, ExprError, Token, _Parser, format_expr, parse_rational
-from ttscheck.ltl import BuchiAutomaton, _nested_dfs, formula_atoms, run_letter
+from ttscheck.expr import (
+    Assign,
+    ExprError,
+    Token,
+    _Parser,
+    format_expr,
+    format_rational,
+    parse_rational,
+)
+from ttscheck.ltl import BuchiAutomaton, _nested_dfs, eval_on_lasso, formula_atoms, run_letter
 from ttscheck.model import (
     DEFAULT_INTERVAL,
+    ExplorationError,
     ModelError,
     TimeBound,
     TimeInterval,
@@ -24,7 +36,8 @@ from ttscheck.model import (
     enabled,
     step,
 )
-from ttscheck.observers import InstrumentedModel, _ReplayState
+from ttscheck.observers import MAX_WATCHER_FIRINGS, InstrumentedModel
+from ttscheck.oracle import TraceVerdict, Verdict
 from ttscheck.patterns import (
     AbsentAfterInterval,
     AbsentBeforeDuration,
@@ -39,7 +52,11 @@ from ttscheck.patterns import (
     PresentFirstBeforeWithin,
     PresentLasting,
 )
-from ttscheck.traces import _window
+from ttscheck.traces import (
+    ENDPOINT_BIAS,
+    MAX_FIRINGS_AT_ONE_INSTANT,
+    TimedTrace,
+)
 
 
 def buchi_accepts(ba: BuchiAutomaton, stem: list, cycle: list) -> bool:
@@ -119,12 +136,265 @@ def format_actions(acts: tuple[Assign, ...]) -> str:
     return "; ".join(parts)
 
 
-class FullReplayState(_ReplayState):
+# ---------------------------------------------------------------------------
+# The run engines with `Fraction` time: the simulator and instrumented replay
+# as they were before both moved to int ticks
+
+@dataclass
+class FractionPending:
+    """Firing window of an enabled transition, in absolute time."""
+
+    earliest: Fraction
+    earliest_strict: bool
+    latest: Optional[Fraction]
+    latest_strict: bool
+
+
+def fraction_window(model: TtsModel, name: str, now: Fraction) -> FractionPending:
+    iv = model.transitions[name].timing
+    latest = None if iv.upper.is_infinite else now + iv.upper.value
+    return FractionPending(now + iv.lower.value, iv.lower.strict, latest, iv.upper.strict)
+
+
+def fraction_sample_in(rng: random.Random, lo: Fraction, lo_strict: bool, hi: Fraction,
+               hi_strict: bool, q: int) -> Optional[Fraction]:
+    """Pick a rational in the window, biased toward its endpoints."""
+    if lo > hi or (lo == hi and (lo_strict or hi_strict)):
+        return None
+    if lo == hi:
+        return lo
+    endpoints = []
+    if not lo_strict:
+        endpoints.append(lo)
+    if not hi_strict:
+        endpoints.append(hi)
+    if endpoints and rng.random() < ENDPOINT_BIAS:
+        return rng.choice(endpoints)
+    # grid of q-ths strictly inside, falling back to the midpoint
+    first = (lo * q).__floor__() + 1
+    last = (hi * q).__ceil__() - 1
+    if first > last:
+        mid = (lo + hi) / 2
+        return mid
+    k = rng.randint(first, last)
+    return Fraction(k, q)
+
+
+def fraction_simulate(model: TtsModel, horizon: Fraction, seed: int,
+             denominator: int = 8) -> TimedTrace:
+    """Random timed run of the model up to `horizon` or deadlock.
+
+    Delays favor a window's closed endpoints (see `ENDPOINT_BIAS`) and
+    otherwise fall on the 1/denominator grid strictly inside the window, or
+    on its midpoint when no grid point is inside.
+
+    Tracks exact enabling times; a transition may be picked to fire at time
+    tau only if tau lies in its own window, no enabled transition's deadline
+    has passed, and every strictly-higher-priority enabled transition can
+    still fire strictly later than tau.
+
+    Random choices do not depend on `horizon` until the first firing past
+    it, so a run to a smaller horizon is this run cut there (`truncate`).
+    More than `MAX_FIRINGS_AT_ONE_INSTANT` firings in a row at one instant
+    raise `ExplorationError`.
+    """
+    rng = random.Random(seed)
+    horizon = Fraction(horizon)
+    marking = model.initial_marking()
+    store = model.initial_store()
+    now = Fraction(0)
+    pending: dict = {}
+    for name in sorted(enabled(model, marking, store)):
+        pending[name] = fraction_window(model, name, now)
+    timed: list = []
+    deadlocked = False
+    at_instant = 0  # firings so far at time `now`
+
+    while True:
+        if not pending:
+            deadlocked = True
+            break
+        # global deadline: earliest latest-bound among enabled transitions
+        deadline: Optional[Fraction] = None
+        deadline_strict = False
+        for w in pending.values():
+            if w.latest is None:
+                continue
+            if deadline is None or w.latest < deadline or \
+                    (w.latest == deadline and w.latest_strict and not deadline_strict):
+                deadline, deadline_strict = w.latest, w.latest_strict
+        candidates = []
+        for name, w in pending.items():
+            lo, lo_s = w.earliest, w.earliest_strict
+            if lo < now:
+                lo, lo_s = now, False
+            hi, hi_s = deadline, deadline_strict
+            for h in model.higher_than(name):
+                hw = pending.get(h)
+                if hw is None or hw.latest is None:
+                    continue
+                # must leave room for h to fire strictly later
+                if hi is None or hw.latest < hi or (hw.latest == hi and not hi_s):
+                    hi, hi_s = hw.latest, True
+            if hi is None:
+                hi, hi_s = max(lo, now + 1), False  # open-ended: cap arbitrarily
+                if lo == hi and lo_s:
+                    hi = lo + 1  # past a strict lower bound
+            if lo > hi or (lo == hi and (lo_s or hi_s)):
+                continue
+            candidates.append((name, lo, lo_s, hi, hi_s))
+        if not candidates:
+            raise AssertionError("time-blocked state: some deadline is unreachable")
+        name, lo, lo_s, hi, hi_s = candidates[rng.randrange(len(candidates))]
+        tau = fraction_sample_in(rng, lo, lo_s, hi, hi_s, denominator)
+        assert tau is not None
+        if tau > horizon:
+            now = horizon
+            break
+        at_instant = at_instant + 1 if tau == now else 1
+        if at_instant > MAX_FIRINGS_AT_ONE_INSTANT:
+            raise ExplorationError(
+                f"more than {MAX_FIRINGS_AT_ONE_INSTANT} firings at time "
+                f"{format_rational(tau)} without time passing")
+        marking, store, event, now_enabled, fresh = step(
+            model, marking, store, name, pending)
+        timed.append((tau, event))
+        # strict-later obligation for higher-priority competitors we preempted
+        for h in model.higher_than(name):
+            if h in now_enabled and h not in fresh:
+                w = pending[h]
+                if w.earliest < tau or (w.earliest == tau and not w.earliest_strict):
+                    w.earliest, w.earliest_strict = tau, True
+        for gone in [n for n in pending if n not in now_enabled]:
+            del pending[gone]
+        for n in sorted(fresh):
+            pending[n] = fraction_window(model, n, tau)
+        now = tau
+
+    return TimedTrace(tuple(timed), now,
+                      (model.initial_marking(), model.initial_store()), deadlocked)
+
+
+class FractionReplayState:
+    """Discrete-event execution of the composed net with exogenous system
+    events.  Each step is recorded as the letter the model checker reads
+    off it.
+
+    One ordering rule (`_next`) decides what fires before a system event at
+    time t: first an open-ended watcher that is already ripe; else one whose
+    lower bound comes before the next deadline and before t, fired midway;
+    else the watcher with the earliest deadline d <= t, where at d == t only
+    watchers with priority over the event fire.  A watcher never fires while
+    a higher-priority watcher is due at the same instant; ties go by name.
+
+    Observers are non-intrusive, so the only clocks replay follows are the
+    watchers': `watches` holds the enabled watchers' windows only, and a
+    system event the composed net cannot fire still raises in `model.fire`.
+    """
+
+    def __init__(self, inst: InstrumentedModel):
+        self.model = inst.model
+        self.obs_names = inst.observer_transitions
+        self.atoms = inst.atoms
+        self.marking = self.model.initial_marking()
+        self.store = self.model.initial_store()
+        self.now = Fraction(0)
+        live = enabled(self.model, self.marking, self.store, self.obs_names)
+        self.watches: dict = {n: fraction_window(self.model, n, Fraction(0))
+                              for n in sorted(live)}
+        self.letters: list = []
+
+    def _fire(self, name: str):
+        prev_m, prev_s = self.marking, self.store
+        self.marking, self.store, event, live, fresh = step(
+            self.model, self.marking, self.store, name, self.watches, self.obs_names)
+        self.letters.append(run_letter(self.atoms, prev_m, prev_s, event))
+        for gone in [n for n in self.watches if n not in live]:
+            del self.watches[gone]
+        for n in sorted(fresh):
+            self.watches[n] = fraction_window(self.model, n, self.now)
+
+    def _ripe(self) -> Optional[str]:
+        """An open-ended watcher whose firing window is open by now."""
+        for name in sorted(self.watches):
+            w = self.watches[name]
+            if w.latest is None and (w.earliest < self.now
+                                     or (w.earliest == self.now and not w.earliest_strict)):
+                return name
+        return None
+
+    def _next(self, t: Optional[Fraction], sys: Optional[str]) -> Optional[str]:
+        """The watcher that fires next before system event `sys` at time `t`,
+        with the current instant moved to its firing; None if none does."""
+        ripe = self._ripe()
+        if ripe is not None:
+            return ripe
+        d = min((w.latest for w in self.watches.values() if w.latest is not None),
+                default=None)
+        lows = [w.earliest for w in self.watches.values() if w.latest is None]
+        if lows:
+            # strictly past the lower bound, never past a deadline or `t`
+            base = max(min(lows), self.now)
+            cap = min(x for x in (base + 2, d, t) if x is not None)
+            if base < cap:
+                self.now = (base + cap) / 2
+                return self._ripe()
+        if d is None or (t is not None and d > t):
+            return None
+        due = sorted(n for n, w in self.watches.items() if w.latest == d)
+        for name in due:
+            if d == t and sys is not None and (name, sys) not in self.model.priority:
+                continue
+            if any(h in due for h in self.model.higher_than(name)):
+                continue
+            self.now = d
+            return name
+        return None
+
+    def play_until(self, t: Optional[Fraction], sys: Optional[str] = None):
+        """Fire every watcher that precedes system event `sys` at time `t`,
+        then move time to `t`; with `t` None, play out the idle tail."""
+        for _ in range(MAX_WATCHER_FIRINGS):
+            name = self._next(t, sys)
+            if name is None:
+                break
+            self._fire(name)
+        else:
+            raise ExplorationError(
+                f"more than {MAX_WATCHER_FIRINGS} watcher firings without a system event")
+        if t is not None:
+            self.now = t
+
+
+def fraction_replay_instrumented(inst: InstrumentedModel, trace: TimedTrace,
+                                 state_cls=None) -> TraceVerdict:
+    """Feed a recorded system trace through the instrumented model and read
+    the observer formula on the composed run, as the model checker reads a
+    path that ends in a deadlock: the final state stutters forever.  The
+    run goes through `state_cls`, a `FractionReplayState` by default."""
+    st = (state_cls or FractionReplayState)(inst)
+    for (t, ev) in trace.timed:
+        st.play_until(t, ev.transition)
+        st._fire(ev.transition)
+        # recorded post-state must agree on the system projection
+        for k, v in ev.store.items():
+            if st.store.get(k) != v:
+                raise ExplorationError(f"replay diverged on variable {k!r}")
+    st.play_until(max(trace.end, st.now))
+    # play out remaining watcher deadlines over an idle tail: decisive oracle
+    # verdicts are stable under every continuation, including this one
+    st.play_until(None)
+    final = run_letter(st.atoms, st.marking, st.store, None)
+    holds = eval_on_lasso(inst.formula, st.letters, [final])
+    return TraceVerdict(Verdict.HOLDS if holds else Verdict.FAILS)
+
+
+class FullReplayState(FractionReplayState):
     """Instrumented replay that re-tests every transition of the composed net
     after every firing, and computes the start state afresh for each run.
 
-    It keeps the product's scheduler (`_next`, `play_until`); only the
-    enabledness tracking differs from `_ReplayState`, which follows the
+    It keeps the scheduler (`_next`, `play_until`); only the enabledness
+    tracking differs from `FractionReplayState`, which follows the
     observer's watchers alone."""
 
     def __init__(self, inst: InstrumentedModel):
@@ -138,7 +408,7 @@ class FullReplayState(_ReplayState):
         self.watches = {}
         for name in sorted(self.enabled):
             if name in self.obs_names:
-                self.watches[name] = _window(self.model, name, Fraction(0))
+                self.watches[name] = fraction_window(self.model, name, Fraction(0))
 
     def _fire(self, name: str):
         prev_m, prev_s = self.marking, self.store
@@ -149,7 +419,7 @@ class FullReplayState(_ReplayState):
             del self.watches[gone]
         for n in sorted(fresh):
             if n in self.obs_names:
-                self.watches[n] = _window(self.model, n, self.now)
+                self.watches[n] = fraction_window(self.model, n, self.now)
 
 
 # ---------------------------------------------------------------------------

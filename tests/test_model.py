@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import guarded_nets, n_door_airlock
+from conftest import guarded_nets, n_door_airlock, xcheck_catalog
 from test_int_kernel import nets
 from ttscheck.expr import parse_expr
 from ttscheck.model import (
@@ -283,6 +283,52 @@ def test_guard_on_consumed_place_is_fresh_after_firing():
 @given(st.lists(st.integers(0, 20), max_size=20))
 def test_step_matches_reference_with_guards_and_actions(choices):
     assert_step_matches_reference(n_door_airlock(3), choices)
+
+
+def assert_dependents_cover(model, max_states: int) -> None:
+    """Over the untimed reachable states, breadth-first up to `max_states`:
+    for every enabled t, each transition outside `dependents[t]` is enabled
+    before t fires, in its intermediate marking and after it alike."""
+    def key(m, s):
+        return tuple(sorted((p, n) for p, n in m.items() if n)), tuple(sorted(s.items()))
+
+    start = (model.initial_marking(), model.initial_store())
+    seen = {key(*start)}
+    queue = [start]
+    while queue and len(seen) <= max_states:
+        mk, st_ = queue.pop(0)
+        for name in sorted(enabled(model, mk, st_)):
+            try:
+                after = fire(model, mk, st_, name)
+            except ExplorationError:
+                continue
+            mid = dict(mk)
+            for p in model.transitions[name].pre:
+                mid[p] -= 1
+            for u, t in model.transitions.items():
+                if u not in model.dependents[name]:
+                    states = ((mk, st_), (mid, st_), after[:2])
+                    assert len({is_enabled(model, t, m, s) for m, s in states}) == 1, \
+                        (model.name, name, u, mk, st_)
+            if key(*after[:2]) not in seen:
+                seen.add(key(*after[:2]))
+                queue.append(after[:2])
+
+
+@settings(max_examples=80, deadline=None)
+@given(guarded_nets())
+def test_dependents_cover_every_enabledness_change_on_guarded_nets(text):
+    assert_dependents_cover(parse_tts(text), 300)
+
+
+def test_dependents_cover_every_enabledness_change_on_composed_catalogs(airlock, relay, chain):
+    from ttscheck.observers import compose, synthesize
+    from ttscheck.patterns import parse_pattern
+
+    for model in (airlock, relay, chain):
+        cat = xcheck_catalog(model.name)
+        for text in cat + [f"({cat[2]}) and ({cat[4]})", f"({cat[6]}) => ({cat[0]})"]:
+            assert_dependents_cover(compose(model, synthesize(parse_pattern(text))).model, 300)
 
 
 # ---------------------------------------------------------------------------

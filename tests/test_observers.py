@@ -1,4 +1,5 @@
 import copy
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -39,7 +40,13 @@ from ttscheck.traces import simulate
 from ttscheck.expr import Name
 
 from conftest import guarded_nets, xcheck_catalog
-from reference import FullReplayState, format_actions, non_intrusiveness_check
+from reference import (
+    FractionReplayState,
+    FullReplayState,
+    format_actions,
+    fraction_replay_instrumented,
+    non_intrusiveness_check,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +179,30 @@ def test_compose_rejects_name_clash(airlock):
                         frag.hooks, frag.priorities)
     with pytest.raises(ObserverError):
         compose(airlock, ObserverSpec((clashing,), spec.formula))
+
+
+@settings(max_examples=30, deadline=None)
+@given(guarded_nets(), st.sets(st.integers(1, 3)), st.data())
+def test_observer_prefixes_skip_the_names_a_model_declares(text, taken, data):
+    # declared ob<k>_ names the system never reads: each observer takes the
+    # next free prefix, and the verdict is the one of the net without them
+    from ttscheck.model import parse_tts
+
+    plain = parse_tts(text)
+    names = sorted(plain.transitions)
+    t1, t2 = data.draw(st.sampled_from(names)), data.draw(st.sampled_from(names))
+    pk = data.draw(st.sampled_from(sorted(plain.places)))
+    p = parse_pattern(f"(present {pk} lasting 2) and ({t1} leadsto first {t2} within [0,3])")
+    decls = " ".join(f"ob{k}_foundA=false" for k in sorted(taken))
+    model = parse_tts(text + (f"\nvars {decls}" if decls else ""))
+    spec = synthesize(p, model)
+    assert synthesize(p, plain) == synthesize(p)  # no clash: the same observers
+    for frag in spec.fragments:
+        assert not any(n.startswith(frag.prefix) for n in model.vars)
+    inst = compose(model, spec)
+    plain_inst = compose(plain, synthesize(p))
+    assert check(cg.build_graph(inst.model), inst.formula).passed == \
+        check(cg.build_graph(plain_inst.model), plain_inst.formula).passed
 
 
 def test_compose_with_unmatched_predicate_is_vacuous(airlock):
@@ -442,6 +473,18 @@ def scheduling_cases(model) -> tuple:
     return patterns, (h / 3, h, 5 * h)
 
 
+def rational_clock(state) -> tuple:
+    """A replay state's instant and its live watchers' windows, as rationals:
+    the int engine keeps ticks of 1/`scale`, the references `Fraction`s."""
+    scale = getattr(state, "scale", 1)
+
+    def at(x):
+        return None if x is None else Fraction(x, scale)
+
+    return at(state.now), {n: (at(w.earliest), w.earliest_strict, at(w.latest), w.latest_strict)
+                           for n, w in state.watches.items()}
+
+
 def test_replay_scheduling_matches_reference(monkeypatch, airlock, relay, chain):
     # same composed run: every firing, the instant it happens, the window of
     # every live watcher after it, and the verdict
@@ -449,14 +492,14 @@ def test_replay_scheduling_matches_reference(monkeypatch, airlock, relay, chain)
 
     def recording(cls):
         class Recording(cls):
-            def __init__(self, inst):
-                super().__init__(inst)
-                self.log = [(None, self.now, dict(self.watches))]
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.log = [(None,) + rational_clock(self)]
                 logs.append(self.log)
 
             def _fire(self, name):
                 super()._fire(name)
-                self.log.append((name, self.now, dict(self.watches)))
+                self.log.append((name,) + rational_clock(self))
         return Recording
 
     ref_state = recording(RefReplayState)
@@ -484,35 +527,39 @@ def test_replay_scheduling_matches_reference(monkeypatch, airlock, relay, chain)
 # ---------------------------------------------------------------------------
 # replay tracks only the watchers' clocks: against full enabledness tracking
 
-def logged_replay(inst, trace, state_cls) -> tuple:
-    """`replay_instrumented` through `state_cls`: the firing log (each
-    firing, its instant and the live watchers' windows after it), the
-    letters, and the verdict or the message of the error that ended it."""
+def logged_replay(inst, trace, reference=None) -> tuple:
+    """`replay_instrumented`, or with `reference` the `Fraction` replay
+    through that state class: the firing log (each firing, its instant and
+    the live watchers' windows after it, as rationals), the letters, the
+    verdict or the message of the error that ended it, and the state."""
     states = []
 
-    class Logged(state_cls):
-        def __init__(self, inst):
-            super().__init__(inst)
-            self.log = [(None, self.now, dict(self.watches))]
+    class Logged(observers._ReplayState if reference is None else reference):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.log = [(None,) + rational_clock(self)]
             states.append(self)
 
         def _fire(self, name):
             super()._fire(name)
-            self.log.append((name, self.now, dict(self.watches)))
+            self.log.append((name,) + rational_clock(self))
 
-    with mock.patch.object(observers, "_ReplayState", Logged):
-        try:
-            outcome = replay_instrumented(inst, trace).value
-        except ExplorationError as exc:
-            outcome = str(exc)
+    try:
+        if reference is None:
+            with mock.patch.object(observers, "_ReplayState", Logged):
+                outcome = replay_instrumented(inst, trace).value
+        else:
+            outcome = fraction_replay_instrumented(inst, trace, Logged).value
+    except ExplorationError as exc:
+        outcome = str(exc)
     (state,) = states
-    return state.log, state.letters, outcome
+    return state.log, state.letters, outcome, state
 
 
 def assert_watcher_tracking_matches_full(inst, trace, where):
     start = copy.deepcopy(inst.replay_start)
-    got = logged_replay(inst, trace, observers._ReplayState)
-    assert got == logged_replay(inst, trace, FullReplayState), where
+    got = logged_replay(inst, trace)[:3]
+    assert got == logged_replay(inst, trace, FullReplayState)[:3], where
     assert inst.replay_start == start, where  # shared by every replay, never changed
 
 
@@ -528,6 +575,30 @@ def test_watcher_tracking_matches_full_enabledness_on_the_catalogs(airlock, rela
                     assert_watcher_tracking_matches_full(inst, trace, (model.name, p, h, seed))
                     compared += 1
     assert compared == 3 * 3 * 10 * 10
+
+
+def test_int_replay_matches_fraction_replay_on_the_catalogs(airlock, relay, chain):
+    # ticks against `Fraction` time: same log, letters and verdict or error,
+    # and the one replay start left as it was
+    compared = halved = 0
+    for model in (airlock, relay, chain):
+        patterns, horizons = scheduling_cases(model)
+        insts = [compose(model, synthesize(p)) for p in patterns]
+        for h in horizons:
+            for seed in range(40, 70):
+                trace = simulate(model, h, seed)
+                for p, inst in zip(patterns, insts):
+                    start = copy.deepcopy(inst.replay_start)
+                    *got, state = logged_replay(inst, trace)
+                    *ref, _ = logged_replay(inst, trace, FractionReplayState)
+                    assert got == ref, (model.name, p, h, seed)
+                    assert inst.replay_start == start
+                    scale = math.lcm(inst.model.time_scale, trace.end.denominator,
+                                     *(t.denominator for t, _ in trace.timed))
+                    halved += state.scale > scale
+                    compared += 1
+    assert compared == 3 * 3 * 30 * 10
+    assert halved > 0  # some midpoint fell between two ticks
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import nets
+from conftest import MODELS, guarded_nets, nets
+from reference import fraction_simulate
 from ttscheck.expr import format_rational
-from ttscheck.model import Event, ExplorationError, parse_tts
+from ttscheck.model import Event, ExplorationError, load_tts, parse_tts
 from ttscheck.traces import (
     MAX_FIRINGS_AT_ONE_INSTANT,
     Duration,
@@ -216,6 +217,31 @@ def test_truncated_run_is_the_run_to_the_smaller_horizon(text, a, b, seed):
     except ExplorationError:
         return
     assert truncate(run, h) == short
+
+
+# ---------------------------------------------------------------------------
+# ticks against `Fraction` time: the simulator and its reference
+
+def simulated_text(simulator, model, horizon, seed, denominator) -> str:
+    """The `.trace` text of the run, or the message of the error that ended
+    it."""
+    try:
+        return serialize_trace(simulator(model, horizon, seed, denominator))
+    except ExplorationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(guarded_nets(), st.sampled_from(["airlock", "relay", "chain"])),
+       st.integers(0, 10_000), st.sampled_from([3, 8]),
+       st.sampled_from([Fraction(7, 3), Fraction(50)]))
+# relay's seed-0 run halves the tick twice, down to `@ 1/32` steps
+@example("relay", 0, 8, Fraction(50))
+def test_int_simulate_matches_fraction_simulate(net, seed, denominator, horizon):
+    model = load_tts(MODELS / f"{net}.tts") if net in ("airlock", "relay", "chain") \
+        else parse_tts(net)
+    assert simulated_text(simulate, model, horizon, seed, denominator) == \
+        simulated_text(fraction_simulate, model, horizon, seed, denominator)
 
 
 # ---------------------------------------------------------------------------

@@ -87,9 +87,9 @@ def test_mismatch_files_are_named_per_pattern(tmp_path, capsys, monkeypatch):
     """Two corrupted observers mismatching on the same run write two files."""
     real_synthesize = obs.synthesize
 
-    def corrupted(p):
+    def corrupted(p, system=None):
         # blind the witness hook, as the negative control in test_cli does
-        spec = real_synthesize(p)
+        spec = real_synthesize(p, system)
         frag = spec.fragments[0]
         blinded = obs.Hook(frag.hooks[0].role, frag.hooks[0].predicate, ())
         broken = obs.Fragment(frag.prefix, frag.vars,
