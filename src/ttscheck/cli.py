@@ -6,9 +6,10 @@ Subcommands: `check` (synthesize observers, compose, model-check), `graph`
 many runs and confront instrumented replay with the trace oracles).
 
 Exit codes: 0 all pass / agreement, 1 some verdict failed or mismatched,
-2 input or validation error, 3 exploration budget exhausted, or exploration
-left the model's declared bounds (a place over capacity, a variable out of
-range) or met a zero-delay cycle.
+2 input or validation error (an expression or formula nested too deeply for
+the interpreter's recursion limit included), 3 exploration budget
+exhausted, or exploration left the model's declared bounds (a place over
+capacity, a variable out of range) or met a zero-delay cycle.
 """
 
 from __future__ import annotations
@@ -385,6 +386,10 @@ def main(argv=None) -> int:
     except ExplorationError as exc:
         print(f"exploration error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except RecursionError:
+        print("error: input nested too deeply for the recursion limit "
+              f"({sys.getrecursionlimit()})", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -5,15 +5,17 @@ bounded-integer variables, places (meaning "place holds a token") and, in
 predicate position only, transition names.  Operators: `!`, `&`, `|`,
 comparisons (`=`, `!=`, `<`, `<=`, `>`, `>=`) and integer `+`/`-`.
 Actions are `;`-separated assignments, optionally guarded with
-`if <cond> then <assign>`.
+`if <cond> then <assign>`.  `eval_expr` walks an expression;
+`compile_expr` turns one into a closure that returns the same value.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 Value = Union[bool, int]
 
@@ -285,6 +287,72 @@ def eval_expr(e: Expr, marking: dict, store: dict,
             return lv + rv
         if e.op == "-":
             return lv - rv
+    raise AssertionError(f"unhandled expression node {e!r}")
+
+
+_BINARY = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+           ">": operator.gt, ">=": operator.ge, "+": operator.add, "-": operator.sub}
+
+
+def _operands(e: Binary) -> list:
+    """The operands of the `&` or `|` chain rooted at `e`, left to right,
+    gathered without recursion."""
+    out = []
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Binary) and x.op == e.op:
+            stack.append(x.right)
+            stack.append(x.left)
+        else:
+            out.append(x)
+    return out
+
+
+def compile_expr(e: Expr) -> Callable:
+    """A closure `f(marking, store, transition)` that returns
+    `eval_expr(e, marking, store, transition)`.
+
+    A chain of `&` or of `|` becomes one loop over its operands, so a long
+    chain neither compiles nor evaluates recursively.
+    """
+    if isinstance(e, Lit):
+        value = e.value
+        return lambda m, s, t: value
+    if isinstance(e, Name):
+        x = e.ident
+
+        def name(m, s, t):
+            if x in s:
+                return s[x]
+            if x in m:
+                return m[x] >= 1
+            return t == x
+        return name
+    if isinstance(e, Unary):
+        f = compile_expr(e.operand)
+        if e.op == "!":
+            return lambda m, s, t: not f(m, s, t)
+        return lambda m, s, t: -f(m, s, t)
+    if isinstance(e, Binary) and e.op in ("&", "|"):
+        fs = tuple(compile_expr(x) for x in _operands(e))
+        if e.op == "&":
+            def all_of(m, s, t):
+                for f in fs:
+                    if not f(m, s, t):
+                        return False
+                return True
+            return all_of
+
+        def any_of(m, s, t):
+            for f in fs:
+                if f(m, s, t):
+                    return True
+            return False
+        return any_of
+    if isinstance(e, Binary):
+        op, left, right = _BINARY[e.op], compile_expr(e.left), compile_expr(e.right)
+        return lambda m, s, t: op(left(m, s, t), right(m, s, t))
     raise AssertionError(f"unhandled expression node {e!r}")
 
 

@@ -3,12 +3,14 @@
 Atoms are either event predicates (read off an edge together with its target
 state) or state predicates (read off the edge's source class).  Maximal
 finite paths are extended by stuttering a deadlock self-loop, so every path
-induces an infinite word; `run_letter` reads a step of a concrete run the
-same way, so instrumented replay reads its runs as this checker does.
-Formulas of shape `always <propositional>` are checked by plain
-reachability; everything else goes through a tableau translation of the
-negation to a Buchi automaton, a product with the graph and a nested
-depth-first search for an accepting lasso.
+induces an infinite word.  `run_letter` is the one atom reader: it reads a
+graph step or a step of a concrete run through compiled atom readers, so
+instrumented replay reads its runs as this checker does, and
+`run_lasso_program` evaluates a formula on a replayed run.  Formulas of
+shape `always <propositional>` are checked by plain reachability;
+everything else goes through a tableau translation of the negation to a
+Buchi automaton, a product with the graph and a nested depth-first search
+for an accepting lasso.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .classgraph import ClassGraph, StateClass
-from .expr import Expr, eval_expr, format_expr
+from .expr import Expr, compile_expr, format_expr
 from .model import Event, TtsModel, enabled, fire, step
 from .traces import TimedTrace
 
@@ -221,31 +223,38 @@ def truth(f: LtlFormula, chosen: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Letters: atom assignments read off a graph step
+# Letters: atom assignments read off a graph step or a step of a run
 
 STUTTER = None  # edge label of the virtual deadlock self-loop
 
 
-def run_letter(atoms, marking, store, event: Optional[Event]) -> dict:
-    """Atom assignment of one step of a run.
+def atom_readers(atoms) -> tuple:
+    """Compiled readers of `atoms`, in their order: per atom, whether it is
+    an event atom, and its expression as a `compile_expr` closure."""
+    return tuple((True, compile_expr(a.pred)) if isinstance(a, EventAtom)
+                 else (False, compile_expr(a.expr)) for a in atoms)
+
+
+def run_letter(readers, marking, store, transition: Optional[str],
+               post_marking, post_store) -> tuple:
+    """Atom assignment of one step of a run, as a tuple in the order of the
+    atoms that `readers` (`atom_readers`) was compiled from.
 
     State atoms read the step's source state; event atoms read the fired
-    event, that is its transition and post-state.  `event=None` is the
-    stutter step, on which no event atom holds.
+    transition and its post-state.  `transition=None` is the stutter step,
+    on which no event atom holds.
     """
-    out = {}
-    for a in atoms:
-        if isinstance(a, EventAtom):
-            out[a] = event is not None and bool(
-                eval_expr(a.pred, event.marking, event.store, event.transition))
-        else:
-            out[a] = bool(eval_expr(a.expr, marking, store))
-    return out
+    if transition is None:
+        return tuple([False if event else bool(f(marking, store, None))
+                      for event, f in readers])
+    return tuple([bool(f(post_marking, post_store, transition)) if event
+                  else bool(f(marking, store, None)) for event, f in readers])
 
 
-def letter(atoms, src: StateClass, label: Optional[str], dst: StateClass) -> dict:
-    event = None if label is STUTTER else Event(label, dst.marking, dst.store)
-    return run_letter(atoms, src.marking, src.store, event)
+def letter(atoms, readers, src: StateClass, label: Optional[str], dst: StateClass) -> dict:
+    """`run_letter` of a graph step, as a dict keyed by `atoms`."""
+    return dict(zip(atoms, run_letter(readers, src.marking, src.store, label,
+                                      dst.marking, dst.store)))
 
 
 def graph_steps(g: ClassGraph, node: int):
@@ -367,65 +376,82 @@ def ltl_to_buchi(f: LtlFormula) -> BuchiAutomaton:
 
 
 # ---------------------------------------------------------------------------
-# Direct evaluation on ultimately periodic words (independent of the tableau)
+# Evaluation on ultimately periodic words of tuple letters
 
-def eval_on_lasso(f: LtlFormula, stem: list, cycle: list) -> bool:
-    """Truth of `f` on the infinite word stem . cycle^w of atom assignments."""
-    return eval_nnf_on_lasso(nnf(f), stem, cycle)
+def lasso_program(g: LtlFormula, atoms: tuple) -> tuple:
+    """A negation-normal-form formula as a flat postorder program over
+    letters indexed like `atoms`, built without recursion.
+
+    Instruction k is `(op, a, b)` and computes the values of one subformula
+    at every position of the word: "tt" and "ff"; "atom" and "natom" read
+    (or negate) atom `a` of each letter; "and", "or", "U" and "R" combine
+    results `a` and `b`.  The last instruction is `g`'s.
+    """
+    index = {a: i for i, a in enumerate(atoms)}
+    program: list = []
+    slots: list = []  # result index of each finished subformula, in postorder
+    stack = [(g, False)]
+    while stack:
+        f, expanded = stack.pop()
+        if isinstance(f, (EventAtom, StateAtom)):
+            program.append(("atom", index[f], None))
+        elif isinstance(f, LNot) and isinstance(f.f, (EventAtom, StateAtom)):
+            program.append(("natom", index[f.f], None))
+        elif isinstance(f, (TT, FF)):
+            program.append(("tt" if isinstance(f, TT) else "ff", None, None))
+        elif not expanded:
+            stack.append((f, True))
+            stack.extend((c, False) for c in reversed(children(f)))
+            continue
+        else:
+            op = {LAnd: "and", LOr: "or", LUntil: "U", LRelease: "R"}[type(f)]
+            right = slots.pop()
+            program.append((op, slots.pop(), right))
+        slots.append(len(program) - 1)
+    return tuple(program)
 
 
-def eval_nnf_on_lasso(g: LtlFormula, stem: list, cycle: list) -> bool:
-    """`eval_on_lasso` of a formula already in negation normal form."""
+def run_lasso_program(program: tuple, stem: list, cycle: list) -> bool:
+    """Truth of a `lasso_program` on the infinite word stem . cycle^w of
+    tuple letters.
+
+    An until is the least and a release the greatest fixpoint of its
+    one-step expansion.  Two backward passes over the cycle reach it there:
+    the first settles the cycle's entry, the second every other position of
+    the cycle; one more pass settles the stem.
+    """
     assert cycle, "lasso needs a nonempty cycle"
     word = stem + cycle
     n = len(word)
-    loop = len(stem)  # successor of the last position
-
-    def nxt(i: int) -> int:
-        return i + 1 if i + 1 < n else loop
-
-    def values(formula) -> list:
-        if isinstance(formula, TT):
+    loop = len(stem)
+    nxt = [*range(1, n), loop]
+    order = [*range(n - 1, loop - 1, -1)] * 2 + [*range(loop - 1, -1, -1)]
+    values: list = []
+    for op, a, b in program:
+        if op == "atom":
+            v = [w[a] for w in word]
+        elif op == "natom":
+            v = [not w[a] for w in word]
+        elif op == "tt":
             v = [True] * n
-        elif isinstance(formula, FF):
+        elif op == "ff":
             v = [False] * n
-        elif isinstance(formula, (EventAtom, StateAtom)):
-            v = [word[i].get(formula, False) for i in range(n)]
-        elif isinstance(formula, LNot):
-            v = [not x for x in values(formula.f)]
-        elif isinstance(formula, LAnd):
-            l, r = values(formula.left), values(formula.right)
-            v = [a and b for a, b in zip(l, r)]
-        elif isinstance(formula, LOr):
-            l, r = values(formula.left), values(formula.right)
-            v = [a or b for a, b in zip(l, r)]
-        elif isinstance(formula, LUntil):
-            l, r = values(formula.left), values(formula.right)
-            v = [False] * n  # least fixpoint
-            changed = True
-            while changed:
-                changed = False
-                for i in range(n - 1, -1, -1):
-                    w = r[i] or (l[i] and v[nxt(i)])
-                    if w != v[i]:
-                        v[i] = w
-                        changed = True
-        elif isinstance(formula, LRelease):
-            l, r = values(formula.left), values(formula.right)
-            v = [True] * n  # greatest fixpoint
-            changed = True
-            while changed:
-                changed = False
-                for i in range(n - 1, -1, -1):
-                    w = r[i] and (l[i] or v[nxt(i)])
-                    if w != v[i]:
-                        v[i] = w
-                        changed = True
+        elif op == "and":
+            v = [x and y for x, y in zip(values[a], values[b])]
+        elif op == "or":
+            v = [x or y for x, y in zip(values[a], values[b])]
+        elif op == "U":
+            left, right = values[a], values[b]
+            v = [False] * n
+            for i in order:
+                v[i] = right[i] or (left[i] and v[nxt[i]])
         else:
-            raise AssertionError(f"unhandled formula {formula!r}")
-        return v
-
-    return values(g)[0]
+            left, right = values[a], values[b]
+            v = [True] * n
+            for i in order:
+                v[i] = right[i] and (left[i] or v[nxt[i]])
+        values.append(v)
+    return values[-1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -570,10 +596,11 @@ def _check_safety(g: ClassGraph, body: LtlFormula) -> CheckResult:
     into a class is that class's breadth-first parent.
     """
     atoms = tuple(sorted(formula_atoms(body), key=str))
+    readers = atom_readers(atoms)
     parent: dict = {g.initial: None}  # class -> (parent class, label)
     for node in range(g.node_count):
         for (label, dst) in graph_steps(g, node):
-            if not truth(body, letter(atoms, g.nodes[node], label, g.nodes[dst])):
+            if not truth(body, letter(atoms, readers, g.nodes[node], label, g.nodes[dst])):
                 steps = [(node, label, dst)]
                 cur = node
                 while parent[cur] is not None:
@@ -590,13 +617,13 @@ def _check_safety(g: ClassGraph, body: LtlFormula) -> CheckResult:
 def _check_buchi(g: ClassGraph, f: LtlFormula) -> CheckResult:
     ba = ltl_to_buchi(LNot(f))
     atoms = ba.atoms
-
+    readers = atom_readers(atoms)
     letter_cache: dict = {}
 
     def step_letter(node: int, label, dst: int) -> dict:
         key = (node, label, dst)
         if key not in letter_cache:
-            letter_cache[key] = letter(atoms, g.nodes[node], label, g.nodes[dst])
+            letter_cache[key] = letter(atoms, readers, g.nodes[node], label, g.nodes[dst])
         return letter_cache[key]
 
     succ_cache: dict = {}
@@ -672,8 +699,8 @@ def witness_to_trace(model: TtsModel, cx: Counterexample) -> TimedTrace:
     store = model.initial_store()
     timed: list = []
     for (t, tau) in zip(firing, times):
-        marking, store, event = fire(model, marking, store, t)
-        timed.append((tau, event))
+        marking, store = fire(model, marking, store, t)
+        timed.append((tau, Event(t, marking, store)))
     return TimedTrace(tuple(timed), times[-1] if times else Fraction(0),
                       (model.initial_marking(), model.initial_store()), deadlocked)
 
@@ -704,8 +731,7 @@ def _schedule_constraints(model: TtsModel, firing: list) -> list:
                 cons.append((k, eu, (uiv.upper.value, strict)))
             # unbounded competitors never force anything
         cons.append((k - 1, k, (Fraction(0), False)))  # time monotone
-        marking, store, _, now_enabled, fresh = step(model, marking, store, t,
-                                                      enable_step)
+        marking, store, now_enabled, fresh = step(model, marking, store, t, enable_step)
         # a preempted higher-priority competitor must fire strictly later,
         # as long as it stays continuously enabled
         for h in higher:

@@ -460,7 +460,7 @@ def exec_actions(model: TtsModel, acts: tuple[Assign, ...], marking: Marking,
 
 
 def fire(model: TtsModel, marking: Marking, store: Store, name: str):
-    """Fire an enabled transition; returns (marking, store, event)."""
+    """Fire an enabled transition; returns (marking, store)."""
     t = model.transitions[name]
     if not is_enabled(model, t, marking, store):
         raise ExplorationError(f"transition {name!r} fired while disabled")
@@ -472,13 +472,12 @@ def fire(model: TtsModel, marking: Marking, store: Store, name: str):
         if new_marking[p] > model.places[p].capacity:
             raise CapacityExceeded(f"place {p!r} exceeds capacity "
                                    f"{model.places[p].capacity} when {name} fires")
-    new_store = exec_actions(model, t.action, new_marking, store)
-    return new_marking, new_store, Event(name, new_marking, new_store)
+    return new_marking, exec_actions(model, t.action, new_marking, store)
 
 
 def step(model: TtsModel, marking: Marking, store: Store, name: str,
          before: Collection[str], among: Optional[Collection[str]] = None):
-    """Fire `name`; returns (marking, store, event, enabled, fresh).
+    """Fire `name`; returns (marking, store, enabled, fresh).
 
     `before` is the pre-state's enabled set, `enabled` the post-state's and
     `fresh` the part of it whose clocks restart.  With `among`, a caller that
@@ -490,7 +489,7 @@ def step(model: TtsModel, marking: Marking, store: Store, name: str,
     (the pre-state with the fired transition's input tokens removed,
     original store).  So a guard flipping from false to true also restarts.
     """
-    new_marking, new_store, event = fire(model, marking, store, name)
+    new_marking, new_store = fire(model, marking, store, name)
     now_enabled = enabled(model, new_marking, new_store, among)
     mid_marking = dict(marking)
     for p in model.transitions[name].pre:
@@ -498,7 +497,7 @@ def step(model: TtsModel, marking: Marking, store: Store, name: str,
     fresh = {u for u in now_enabled
              if u == name or u not in before
              or not is_enabled(model, model.transitions[u], mid_marking, store)}
-    return new_marking, new_store, event, now_enabled, fresh
+    return new_marking, new_store, now_enabled, fresh
 
 
 def eval_predicate(p: EventPredicate, e: Event) -> bool:

@@ -47,10 +47,12 @@ from .ltl import (
     LOr,
     LtlFormula,
     StateAtom,
+    atom_readers,
     children,
-    eval_nnf_on_lasso,
     formula_atoms,
+    lasso_program,
     nnf,
+    run_lasso_program,
     run_letter,
 )
 from .oracle import TraceVerdict, Verdict
@@ -125,12 +127,20 @@ class InstrumentedModel:
                          if k == "observer" and n in self.model.transitions)
 
     @cached_property
-    def atoms(self) -> set:
-        return formula_atoms(self.formula)
+    def atoms(self) -> tuple:
+        """The formula's atoms, in the order `ltl_to_buchi` gives them."""
+        return tuple(sorted(formula_atoms(self.formula), key=str))
 
     @cached_property
-    def nnf_formula(self) -> LtlFormula:
-        return nnf(self.formula)
+    def atom_readers(self) -> tuple:
+        """`ltl.atom_readers` of `atoms`: replay's letters are `run_letter`
+        tuples in that order."""
+        return atom_readers(self.atoms)
+
+    @cached_property
+    def lasso_program(self) -> tuple:
+        """`ltl.lasso_program` of the formula's negation normal form."""
+        return lasso_program(nnf(self.formula), self.atoms)
 
     @cached_property
     def priority_pairs(self) -> frozenset:
@@ -542,7 +552,7 @@ MAX_WATCHER_FIRINGS = 10_000
 class _ReplayState:
     """Discrete-event execution of the composed net with exogenous system
     events.  Each step is recorded as the letter the model checker reads
-    off it.
+    off it: a `run_letter` tuple, in the order of the model's `atoms`.
 
     One ordering rule (`_next`) decides what fires before a system event at
     time t: first an open-ended watcher that is already ripe; else one whose
@@ -564,7 +574,7 @@ class _ReplayState:
 
     def __init__(self, inst: InstrumentedModel, scale: int):
         self.model = inst.model
-        self.atoms = inst.atoms
+        self.readers = inst.atom_readers
         self.priority_pairs = inst.priority_pairs
         self.dependents = inst.watcher_dependents
         self.marking, self.store, live = inst.replay_start
@@ -592,9 +602,10 @@ class _ReplayState:
     def _fire(self, name: str):
         among = self.dependents[name]
         prev_m, prev_s = self.marking, self.store
-        self.marking, self.store, event, live, fresh = step(
+        self.marking, self.store, live, fresh = step(
             self.model, self.marking, self.store, name, self.watches, among)
-        self.letters.append(run_letter(self.atoms, prev_m, prev_s, event))
+        self.letters.append(run_letter(self.readers, prev_m, prev_s, name,
+                                       self.marking, self.store))
         for gone in [n for n in among if n in self.watches and n not in live]:
             del self.watches[gone]
         for n in sorted(fresh):
@@ -661,7 +672,9 @@ class _ReplayState:
 def replay_instrumented(inst: InstrumentedModel, trace: TimedTrace) -> TraceVerdict:
     """Feed a recorded system trace through the instrumented model and read
     the observer formula on the composed run, as the model checker reads a
-    path that ends in a deadlock: the final state stutters forever."""
+    path that ends in a deadlock: the final state stutters forever.  The
+    formula is read by running the model's `lasso_program` on the run's
+    letters."""
     scale = math.lcm(inst.model.time_scale, trace.end.denominator,
                      *(t.denominator for t, _ in trace.timed))
     st = _ReplayState(inst, scale)
@@ -676,6 +689,6 @@ def replay_instrumented(inst: InstrumentedModel, trace: TimedTrace) -> TraceVerd
     # play out remaining watcher deadlines over an idle tail: decisive oracle
     # verdicts are stable under every continuation, including this one
     st.play_until(None)
-    final = run_letter(st.atoms, st.marking, st.store, None)
-    holds = eval_nnf_on_lasso(inst.nnf_formula, st.letters, [final])
+    final = run_letter(st.readers, st.marking, st.store, None, None, None)
+    holds = run_lasso_program(inst.lasso_program, st.letters, [final])
     return TraceVerdict(Verdict.HOLDS if holds else Verdict.FAILS)

@@ -226,9 +226,9 @@ def simulate(model: TtsModel, horizon: Fraction, seed: int,
                 f"more than {MAX_FIRINGS_AT_ONE_INSTANT} firings at time "
                 f"{format_rational(Fraction(tau, scale))} without time passing")
         among = dependents[name]
-        marking, store, event, now_enabled, fresh = step(
+        marking, store, now_enabled, fresh = step(
             model, marking, store, name, pending, among)
-        timed.append((tau, event))
+        timed.append((tau, Event(name, marking, store)))
         for gone in [n for n in among if n in pending and n not in now_enabled]:
             del pending[gone]
         # strict-later obligation for higher-priority competitors we preempted
@@ -270,9 +270,10 @@ def replay(model: TtsModel, trace: TimedTrace) -> bool:
             return False
     for it in trace.events:
         try:
-            marking, store, event = fire(model, marking, store, it.transition)
+            marking, store = fire(model, marking, store, it.transition)
         except ExplorationError:
             return False
+        event = Event(it.transition, marking, store)
         if event.marking != it.marking or event.store != it.store:
             return False
     return True

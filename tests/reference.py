@@ -1,11 +1,16 @@
 """Test-only references that the product code does not call.
 
 Each is an independent reading that a test compares the product against:
-Büchi membership of a lasso word, the non-intrusiveness of an observer
-composition, the text form of an action list, the simulator and
-instrumented replay with `Fraction` time, a replay that tracks every
-transition's enabledness, and the character-scanning readers of
-`.tts` transition lines and `.pat` lines that the token-level ones replaced.
+Büchi membership of a lasso word, the direct recursive evaluation of a
+formula on a lasso of dict letters (`eval_on_lasso`, which
+`ltl.run_lasso_program` replaced in replay), the `eval_expr` dict reader of
+a step's atoms (`eval_letter`, which the compiled `ltl.run_letter`
+replaced), the non-intrusiveness of an observer composition, the text form
+of an action list, the simulator and instrumented replay with `Fraction`
+time, a replay that tracks every transition's enabledness, and the
+character-scanning readers of `.tts` transition lines and `.pat` lines that
+the token-level ones replaced.  No module under `src/ttscheck` imports
+this one.
 """
 
 import random
@@ -20,13 +25,30 @@ from ttscheck.expr import (
     ExprError,
     Token,
     _Parser,
+    eval_expr,
     format_expr,
     format_rational,
     parse_rational,
 )
-from ttscheck.ltl import BuchiAutomaton, _nested_dfs, eval_on_lasso, formula_atoms, run_letter
+from ttscheck.ltl import (
+    FF,
+    TT,
+    BuchiAutomaton,
+    EventAtom,
+    LAnd,
+    LNot,
+    LOr,
+    LRelease,
+    LtlFormula,
+    LUntil,
+    StateAtom,
+    _nested_dfs,
+    formula_atoms,
+    nnf,
+)
 from ttscheck.model import (
     DEFAULT_INTERVAL,
+    Event,
     ExplorationError,
     ModelError,
     TimeBound,
@@ -88,6 +110,84 @@ def buchi_accepts(ba: BuchiAutomaton, stem: list, cycle: list) -> bool:
 
     initial = [(0, q) for q in ba.initial]
     return _nested_dfs(initial, product_succ, lambda node: ba.accepting[node[1]]) is not None
+
+
+def eval_letter(atoms, marking, store, event: Optional[Event]) -> dict:
+    """Atom assignment of one step of a run, read by `eval_expr`.
+
+    State atoms read the step's source state; event atoms read the fired
+    event, that is its transition and post-state.  `event=None` is the
+    stutter step, on which no event atom holds.
+    """
+    out = {}
+    for a in atoms:
+        if isinstance(a, EventAtom):
+            out[a] = event is not None and bool(
+                eval_expr(a.pred, event.marking, event.store, event.transition))
+        else:
+            out[a] = bool(eval_expr(a.expr, marking, store))
+    return out
+
+
+def eval_on_lasso(f: LtlFormula, stem: list, cycle: list) -> bool:
+    """Truth of `f` on the infinite word stem . cycle^w of atom assignments."""
+    return eval_nnf_on_lasso(nnf(f), stem, cycle)
+
+
+def eval_nnf_on_lasso(g: LtlFormula, stem: list, cycle: list) -> bool:
+    """`eval_on_lasso` of a formula already in negation normal form: each
+    subformula's values at every position, recursively, with untils and
+    releases iterated to their fixpoints over the whole word."""
+    assert cycle, "lasso needs a nonempty cycle"
+    word = stem + cycle
+    n = len(word)
+    loop = len(stem)  # successor of the last position
+
+    def nxt(i: int) -> int:
+        return i + 1 if i + 1 < n else loop
+
+    def values(formula) -> list:
+        if isinstance(formula, TT):
+            v = [True] * n
+        elif isinstance(formula, FF):
+            v = [False] * n
+        elif isinstance(formula, (EventAtom, StateAtom)):
+            v = [word[i].get(formula, False) for i in range(n)]
+        elif isinstance(formula, LNot):
+            v = [not x for x in values(formula.f)]
+        elif isinstance(formula, LAnd):
+            l, r = values(formula.left), values(formula.right)
+            v = [a and b for a, b in zip(l, r)]
+        elif isinstance(formula, LOr):
+            l, r = values(formula.left), values(formula.right)
+            v = [a or b for a, b in zip(l, r)]
+        elif isinstance(formula, LUntil):
+            l, r = values(formula.left), values(formula.right)
+            v = [False] * n  # least fixpoint
+            changed = True
+            while changed:
+                changed = False
+                for i in range(n - 1, -1, -1):
+                    w = r[i] or (l[i] and v[nxt(i)])
+                    if w != v[i]:
+                        v[i] = w
+                        changed = True
+        elif isinstance(formula, LRelease):
+            l, r = values(formula.left), values(formula.right)
+            v = [True] * n  # greatest fixpoint
+            changed = True
+            while changed:
+                changed = False
+                for i in range(n - 1, -1, -1):
+                    w = r[i] and (l[i] or v[nxt(i)])
+                    if w != v[i]:
+                        v[i] = w
+                        changed = True
+        else:
+            raise AssertionError(f"unhandled formula {formula!r}")
+        return v
+
+    return values(g)[0]
 
 
 def non_intrusiveness_check(system: TtsModel, inst: InstrumentedModel,
@@ -256,9 +356,8 @@ def fraction_simulate(model: TtsModel, horizon: Fraction, seed: int,
             raise ExplorationError(
                 f"more than {MAX_FIRINGS_AT_ONE_INSTANT} firings at time "
                 f"{format_rational(tau)} without time passing")
-        marking, store, event, now_enabled, fresh = step(
-            model, marking, store, name, pending)
-        timed.append((tau, event))
+        marking, store, now_enabled, fresh = step(model, marking, store, name, pending)
+        timed.append((tau, Event(name, marking, store)))
         # strict-later obligation for higher-priority competitors we preempted
         for h in model.higher_than(name):
             if h in now_enabled and h not in fresh:
@@ -306,9 +405,10 @@ class FractionReplayState:
 
     def _fire(self, name: str):
         prev_m, prev_s = self.marking, self.store
-        self.marking, self.store, event, live, fresh = step(
+        self.marking, self.store, live, fresh = step(
             self.model, self.marking, self.store, name, self.watches, self.obs_names)
-        self.letters.append(run_letter(self.atoms, prev_m, prev_s, event))
+        self.letters.append(eval_letter(self.atoms, prev_m, prev_s,
+                                        Event(name, self.marking, self.store)))
         for gone in [n for n in self.watches if n not in live]:
             del self.watches[gone]
         for n in sorted(fresh):
@@ -384,7 +484,7 @@ def fraction_replay_instrumented(inst: InstrumentedModel, trace: TimedTrace,
     # play out remaining watcher deadlines over an idle tail: decisive oracle
     # verdicts are stable under every continuation, including this one
     st.play_until(None)
-    final = run_letter(st.atoms, st.marking, st.store, None)
+    final = eval_letter(st.atoms, st.marking, st.store, None)
     holds = eval_on_lasso(inst.formula, st.letters, [final])
     return TraceVerdict(Verdict.HOLDS if holds else Verdict.FAILS)
 
@@ -412,9 +512,10 @@ class FullReplayState(FractionReplayState):
 
     def _fire(self, name: str):
         prev_m, prev_s = self.marking, self.store
-        self.marking, self.store, event, self.enabled, fresh = step(
+        self.marking, self.store, self.enabled, fresh = step(
             self.model, self.marking, self.store, name, self.enabled)
-        self.letters.append(run_letter(self.atoms, prev_m, prev_s, event))
+        self.letters.append(eval_letter(self.atoms, prev_m, prev_s,
+                                        Event(name, self.marking, self.store)))
         for gone in [n for n in self.watches if n not in self.enabled]:
             del self.watches[gone]
         for n in sorted(fresh):

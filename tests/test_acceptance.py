@@ -28,7 +28,6 @@ from ttscheck.ltl import (
     TT,
     _check_buchi,
     check,
-    eval_on_lasso,
     find_decisive_extension,
     ltl_to_buchi,
 )
@@ -51,7 +50,7 @@ from ttscheck.model import Transition, closed_interval
 from ttscheck.traces import Duration, TimedTrace, simulate
 
 from conftest import n_door_airlock, xcheck_catalog
-from reference import buchi_accepts, non_intrusiveness_check
+from reference import buchi_accepts, eval_on_lasso, non_intrusiveness_check
 
 
 def report(line: str):

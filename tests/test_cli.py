@@ -155,6 +155,28 @@ def test_capacity_overflow_exits_3_with_its_own_line(tmp_path, command):
     assert r.stderr.splitlines() == ["capacity: place 'B' exceeds capacity 1 when T fires"]
 
 
+@pytest.mark.parametrize("command", ["graph", "check", "xcheck"])
+def test_expression_nested_too_deeply_is_input_error(tmp_path, command):
+    # a 1,500-term `|` chain, as a guard under `graph` and as a pattern
+    # predicate under `check` and `xcheck`, overruns the recursion limit of
+    # the validating walk: one error line and exit 2, no traceback
+    terms = 1500
+    net = tmp_path / "deep.tts"
+    net.write_text("places P=1\nvars x=true\ntrans t in [1,1] pre {"
+                   + " | ".join(["x"] * terms) + "} consume {P}\n")
+    pat = tmp_path / "deep.pat"
+    pat.write_text("present Ventil after (" + " | ".join(["Open1"] * terms)
+                   + ") within [0,10]\n")
+    args = {"graph": (str(net),),
+            "check": ("models/airlock.tts", str(pat)),
+            "xcheck": ("models/airlock.tts", str(pat), "--runs", "3")}[command]
+    r = run_cli(command, *args)
+    assert r.returncode == 2
+    (line,) = r.stderr.splitlines()
+    assert line.startswith("error: ") and "nested too deeply" in line
+    assert "Traceback" not in r.stderr
+
+
 @pytest.mark.parametrize("args", [
     ("simulate", "models/airlock.tts", "--horizon", "abc"),
     ("simulate", "models/airlock.tts", "--horizon", "-5"),

@@ -30,6 +30,7 @@ from ttscheck.ltl import (
     LRelease,
     LUntil,
     StateAtom,
+    atom_readers,
     children,
     formula_atoms,
     graph_steps,
@@ -113,6 +114,7 @@ def ref_fast_path_target(f):
 def ref_check_safety(g, body) -> CheckResult:
     """Breadth-first reachability scan with its own queue and seen set."""
     atoms = tuple(sorted(ref_formula_atoms(body), key=str))
+    readers = atom_readers(atoms)
     parent: dict = {}
     seen = {g.initial}
     queue = deque([g.initial])
@@ -121,7 +123,7 @@ def ref_check_safety(g, body) -> CheckResult:
         node = queue.popleft()
         explored += 1
         for (label, dst) in graph_steps(g, node):
-            a = letter(atoms, g.nodes[node], label, g.nodes[dst])
+            a = letter(atoms, readers, g.nodes[node], label, g.nodes[dst])
             if not ref_eval_propositional(body, a):
                 steps = [(node, label, dst)]
                 cur = node

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ttscheck import classgraph as cg
 from ttscheck.expr import Binary, Name
@@ -20,10 +22,11 @@ from ttscheck.ltl import (
     StateAtom,
     _check_buchi,
     check,
-    eval_on_lasso,
     find_decisive_extension,
+    lasso_program,
     ltl_to_buchi,
     nnf,
+    run_lasso_program,
     solve_schedule,
     witness_to_trace,
 )
@@ -33,7 +36,7 @@ from ttscheck.oracle import Verdict, fott_holds
 from ttscheck.patterns import parse_pattern
 from ttscheck.traces import replay
 
-from reference import buchi_accepts
+from reference import buchi_accepts, eval_on_lasso
 
 a, b = EventAtom(Name("a")), EventAtom(Name("b"))
 c = StateAtom(Name("c"))
@@ -238,3 +241,67 @@ trans u in [3,3] consume {Q}
 """)
     times = solve_schedule(m, ["t", "u"])
     assert times[0] <= Fraction(3) and times[1] == Fraction(3)
+
+
+# ---------------------------------------------------------------------------
+# the flat lasso program against the direct recursive evaluation
+
+LASSO_ATOMS = (a, b, c)
+
+
+def nnf_formulas():
+    leaves = st.one_of(st.just(TT()), st.just(FF()), st.sampled_from(LASSO_ATOMS),
+                       st.sampled_from(LASSO_ATOMS).map(LNot))
+
+    def extend(inner):
+        return st.one_of(st.builds(LAnd, inner, inner), st.builds(LOr, inner, inner),
+                         st.builds(LUntil, inner, inner), st.builds(LRelease, inner, inner))
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+letters = st.tuples(st.booleans(), st.booleans(), st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(nnf_formulas(), st.lists(letters, max_size=5), st.lists(letters, min_size=1, max_size=4))
+# an outer operator that reads an until or a release at every position of
+# a two-letter cycle, where one backward pass leaves a cycle position wrong
+@example(LRelease(FF(), LUntil(a, b)), [], [(True, True, False), (True, False, False)])
+@example(LUntil(TT(), LRelease(a, b)), [], [(False, False, False), (False, True, False)])
+def test_lasso_program_agrees_with_direct_evaluation(f, stem, cycle):
+    def as_dicts(word):
+        return [dict(zip(LASSO_ATOMS, letter)) for letter in word]
+
+    program = lasso_program(f, LASSO_ATOMS)
+    assert run_lasso_program(program, stem, cycle) == \
+        eval_on_lasso(f, as_dicts(stem), as_dicts(cycle))
+
+
+def test_deep_until_chain_compiles_and_runs_without_recursion():
+    # a U (a U (... (a U b))), 5,000 deep, built directly in NNF
+    f = b
+    for _ in range(5000):
+        f = LUntil(a, f)
+    program = lasso_program(f, (a, b))
+    assert len(program) == 2 * 5000 + 1
+    assert run_lasso_program(program, [(True, False)] * 3, [(False, True)]) is True
+    assert run_lasso_program(program, [(True, False)] * 3, [(True, False)]) is False
+    assert run_lasso_program(program, [(False, False)], [(False, True)]) is False
+
+
+def test_product_code_keeps_no_lasso_oracle_and_imports_no_reference():
+    # the direct evaluator and the `eval_expr` dict reader live in the tests
+    import ast
+    import pathlib
+
+    import ttscheck
+
+    for path in pathlib.Path(ttscheck.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                assert node.name not in ("eval_on_lasso", "eval_nnf_on_lasso", "eval_letter"), path
+            if isinstance(node, ast.Import):
+                assert all("reference" not in a.name for a in node.names), path
+            if isinstance(node, ast.ImportFrom):
+                assert "reference" not in (node.module or ""), path

@@ -126,15 +126,15 @@ def test_empty_marking_disables_arc_transitions(airlock):
 
 def test_fire_button_sets_request(airlock):
     mk, st = airlock.initial_marking(), airlock.initial_store()
-    mk2, st2, ev = fire(airlock, mk, st, "Button1")
+    mk2, st2 = fire(airlock, mk, st, "Button1")
     assert st2["req1"] is True and mk2 == mk
-    assert ev.transition == "Button1" and ev.store["req1"] is True
+    assert st["req1"] is False  # the pre-state's store is left as it was
 
 
 def test_fire_open_moves_token(airlock):
     mk, st = airlock.initial_marking(), airlock.initial_store()
-    _, st, _ = fire(airlock, mk, st, "Button1")
-    mk2, st2, _ = fire(airlock, mk, st, "Open1")
+    _, st = fire(airlock, mk, st, "Button1")
+    mk2, st2 = fire(airlock, mk, st, "Open1")
     assert mk2["Idle"] == 0 and mk2["D1isOpen"] == 1
 
 
@@ -144,7 +144,7 @@ vars flag=false found=false
 trans t act {if flag then found := true}
 """)
     mk, st = m.initial_marking(), m.initial_store()
-    _, st2, _ = fire(m, mk, st, "t")
+    _, st2 = fire(m, mk, st, "t")
     assert st2["found"] is False
 
 
@@ -175,7 +175,7 @@ def ref_step(model, marking, store, name):
     """Reference for `step`: fire, then test every transition of the net
     against the post-state, the pre-state and the intermediate state, then
     recompute the post-state's enabled set from scratch."""
-    new_marking, new_store, event = fire(model, marking, store, name)
+    new_marking, new_store = fire(model, marking, store, name)
     mid_marking = dict(marking)
     for p in model.transitions[name].pre:
         mid_marking[p] -= 1
@@ -186,19 +186,19 @@ def ref_step(model, marking, store, name):
         if (u.name == name or not is_enabled(model, u, marking, store)
                 or not is_enabled(model, u, mid_marking, store)):
             fresh.add(u.name)
-    return new_marking, new_store, event, enabled(model, new_marking, new_store), fresh
+    return new_marking, new_store, enabled(model, new_marking, new_store), fresh
 
 
 def test_open_newly_enables_close(airlock):
     mk, st = airlock.initial_marking(), airlock.initial_store()
-    _, st, _ = fire(airlock, mk, st, "Button1")
-    fresh = step(airlock, mk, st, "Open1", enabled(airlock, mk, st))[4]
+    _, st = fire(airlock, mk, st, "Button1")
+    fresh = step(airlock, mk, st, "Open1", enabled(airlock, mk, st))[3]
     assert "Close1" in fresh
 
 
 def test_guard_flip_counts_as_newly_enabled(airlock):
     mk, st = airlock.initial_marking(), airlock.initial_store()
-    fresh = step(airlock, mk, st, "Button1", enabled(airlock, mk, st))[4]
+    fresh = step(airlock, mk, st, "Button1", enabled(airlock, mk, st))[3]
     assert "Open1" in fresh  # guard req1 flipped false -> true
     assert "Shutdown" not in fresh  # guard flipped true -> false: disabled
 
@@ -211,7 +211,7 @@ trans bump read {P} in [1,1] act {x := x + 1}
 trans other pre {x >= 0} in [0,oo[
 """)
     mk, st = m.initial_marking(), m.initial_store()
-    _, _, _, now_enabled, fresh = step(m, mk, st, "bump", enabled(m, mk, st))
+    _, _, now_enabled, fresh = step(m, mk, st, "bump", enabled(m, mk, st))
     assert "other" not in fresh
     assert "bump" in fresh  # the fired transition itself restarts
     assert now_enabled == {"bump", "other"}
@@ -228,7 +228,7 @@ def assert_step_matches_reference(model, choices):
         name = sorted(live)[c % len(live)]
         got = step(model, mk, st, name, live)
         assert got == ref_step(model, mk, st, name), name
-        assert got[4] <= got[3]
+        assert got[3] <= got[2]
         mk, st = got[0], got[1]
 
 
@@ -265,8 +265,8 @@ def test_step_among_is_a_restriction_of_the_full_step(text, choices, data):
         name = sorted(live)[c % len(live)]
         full = step(model, mk, st_, name, live)
         got = step(model, mk, st_, name, live & among, among)
-        assert got[:3] == full[:3]
-        assert (got[3], got[4]) == (full[3] & among, full[4] & among)
+        assert got[:2] == full[:2]
+        assert (got[2], got[3]) == (full[2] & among, full[3] & among)
         mk, st_ = full[0], full[1]
 
 
@@ -276,7 +276,7 @@ def test_guard_on_consumed_place_is_fresh_after_firing():
                   "trans u in [2,3] pre {!P}\n")
     mk, st = m.initial_marking(), m.initial_store()
     assert enabled(m, mk, st) == {"t"}
-    assert step(m, mk, st, "t", {"t"})[4] == {"u"}
+    assert step(m, mk, st, "t", {"t"})[3] == {"u"}
 
 
 @settings(max_examples=40, deadline=None)
@@ -307,12 +307,12 @@ def assert_dependents_cover(model, max_states: int) -> None:
                 mid[p] -= 1
             for u, t in model.transitions.items():
                 if u not in model.dependents[name]:
-                    states = ((mk, st_), (mid, st_), after[:2])
+                    states = ((mk, st_), (mid, st_), after)
                     assert len({is_enabled(model, t, m, s) for m, s in states}) == 1, \
                         (model.name, name, u, mk, st_)
-            if key(*after[:2]) not in seen:
-                seen.add(key(*after[:2]))
-                queue.append(after[:2])
+            if key(*after) not in seen:
+                seen.add(key(*after))
+                queue.append(after)
 
 
 @settings(max_examples=80, deadline=None)
@@ -370,8 +370,8 @@ def test_predicate_boolean_distribution():
 
 def test_token_conservation_on_move_transitions(airlock):
     mk, st = airlock.initial_marking(), airlock.initial_store()
-    _, st, _ = fire(airlock, mk, st, "Button1")
-    mk2, st2, _ = fire(airlock, mk, st, "Open1")
+    _, st = fire(airlock, mk, st, "Button1")
+    mk2, st2 = fire(airlock, mk, st, "Open1")
     assert sum(mk.values()) == sum(mk2.values())
 
 

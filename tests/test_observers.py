@@ -21,11 +21,10 @@ from ttscheck.ltl import (
     LOr,
     StateAtom,
     check,
-    eval_on_lasso,
     formula_atoms,
     run_letter,
 )
-from ttscheck.model import ExplorationError, Transition, closed_interval, eval_predicate
+from ttscheck.model import Event, ExplorationError, Transition, closed_interval, eval_predicate
 from ttscheck.observers import (
     Fragment,
     ObserverError,
@@ -43,6 +42,8 @@ from conftest import guarded_nets, xcheck_catalog
 from reference import (
     FractionReplayState,
     FullReplayState,
+    eval_letter,
+    eval_on_lasso,
     format_actions,
     fraction_replay_instrumented,
     non_intrusiveness_check,
@@ -289,8 +290,8 @@ def test_replay_reads_steps_as_the_model_checker_does():
 
 
 def ref_run_eval(f, run: list, final_state: tuple, i: int = 0) -> bool:
-    """Weak finite-run LTL evaluation, independent of `run_letter` and
-    `eval_on_lasso`: event atoms on events (post-state), state atoms on the
+    """Weak finite-run LTL evaluation, independent of `run_letter`, of
+    `eval_on_lasso` and of the lasso program: event atoms on events (post-state), state atoms on the
     source state of the step; one virtual final position carries the
     terminal state.  `run` holds (pre_marking, pre_store, Event) steps."""
     n = len(run) + 1  # positions 0..len(run)-1 are steps, n-1 is the end
@@ -332,9 +333,11 @@ def test_lasso_reading_agrees_with_weak_run_evaluation(monkeypatch, airlock, rel
     # the final state stuttering forever reads like the weak finite reading
     steps = []
 
-    def recording(atoms, marking, store, event):
-        steps.append((marking, store, event))
-        return run_letter(atoms, marking, store, event)
+    def recording(readers, marking, store, transition, post_marking, post_store):
+        letter = run_letter(readers, marking, store, transition, post_marking, post_store)
+        event = None if transition is None else Event(transition, post_marking, post_store)
+        steps.append((marking, store, event, letter))
+        return letter
 
     monkeypatch.setattr(observers, "run_letter", recording)
     compared = holds = 0
@@ -348,10 +351,11 @@ def test_lasso_reading_agrees_with_weak_run_evaluation(monkeypatch, airlock, rel
             for seed, t in enumerate(traces):
                 steps.clear()
                 rv = replay_instrumented(inst, t)
-                *run, (m, s, last) = steps
-                assert last is None and all(e is not None for (_, _, e) in run)
+                *run, (m, s, last, _) = steps
+                assert last is None and all(e is not None for (_, _, e, _) in run)
                 expected = ref_run_eval(inst.formula, run, (m, s))
-                letters = [run_letter(atoms, *step) for step in steps]
+                letters = [eval_letter(atoms, *step[:3]) for step in steps]
+                assert [dict(zip(inst.atoms, step[3])) for step in steps] == letters
                 assert eval_on_lasso(inst.formula, letters[:-1], letters[-1:]) is expected
                 assert (rv.value is Verdict.HOLDS) is expected, (model.name, p, seed)
                 compared += 1
@@ -457,7 +461,7 @@ def ref_replay_instrumented(inst, trace, state_cls=RefReplayState):
     st.advance_to(max(trace.end, st.now))
     st.fire_before(None)
     st.advance_to()
-    final = run_letter(st.atoms, st.marking, st.store, None)
+    final = eval_letter(st.atoms, st.marking, st.store, None)
     holds = eval_on_lasso(inst.formula, st.letters, [final])
     return Verdict.HOLDS if holds else Verdict.FAILS
 
@@ -530,8 +534,9 @@ def test_replay_scheduling_matches_reference(monkeypatch, airlock, relay, chain)
 def logged_replay(inst, trace, reference=None) -> tuple:
     """`replay_instrumented`, or with `reference` the `Fraction` replay
     through that state class: the firing log (each firing, its instant and
-    the live watchers' windows after it, as rationals), the letters, the
-    verdict or the message of the error that ended it, and the state."""
+    the live watchers' windows after it, as rationals), the letters as
+    dicts keyed by atom, the verdict or the message of the error that ended
+    it, and the state."""
     states = []
 
     class Logged(observers._ReplayState if reference is None else reference):
@@ -553,7 +558,10 @@ def logged_replay(inst, trace, reference=None) -> tuple:
     except ExplorationError as exc:
         outcome = str(exc)
     (state,) = states
-    return state.log, state.letters, outcome, state
+    letters = state.letters
+    if reference is None:  # tuples in the order of the model's atoms
+        letters = [dict(zip(inst.atoms, letter)) for letter in letters]
+    return state.log, letters, outcome, state
 
 
 def assert_watcher_tracking_matches_full(inst, trace, where):

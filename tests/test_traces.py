@@ -114,8 +114,7 @@ def test_simulated_delays_respect_static_intervals(relay):
         for now, it in t.timed:
             iv = relay.transitions[it.transition].timing
             assert iv.contains(now - enable[it.transition]), it.transition
-            mk, st_, _, live, fresh = step(relay, mk, st_, it.transition,
-                                           en(relay, mk, st_))
+            mk, st_, live, fresh = step(relay, mk, st_, it.transition, en(relay, mk, st_))
             enable = {u: (now if u in fresh else enable.get(u, now))
                       for u in live}
 
