@@ -79,10 +79,9 @@ class ClassGraph:
 def initial_class(model: TtsModel) -> StateClass:
     marking = model.initial_marking()
     store = model.initial_store()
-    scale = zone.scale_of(t.timing for t in model.transitions.values())
     fresh = {name: model.transitions[name].timing
              for name in enabled(model, marking, store)}
-    return StateClass(marking, store, zone.initial(fresh, scale))
+    return StateClass(marking, store, zone.initial(fresh, model.time_scale))
 
 
 def firable(model: TtsModel, c: StateClass) -> set:

@@ -15,6 +15,7 @@ capacity, a variable out of range) or met a zero-delay cycle.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -327,7 +328,10 @@ def cmd_xcheck(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: a parser holds reference
+    cycles, which a fresh one per `main` would leave to the collector."""
     ap = argparse.ArgumentParser(prog="ttscheck",
                                  description="real-time pattern verification "
                                              "on time Petri nets with data")

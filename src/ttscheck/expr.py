@@ -5,8 +5,10 @@ bounded-integer variables, places (meaning "place holds a token") and, in
 predicate position only, transition names.  Operators: `!`, `&`, `|`,
 comparisons (`=`, `!=`, `<`, `<=`, `>`, `>=`) and integer `+`/`-`.
 Actions are `;`-separated assignments, optionally guarded with
-`if <cond> then <assign>`.  `eval_expr` walks an expression;
-`compile_expr` turns one into a closure that returns the same value.
+`if <cond> then <assign>`.  An `&` or `|` chain is one n-ary `Chain` node,
+which every walker reads with one loop, so its length is not limited by
+recursion.  `eval_expr` walks an expression; `compile_expr` turns one into
+a closure that returns the same value.
 """
 
 from __future__ import annotations
@@ -89,12 +91,27 @@ class Unary:
 
 @dataclass(frozen=True)
 class Binary:
-    op: str  # "|", "&", "=", "!=", "<", "<=", ">", ">=", "+", "-"
+    op: str  # "=", "!=", "<", "<=", ">", ">=", "+", "-"
     left: "Expr"
     right: "Expr"
 
 
-Expr = Union[Lit, Name, Unary, Binary]
+@dataclass(frozen=True)
+class Chain:
+    """An `&` or `|` chain of two or more operands, left to right.  A
+    parenthesized chain of the same operator stays one operand."""
+
+    op: str  # "&" | "|"
+    operands: tuple
+
+
+Expr = Union[Lit, Name, Unary, Binary, Chain]
+
+
+def chain(op: str, operands) -> Expr:
+    """`operands` joined by `op`; a single operand stands alone."""
+    operands = tuple(operands)
+    return operands[0] if len(operands) == 1 else Chain(op, operands)
 
 
 @dataclass(frozen=True)
@@ -143,18 +160,18 @@ class _Parser:
         return self.parse_or()
 
     def parse_or(self) -> Expr:
-        left = self.parse_and()
+        operands = [self.parse_and()]
         while self.peek().text == "|":
             self.next()
-            left = Binary("|", left, self.parse_and())
-        return left
+            operands.append(self.parse_and())
+        return chain("|", operands)
 
     def parse_and(self) -> Expr:
-        left = self.parse_not()
+        operands = [self.parse_not()]
         while self.peek().text == "&":
             self.next()
-            left = Binary("&", left, self.parse_not())
-        return left
+            operands.append(self.parse_not())
+        return chain("&", operands)
 
     def parse_not(self) -> Expr:
         if self.peek().text == "!":
@@ -242,6 +259,10 @@ def parse_actions(text: str) -> tuple[Assign, ...]:
 # ---------------------------------------------------------------------------
 # Evaluation
 
+_BINARY = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+           ">": operator.gt, ">=": operator.ge, "+": operator.add, "-": operator.sub}
+
+
 def eval_expr(e: Expr, marking: dict, store: dict,
               transition: Optional[str] = None) -> Value:
     """Value of `e` in a marking and a store.
@@ -262,60 +283,25 @@ def eval_expr(e: Expr, marking: dict, store: dict,
     if isinstance(e, Unary):
         v = eval_expr(e.operand, marking, store, transition)
         return (not v) if e.op == "!" else -v
-    if isinstance(e, Binary):
+    if isinstance(e, Chain):
         if e.op == "&":
-            return (bool(eval_expr(e.left, marking, store, transition))
-                    and bool(eval_expr(e.right, marking, store, transition)))
-        if e.op == "|":
-            return (bool(eval_expr(e.left, marking, store, transition))
-                    or bool(eval_expr(e.right, marking, store, transition)))
-        lv = eval_expr(e.left, marking, store, transition)
-        rv = eval_expr(e.right, marking, store, transition)
-        if e.op == "=":
-            return lv == rv
-        if e.op == "!=":
-            return lv != rv
-        if e.op == "<":
-            return lv < rv
-        if e.op == "<=":
-            return lv <= rv
-        if e.op == ">":
-            return lv > rv
-        if e.op == ">=":
-            return lv >= rv
-        if e.op == "+":
-            return lv + rv
-        if e.op == "-":
-            return lv - rv
+            for x in e.operands:
+                if not eval_expr(x, marking, store, transition):
+                    return False
+            return True
+        for x in e.operands:
+            if eval_expr(x, marking, store, transition):
+                return True
+        return False
+    if isinstance(e, Binary):
+        return _BINARY[e.op](eval_expr(e.left, marking, store, transition),
+                             eval_expr(e.right, marking, store, transition))
     raise AssertionError(f"unhandled expression node {e!r}")
-
-
-_BINARY = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
-           ">": operator.gt, ">=": operator.ge, "+": operator.add, "-": operator.sub}
-
-
-def _operands(e: Binary) -> list:
-    """The operands of the `&` or `|` chain rooted at `e`, left to right,
-    gathered without recursion."""
-    out = []
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Binary) and x.op == e.op:
-            stack.append(x.right)
-            stack.append(x.left)
-        else:
-            out.append(x)
-    return out
 
 
 def compile_expr(e: Expr) -> Callable:
     """A closure `f(marking, store, transition)` that returns
-    `eval_expr(e, marking, store, transition)`.
-
-    A chain of `&` or of `|` becomes one loop over its operands, so a long
-    chain neither compiles nor evaluates recursively.
-    """
+    `eval_expr(e, marking, store, transition)`."""
     if isinstance(e, Lit):
         value = e.value
         return lambda m, s, t: value
@@ -334,8 +320,8 @@ def compile_expr(e: Expr) -> Callable:
         if e.op == "!":
             return lambda m, s, t: not f(m, s, t)
         return lambda m, s, t: -f(m, s, t)
-    if isinstance(e, Binary) and e.op in ("&", "|"):
-        fs = tuple(compile_expr(x) for x in _operands(e))
+    if isinstance(e, Chain):
+        fs = tuple(compile_expr(x) for x in e.operands)
         if e.op == "&":
             def all_of(m, s, t):
                 for f in fs:
@@ -363,6 +349,8 @@ def free_names(e: Expr) -> set[str]:
         return {e.ident}
     if isinstance(e, Unary):
         return free_names(e.operand)
+    if isinstance(e, Chain):
+        return set().union(*map(free_names, e.operands))
     if isinstance(e, Binary):
         return free_names(e.left) | free_names(e.right)
     raise AssertionError(f"unhandled expression node {e!r}")
@@ -397,18 +385,25 @@ def format_expr(e: Expr, parent_prec: int = 0) -> str:
     if isinstance(e, Name):
         return e.ident
     if isinstance(e, Unary):
-        inner = format_expr(e.operand, _PREC.get("!", 3))
-        text = f"{e.op}{inner}"
-        return text
-    if isinstance(e, Binary):
+        # `!` binds looser than a comparison, unary `-` tighter than anything
+        prec = _PREC["!"] if e.op == "!" else _PREC["-"] + 1
+        text = e.op + format_expr(e.operand, prec)
+    elif isinstance(e, Chain):
+        # the first operand at the operator's precedence and the rest one
+        # level above: `(a | b) | c` prints `a | b | c`, `a | (b | c)` keeps
+        # its parentheses
         prec = _PREC[e.op]
-        left = format_expr(e.left, prec)
-        right = format_expr(e.right, prec + 1)
-        text = f"{left} {e.op} {right}"
-        if prec < parent_prec:
-            return f"({text})"
-        return text
-    raise AssertionError(f"unhandled expression node {e!r}")
+        first, *rest = e.operands
+        text = f" {e.op} ".join([format_expr(first, prec)]
+                                + [format_expr(x, prec + 1) for x in rest])
+    elif isinstance(e, Binary):
+        # `+`/`-` associate left; comparisons do not associate
+        prec = _PREC[e.op]
+        left = format_expr(e.left, prec if e.op in ("+", "-") else prec + 1)
+        text = f"{left} {e.op} {format_expr(e.right, prec + 1)}"
+    else:
+        raise AssertionError(f"unhandled expression node {e!r}")
+    return f"({text})" if prec < parent_prec else text
 
 
 # ---------------------------------------------------------------------------

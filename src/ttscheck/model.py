@@ -20,6 +20,7 @@ from typing import Collection, Optional, Union
 from .expr import (
     Assign,
     Binary,
+    Chain,
     Expr,
     ExprError,
     Lit,
@@ -27,6 +28,7 @@ from .expr import (
     Unary,
     _Parser,
     action_names,
+    chain,
     eval_expr,
     format_rational,
     free_names,
@@ -298,14 +300,15 @@ def _expr_kind(e: Expr, model: TtsModel, diags: list, where: str,
         if k is not None and k != want:
             diags.append(Diagnostic(where, f"operator {e.op!r} applied to {k} operand"))
         return want
+    if isinstance(e, Chain):
+        for x in e.operands:
+            k = _expr_kind(x, model, diags, where, allow_transitions)
+            if k is not None and k != "bool":
+                diags.append(Diagnostic(where, f"operator {e.op!r} applied to {k} operand"))
+        return "bool"
     if isinstance(e, Binary):
         lk = _expr_kind(e.left, model, diags, where, allow_transitions)
         rk = _expr_kind(e.right, model, diags, where, allow_transitions)
-        if e.op in ("&", "|"):
-            for k in (lk, rk):
-                if k is not None and k != "bool":
-                    diags.append(Diagnostic(where, f"operator {e.op!r} applied to {k} operand"))
-            return "bool"
         if e.op in ("+", "-"):
             for k in (lk, rk):
                 if k is not None and k != "int":
@@ -534,38 +537,28 @@ def residual_predicate(p: EventPredicate, transition: str, model: TtsModel) -> E
     predicate that cannot match the transition collapses to `false` and a
     purely transition-based match collapses to `true`.
     """
-    def walk(e: Expr) -> Expr:
-        if isinstance(e, Name) and e.ident in model.transitions:
-            return Lit(e.ident == transition)
-        if isinstance(e, Unary):
-            inner = walk(e.operand)
-            if isinstance(inner, Lit) and isinstance(inner.value, bool) and e.op == "!":
-                return Lit(not inner.value)
-            return Unary(e.op, inner)
-        if isinstance(e, Binary):
-            l, r = walk(e.left), walk(e.right)
-            if e.op == "&":
-                if (isinstance(l, Lit) and l.value is False) or \
-                        (isinstance(r, Lit) and r.value is False):
-                    return Lit(False)
-                if isinstance(l, Lit) and l.value is True:
-                    return r
-                if isinstance(r, Lit) and r.value is True:
-                    return l
-                return Binary("&", l, r)
-            if e.op == "|":
-                if (isinstance(l, Lit) and l.value is True) or \
-                        (isinstance(r, Lit) and r.value is True):
-                    return Lit(True)
-                if isinstance(l, Lit) and l.value is False:
-                    return r
-                if isinstance(r, Lit) and r.value is False:
-                    return l
-                return Binary("|", l, r)
-            return Binary(e.op, l, r)
-        return e
-
-    return walk(p)
+    if isinstance(p, Name) and p.ident in model.transitions:
+        return Lit(p.ident == transition)
+    if isinstance(p, Unary):
+        inner = residual_predicate(p.operand, transition, model)
+        if isinstance(inner, Lit) and isinstance(inner.value, bool) and p.op == "!":
+            return Lit(not inner.value)
+        return Unary(p.op, inner)
+    if isinstance(p, Chain):
+        # a literal `decides` settles the chain; its negation drops out
+        decides = p.op == "|"
+        kept = []
+        for x in p.operands:
+            r = residual_predicate(x, transition, model)
+            if isinstance(r, Lit) and r.value is decides:
+                return r
+            if not (isinstance(r, Lit) and r.value is (not decides)):
+                kept.append(r)
+        return chain(p.op, kept) if kept else Lit(not decides)
+    if isinstance(p, Binary):
+        return Binary(p.op, residual_predicate(p.left, transition, model),
+                      residual_predicate(p.right, transition, model))
+    return p
 
 
 # ---------------------------------------------------------------------------

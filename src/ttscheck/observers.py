@@ -21,7 +21,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .expr import Assign, Binary, Expr, Lit, Name, Unary, free_names, parse_actions, parse_expr
+from .expr import (Assign, Binary, Chain, Expr, Lit, Name, Unary, chain, free_names,
+                   parse_actions, parse_expr)
 from .model import (
     EventPredicate,
     ExplorationError,
@@ -182,6 +183,8 @@ def _prefix_expr(e: Expr, prefix: str) -> Expr:
         return Name(prefix + e.ident) if not e.ident.startswith(prefix) else e
     if isinstance(e, Unary):
         return Unary(e.op, _prefix_expr(e.operand, prefix))
+    if isinstance(e, Chain):
+        return Chain(e.op, tuple(_prefix_expr(x, prefix) for x in e.operands))
     if isinstance(e, Binary):
         return Binary(e.op, _prefix_expr(e.left, prefix), _prefix_expr(e.right, prefix))
     return e
@@ -328,8 +331,8 @@ def _formula_first_before(px: str, p: PresentFirstBeforeWithin) -> LtlFormula:
 
 def _synth_lasting(px: str, p: PresentLasting) -> Fragment:
     # the state condition appears verbatim in watcher guards; no hooks needed
-    poll_guard = Binary("&", p.a, Unary("!", Name(px + "foundA")))
-    ok_guard = Binary("&", p.a, Unary("!", Name(px + "win")))
+    poll_guard = Chain("&", (p.a, Unary("!", Name(px + "foundA"))))
+    ok_guard = Chain("&", (p.a, Unary("!", Name(px + "win"))))
     err_guard = _guard(px, "foundA & !win & !errored")
     return Fragment(
         prefix=px,
@@ -465,7 +468,7 @@ def compose(system: TtsModel, spec: ObserverSpec) -> InstrumentedModel:
                 for act in hook.actions:
                     cond = act.cond
                     if not (isinstance(residual, Lit) and residual.value is True):
-                        cond = residual if cond is None else Binary("&", residual, cond)
+                        cond = residual if cond is None else Chain("&", (residual, cond))
                     appended[tname].append(Assign(act.target, act.expr, cond))
 
     transitions: dict = {}
@@ -499,35 +502,27 @@ def compose(system: TtsModel, spec: ObserverSpec) -> InstrumentedModel:
     if diags:
         raise ObserverError("composed model invalid: "
                             + "; ".join(str(d) for d in diags))
-    formula = _restrict_event_atoms(spec.formula, system, set(provenance))
+    formula = _restrict_event_atoms(spec.formula, system)
     return InstrumentedModel(model, provenance, formula)
 
 
-def _restrict_event_atoms(f: LtlFormula, system: TtsModel, taken: set) -> LtlFormula:
+def _restrict_event_atoms(f: LtlFormula, system: TtsModel) -> LtlFormula:
     """Pin pattern event atoms to system transitions, so observer firings in
     the composition can never satisfy them through their state parts."""
-    def restrict(a: EventAtom) -> EventAtom:
-        names = free_names(a.pred)
-        if any(n not in system.places and n not in system.vars
-               and n not in system.transitions for n in names):
-            return a  # references observer elements: already specific
-        if all(n in system.transitions for n in names):
-            return a  # pure transition predicate cannot match observer steps
-        matches = sorted(matching_transitions(a.pred, system))
-        disj: Expr = Lit(False)
-        for n in matches:
-            disj = Name(n) if isinstance(disj, Lit) else Binary("|", disj, Name(n))
-        return EventAtom(Binary("&", disj, a.pred)
-                         if not isinstance(disj, Lit) else disj)
-
-    def walk(g):
-        if isinstance(g, EventAtom):
-            return restrict(g)
-        if isinstance(g, StateAtom):
-            return g
-        return type(g)(*map(walk, children(g)))
-
-    return walk(f)
+    if isinstance(f, StateAtom):
+        return f
+    if not isinstance(f, EventAtom):
+        return type(f)(*(_restrict_event_atoms(g, system) for g in children(f)))
+    names = free_names(f.pred)
+    if any(n not in system.places and n not in system.vars
+           and n not in system.transitions for n in names):
+        return f  # references observer elements: already specific
+    if all(n in system.transitions for n in names):
+        return f  # pure transition predicate cannot match observer steps
+    matches = [Name(n) for n in sorted(matching_transitions(f.pred, system))]
+    if not matches:
+        return EventAtom(Lit(False))
+    return EventAtom(Chain("&", (chain("|", matches), f.pred)))
 
 
 def _prio_side_names(side: PrioSide, frag: Fragment, matches: dict,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .expr import ExprError, _Parser, format_expr, format_rational, parse_rational, tokenize
+from .expr import Chain, ExprError, _Parser, format_expr, format_rational, parse_rational, tokenize
 from .model import (
     Diagnostic,
     EventPredicate,
@@ -274,11 +274,7 @@ def format_pattern(p: Pattern) -> str:
 
 def _pred(e: EventPredicate) -> str:
     text = format_expr(e)
-    from .expr import Binary
-
-    if isinstance(e, Binary) and e.op in ("&", "|"):
-        return f"({text})"
-    return text
+    return f"({text})" if isinstance(e, Chain) else text
 
 
 # ---------------------------------------------------------------------------

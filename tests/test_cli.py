@@ -155,26 +155,49 @@ def test_capacity_overflow_exits_3_with_its_own_line(tmp_path, command):
     assert r.stderr.splitlines() == ["capacity: place 'B' exceeds capacity 1 when T fires"]
 
 
+def deep_inputs(tmp_path, guard, predicate):
+    """Command lines of `graph` on a net guarded by `guard`, and of `check`
+    and `xcheck` on the airlock with a pattern whose event is `predicate`."""
+    net = tmp_path / "deep.tts"
+    net.write_text(f"places P=1\nvars x=true\ntrans t in [1,1] pre {{{guard}}} consume {{P}}\n")
+    pat = tmp_path / "deep.pat"
+    pat.write_text(f"present Ventil after {predicate} within [0,10]\n")
+    return {"graph": ("graph", str(net)),
+            "check": ("check", "models/airlock.tts", str(pat)),
+            "xcheck": ("--json", "xcheck", "models/airlock.tts", str(pat), "--runs", "3")}
+
+
 @pytest.mark.parametrize("command", ["graph", "check", "xcheck"])
 def test_expression_nested_too_deeply_is_input_error(tmp_path, command):
-    # a 1,500-term `|` chain, as a guard under `graph` and as a pattern
-    # predicate under `check` and `xcheck`, overruns the recursion limit of
-    # the validating walk: one error line and exit 2, no traceback
-    terms = 1500
-    net = tmp_path / "deep.tts"
-    net.write_text("places P=1\nvars x=true\ntrans t in [1,1] pre {"
-                   + " | ".join(["x"] * terms) + "} consume {P}\n")
-    pat = tmp_path / "deep.pat"
-    pat.write_text("present Ventil after (" + " | ".join(["Open1"] * terms)
-                   + ") within [0,10]\n")
-    args = {"graph": (str(net),),
-            "check": ("models/airlock.tts", str(pat)),
-            "xcheck": ("models/airlock.tts", str(pat), "--runs", "3")}[command]
-    r = run_cli(command, *args)
+    # 1,500 nested `!` in a guard under `graph`, 1,500 nested parentheses
+    # around a pattern predicate under `check` and `xcheck`, overrun the
+    # recursion limit of the parser: one error line and exit 2, no traceback
+    n = 1500
+    args = deep_inputs(tmp_path, "!" * n + "x", "(" * n + "Open1" + ")" * n)[command]
+    r = run_cli(*args)
     assert r.returncode == 2
     (line,) = r.stderr.splitlines()
     assert line.startswith("error: ") and "nested too deeply" in line
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("command", ["graph", "check", "xcheck"])
+def test_long_chains_get_verdicts(tmp_path, command):
+    # a 1,500-term `|` chain, as a guard under `graph` and as a pattern
+    # predicate under `check` and `xcheck`, is one node: no walker recurses
+    # through it
+    n = 1500
+    args = deep_inputs(tmp_path, " | ".join(["x"] * n),
+                       "(" + " | ".join(["Open1"] * n) + ")")[command]
+    r = run_cli(*args)
+    assert (r.returncode, r.stderr) == (0, "")
+    if command == "graph":
+        assert r.stdout.startswith("2 classes, 1 edges, 1 deadlock(s)")
+    elif command == "check":
+        assert r.stdout.startswith("[pass] present Ventil after (Open1 | Open1 | ")
+    else:
+        (entry,) = json.loads(r.stdout)["xcheck"]
+        assert entry["mismatches"] == 0 and entry["decisive"] > 0
 
 
 @pytest.mark.parametrize("args", [
@@ -488,3 +511,33 @@ def test_cli_returns_an_exit_code_on_random_input_text(tts, pat, trace):
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main(args)
             assert code in (0, 1, 2, 3), (args, code)
+
+
+def test_invocations_leave_no_cyclic_garbage():
+    """Composing the airlock's observers and one `check` and one `xcheck`
+    through `main` free everything by reference counting: with the collector
+    off, it finds nothing left over.  Only building the argument parser,
+    once per process, leaves cycles behind."""
+    import gc
+
+    from ttscheck.cli import build_parser, main
+    from ttscheck.model import load_tts
+    from ttscheck.observers import compose, synthesize
+    from ttscheck.patterns import parse_pattern_file
+
+    airlock, pat = str(ROOT / "models" / "airlock.tts"), str(ROOT / "models" / "airlock.pat")
+    model = load_tts(airlock)
+    patterns = parse_pattern_file((ROOT / "models" / "airlock.pat").read_text())
+    runs = {"compose": lambda: [compose(model, synthesize(p)) for p in patterns],
+            "check": lambda: main(["check", airlock, pat]),
+            "xcheck": lambda: main(["xcheck", airlock, pat, "--runs", "2"])}
+    build_parser()
+    gc.collect()
+    gc.disable()
+    try:
+        for name, run in runs.items():
+            with contextlib.redirect_stdout(io.StringIO()):
+                run()
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from ttscheck.expr import (
     Assign,
     Binary,
+    Chain,
     ExprError,
     Lit,
     Name,
@@ -24,9 +25,35 @@ from ttscheck.model import parse_tts
 
 def test_parse_precedence():
     e = parse_expr("a | b & !c")
-    assert isinstance(e, Binary) and e.op == "|"
-    assert isinstance(e.right, Binary) and e.right.op == "&"
-    assert isinstance(e.right.right, Unary)
+    assert isinstance(e, Chain) and e.op == "|"
+    assert isinstance(e.operands[1], Chain) and e.operands[1].op == "&"
+    assert isinstance(e.operands[1].operands[1], Unary)
+
+
+def test_chains_are_n_ary_and_keep_explicit_parentheses():
+    a, b, c = Name("a"), Name("b"), Name("c")
+    assert parse_expr("a | b | c") == Chain("|", (a, b, c))
+    assert parse_expr("(a | b) | c") == Chain("|", (Chain("|", (a, b)), c))
+    assert parse_expr("a | (b | c)") == Chain("|", (a, Chain("|", (b, c))))
+    assert parse_expr("a & b = c") == Chain("&", (a, Binary("=", b, c)))
+
+
+@pytest.mark.parametrize("text, printed", [
+    ("(a | b) | c", "a | b | c"),
+    ("a | (b | c)", "a | (b | c)"),
+    ("(a | b) & c", "(a | b) & c"),
+    ("!(a & b)", "!(a & b)"),
+    ("a & b = c", "a & b = c"),
+    # unary operators and comparisons print what parses back to them
+    ("-(a + b)", "-(a + b)"),
+    ("-(!a)", "-(!a)"),
+    ("(!a) = b", "(!a) = b"),
+    ("a = (!b)", "a = (!b)"),
+    ("(a = b) = c", "(a = b) = c"),
+    ("a - (b - c) + -1", "a - (b - c) + -1"),
+])
+def test_format_expr_bytes(text, printed):
+    assert format_expr(parse_expr(text)) == printed
 
 
 def test_parse_comparison_and_arith():
@@ -90,26 +117,19 @@ PLACES, VARS, TRANSITIONS = ("P", "Q", "R"), ("b", "n"), ("t", "u")
 
 def expressions(names):
     """Random expression trees over `names`, literals, every unary and
-    binary operator, mixing bools and ints as `eval_expr` allows."""
+    binary operator and `&`/`|` chains, mixing bools and ints as
+    `eval_expr` allows."""
     leaves = st.one_of(st.sampled_from(names).map(Name),
                        st.sampled_from([True, False, 0, 1, 2, -1]).map(Lit))
-    ops = ["|", "&", "=", "!=", "<", "<=", ">", ">=", "+", "-"]
+    ops = ["=", "!=", "<", "<=", ">", ">=", "+", "-"]
 
     def extend(inner):
         return st.one_of(
             st.builds(Unary, st.sampled_from(["!", "-"]), inner),
             st.builds(Binary, st.sampled_from(ops), inner, inner),
-            # chains of three or more operands, the looped form
-            st.builds(lambda op, xs: _chain(op, xs), st.sampled_from(["&", "|"]),
-                      st.lists(inner, min_size=3, max_size=5)))
+            st.builds(Chain, st.sampled_from(["&", "|"]),
+                      st.lists(inner, min_size=2, max_size=5).map(tuple)))
     return st.recursive(leaves, extend, max_leaves=12)
-
-
-def _chain(op, operands):
-    e = operands[0]
-    for x in operands[1:]:
-        e = Binary(op, e, x)
-    return e
 
 
 @st.composite
@@ -134,6 +154,15 @@ def assert_compiled_agrees(e, state):
 @given(expressions(PLACES + VARS + TRANSITIONS), states(PLACES, VARS, TRANSITIONS))
 def test_compiled_expressions_agree_with_eval_expr(e, state):
     assert_compiled_agrees(e, state)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions(PLACES + VARS + TRANSITIONS), states(PLACES, VARS, TRANSITIONS))
+def test_printing_is_stable_under_reparsing(e, state):
+    text = format_expr(e)
+    again = parse_expr(text)
+    assert format_expr(again) == text
+    assert eval_expr(again, *state) == eval_expr(e, *state), text
 
 
 @settings(max_examples=80, deadline=None)
@@ -177,15 +206,13 @@ trans Decay pre {lvl > 0} in [2,2] act {if lvl >= 1 then lvl := lvl - 1}
 @pytest.mark.parametrize("op", ["|", "&"])
 def test_long_chains_compile_and_evaluate_without_recursion(op):
     n = 1500
-    names = [Name(f"x{i}") for i in range(n)]
-    left_deep = _chain(op, names)
-    right_deep = names[-1]
-    for x in reversed(names[:-1]):
-        right_deep = Binary(op, x, right_deep)
-    for e in (left_deep, right_deep):
-        f = compile_expr(e)
-        # one operand differs from the rest: it decides the chain
-        store = {f"x{i}": op == "&" for i in range(n)}
-        assert f({}, store, None) is (op == "&")
-        store["x1234"] = op != "&"
-        assert f({}, store, None) is (op != "&")
+    e = parse_expr(f" {op} ".join(f"x{i}" for i in range(n)))
+    assert e == Chain(op, tuple(Name(f"x{i}") for i in range(n)))
+    assert free_names(e) == {f"x{i}" for i in range(n)}
+    assert format_expr(e) == f" {op} ".join(f"x{i}" for i in range(n))
+    f = compile_expr(e)
+    # one operand differs from the rest: it decides the chain
+    store = {f"x{i}": op == "&" for i in range(n)}
+    assert f({}, store, None) is eval_expr(e, {}, store) is (op == "&")
+    store["x1234"] = op != "&"
+    assert f({}, store, None) is eval_expr(e, {}, store) is (op != "&")

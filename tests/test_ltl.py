@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ttscheck import classgraph as cg
-from ttscheck.expr import Binary, Name
+from ttscheck.expr import Chain, Name
 from ttscheck.ltl import (
     FF,
     TT,
@@ -66,10 +66,10 @@ def test_weak_until_definition():
 
 def test_atoms_hash_once_and_keep_their_dataclass_behaviour():
     for cls, field in ((EventAtom, "pred"), (StateAtom, "expr")):
-        expr = Binary("&", Name("x"), Name("y"))
+        expr = Chain("&", (Name("x"), Name("y")))
         atom = cls(expr)
         assert hash(atom) == hash((expr,)) == hash(cls(expr))
-        assert atom == cls(Binary("&", Name("x"), Name("y")))
+        assert atom == cls(Chain("&", (Name("x"), Name("y"))))
         assert atom != cls(Name("x"))
         assert repr(atom) == f"{cls.__name__}({field}={expr!r})"
         assert {atom: 1}[cls(expr)] == 1

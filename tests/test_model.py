@@ -7,18 +7,20 @@ from hypothesis import strategies as st
 
 from conftest import guarded_nets, n_door_airlock, xcheck_catalog
 from test_int_kernel import nets
-from ttscheck.expr import parse_expr
+from ttscheck.expr import Lit, parse_expr
 from ttscheck.model import (
     Event,
     ExplorationError,
     Transition,
     TtsModel,
+    VarDecl,
     enabled,
     eval_predicate,
     fire,
     is_enabled,
     parse_interval,
     parse_tts,
+    residual_predicate,
     step,
     validate_model,
 )
@@ -64,6 +66,15 @@ def test_undeclared_guard_variable_diagnosed():
     m = TtsModel("m", {}, {}, {"t": Transition("t", guard=parse_expr("x"))}, ())
     diags = validate_model(m)
     assert any("x" in d.message for d in diags)
+
+
+def test_chain_operands_are_typed_one_by_one():
+    m = TtsModel("m", {}, {"b": VarDecl("b", "bool", False), "n": VarDecl("n", "int", 0, 0, 2)},
+                 {"t": Transition("t", guard=parse_expr("b & n & (b | n + 1)"))}, ())
+    assert [str(d) for d in validate_model(m)] == [
+        "t: operator '&' applied to int operand",
+        "t: operator '|' applied to int operand",
+    ]
 
 
 def test_cyclic_priority_diagnosed():
@@ -344,6 +355,17 @@ def test_predicate_mixing_name_and_store(airlock):
     p = parse_expr("Open2 | req2")
     assert eval_predicate(p, Event("Button2", {}, {"req2": True}))
     assert not eval_predicate(p, Event("Button1", {}, {"req2": False}))
+
+
+def test_residual_predicate_folds_chains_by_their_literals(airlock):
+    p = parse_expr("(Open1 | Open2) & req1 & !Close1")
+    assert residual_predicate(p, "Open1", airlock) == parse_expr("req1")
+    assert residual_predicate(p, "Close1", airlock) == Lit(False)
+    q = parse_expr("Open1 | req1 | (Open2 & req2)")
+    assert residual_predicate(q, "Open1", airlock) == Lit(True)
+    assert residual_predicate(q, "Open2", airlock) == parse_expr("req1 | req2")
+    assert residual_predicate(q, "Close1", airlock) == parse_expr("req1")
+    assert residual_predicate(parse_expr("Open1 | Open2"), "Close1", airlock) == Lit(False)
 
 
 def test_predicate_all_false():

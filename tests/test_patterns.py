@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ttscheck.expr import Binary, Name
+from ttscheck.expr import Chain, Name
 from ttscheck.patterns import (
     AbsentBeforeDuration,
     AndPattern,
@@ -36,7 +36,7 @@ def test_parse_present_after_within():
     p = parse_pattern("present Ventil after (Open1 | Open2) within [0,10]")
     assert isinstance(p, PresentAfterWithin)
     assert p.a == Name("Ventil")
-    assert p.b == Binary("|", Name("Open1"), Name("Open2"))
+    assert p.b == Chain("|", (Name("Open1"), Name("Open2")))
     assert str(p.interval) == "[0,10]"
 
 
