@@ -4,8 +4,9 @@ Atoms are either event predicates (read off an edge together with its target
 state) or state predicates (read off the edge's source class).  Maximal
 finite paths are extended by stuttering a deadlock self-loop, so every path
 induces an infinite word.  `run_letter` is the one atom reader: it reads a
-graph step or a step of a concrete run through compiled atom readers, so
-instrumented replay reads its runs as this checker does, and
+graph step or a step of a concrete run through compiled atom readers into a
+tuple in `formula_atoms` order, the order of the automaton's required
+letters, so instrumented replay reads its runs as this checker does, and
 `run_lasso_program` evaluates a formula on a replayed run.  Formulas of
 shape `always <propositional>` are checked by plain reachability;
 everything else goes through a tableau translation of the negation to a
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .classgraph import ClassGraph, StateClass
+from .classgraph import ClassGraph
 from .expr import Expr, compile_expr, format_expr
 from .model import Event, TtsModel, enabled, fire, step
 from .traces import TimedTrace
@@ -44,8 +45,8 @@ class FF:
 
 def _cached_hash(atom, value: Expr) -> int:
     """The dataclass hash of a one-field atom, computed once: hashing an
-    expression walks its whole tree, and letters and tableau states are
-    dicts keyed by atoms."""
+    expression walks its whole tree, and the tableau's raw states and the
+    safety scan's `truth` lookups are dicts keyed by atoms."""
     h = atom.__dict__.get("_hash")
     if h is None:
         h = hash((value,))
@@ -199,8 +200,11 @@ def subformulas(f: LtlFormula):
         stack.extend(reversed(children(g)))
 
 
-def formula_atoms(f: LtlFormula) -> set:
-    return {g for g in subformulas(f) if isinstance(g, (EventAtom, StateAtom))}
+def formula_atoms(f: LtlFormula) -> tuple:
+    """f's atoms sorted by `str`: the one atom order, in which the tableau's
+    required letters, the checker's letters and replay's letters list them."""
+    return tuple(sorted({g for g in subformulas(f) if isinstance(g, (EventAtom, StateAtom))},
+                        key=str))
 
 
 def truth(f: LtlFormula, chosen: dict) -> bool:
@@ -251,12 +255,6 @@ def run_letter(readers, marking, store, transition: Optional[str],
                   else bool(f(marking, store, None)) for event, f in readers])
 
 
-def letter(atoms, readers, src: StateClass, label: Optional[str], dst: StateClass) -> dict:
-    """`run_letter` of a graph step, as a dict keyed by `atoms`."""
-    return dict(zip(atoms, run_letter(readers, src.marking, src.store, label,
-                                      dst.marking, dst.store)))
-
-
 def graph_steps(g: ClassGraph, node: int):
     """Outgoing steps of a node, stutter-extended at deadlocks."""
     succ = g.succ.get(node)
@@ -272,10 +270,12 @@ def graph_steps(g: ClassGraph, node: int):
 
 @dataclass
 class BuchiAutomaton:
-    """States are maximal consistent subsets of the closure, degeneralized."""
+    """States are maximal consistent subsets of the closure, degeneralized.
+    A state's required letter is a tuple of truth values in `atoms` order,
+    the form of a `run_letter` tuple."""
 
-    atoms: tuple
-    states: list  # per state: dict atom -> bool (required letter)
+    atoms: tuple  # formula_atoms of the translated formula
+    states: list  # per state: its required letter
     initial: list
     succ: list  # list[list[int]]
     accepting: list  # bool per state
@@ -289,7 +289,7 @@ def ltl_to_buchi(f: LtlFormula) -> BuchiAutomaton:
     """Self-consistent tableau over the closure of the NNF formula."""
     g = nnf(f)
     cl = set(subformulas(g))
-    atoms = tuple(sorted(formula_atoms(g), key=str))
+    atoms = formula_atoms(g)
     temporals = tuple(sorted((x for x in cl if isinstance(x, (LUntil, LRelease))),
                              key=str))
     choices = atoms + temporals
@@ -345,7 +345,7 @@ def ltl_to_buchi(f: LtlFormula) -> BuchiAutomaton:
     def intern(i: int, cnt: int) -> int:
         idx = len(states)
         index[(i, cnt)] = idx
-        states.append({a: raw_states[i][a] for a in atoms})
+        states.append(tuple([raw_states[i][a] for a in atoms]))
         succ.append([])
         accepting.append(False)
         return idx
@@ -595,12 +595,15 @@ def _check_safety(g: ClassGraph, body: LtlFormula) -> CheckResult:
     scan visits node ids in increasing order, and the first edge it meets
     into a class is that class's breadth-first parent.
     """
-    atoms = tuple(sorted(formula_atoms(body), key=str))
+    atoms = formula_atoms(body)
     readers = atom_readers(atoms)
     parent: dict = {g.initial: None}  # class -> (parent class, label)
     for node in range(g.node_count):
+        src = g.nodes[node]
         for (label, dst) in graph_steps(g, node):
-            if not truth(body, letter(atoms, readers, g.nodes[node], label, g.nodes[dst])):
+            post = g.nodes[dst]
+            letter = run_letter(readers, src.marking, src.store, label, post.marking, post.store)
+            if not truth(body, dict(zip(atoms, letter))):
                 steps = [(node, label, dst)]
                 cur = node
                 while parent[cur] is not None:
@@ -616,29 +619,33 @@ def _check_safety(g: ClassGraph, body: LtlFormula) -> CheckResult:
 
 def _check_buchi(g: ClassGraph, f: LtlFormula) -> CheckResult:
     ba = ltl_to_buchi(LNot(f))
-    atoms = ba.atoms
-    readers = atom_readers(atoms)
-    letter_cache: dict = {}
+    readers = atom_readers(ba.atoms)
+    edge_cache: dict = {}
 
-    def step_letter(node: int, label, dst: int) -> dict:
-        key = (node, label, dst)
-        if key not in letter_cache:
-            letter_cache[key] = letter(atoms, readers, g.nodes[node], label, g.nodes[dst])
-        return letter_cache[key]
+    def edges(node: int) -> list:
+        """The node's graph steps (label, dst, `run_letter` tuple)."""
+        out = edge_cache.get(node)
+        if out is None:
+            src = g.nodes[node]
+            out = edge_cache[node] = [
+                (label, dst, run_letter(readers, src.marking, src.store, label,
+                                        g.nodes[dst].marking, g.nodes[dst].store))
+                for (label, dst) in graph_steps(g, node)]
+        return out
 
+    # product node -> {successor: label of its first edge}; a successor that
+    # two edges reach is listed once, and the search visits it once anyway
     succ_cache: dict = {}
 
-    def successors(prod):
-        if prod in succ_cache:
-            return succ_cache[prod]
-        (node, q) = prod
-        out = []
-        for (label, dst) in graph_steps(g, node):
-            # a letter and a required letter both assign exactly ba.atoms
-            if step_letter(node, label, dst) == ba.states[q]:
-                for r in ba.succ[q]:
-                    out.append((dst, r))
-        succ_cache[prod] = out
+    def successors(prod) -> dict:
+        out = succ_cache.get(prod)
+        if out is None:
+            (node, q) = prod
+            out = succ_cache[prod] = {}
+            for (label, dst, letter) in edges(node):
+                if letter == ba.states[q]:
+                    for r in ba.succ[q]:
+                        out.setdefault((dst, r), label)
         return out
 
     initial = [(g.initial, q) for q in ba.initial]
@@ -647,23 +654,11 @@ def _check_buchi(g: ClassGraph, f: LtlFormula) -> CheckResult:
         return CheckResult(True, None, len(succ_cache), False)
     stem_nodes, cycle_nodes = hit
 
-    def project(seq) -> list:
+    def project(seq) -> tuple:
         """Product node sequence -> graph steps (src, label, dst)."""
-        steps = []
-        for (na, nb) in zip(seq, seq[1:]):
-            (ga, qa), (gb, qb) = na, nb
-            for (label, dst) in graph_steps(g, ga):
-                if dst == gb and qb in ba.succ[qa] \
-                        and step_letter(ga, label, dst) == ba.states[qa]:
-                    steps.append((ga, label, gb))
-                    break
-            else:
-                raise AssertionError("lasso step lost during projection")
-        return steps
+        return tuple((a[0], succ_cache[a][b], b[0]) for a, b in zip(seq, seq[1:]))
 
-    return CheckResult(False,
-                       Counterexample(tuple(project(stem_nodes)),
-                                      tuple(project(cycle_nodes))),
+    return CheckResult(False, Counterexample(project(stem_nodes), project(cycle_nodes)),
                        len(succ_cache), False)
 
 

@@ -129,8 +129,9 @@ class InstrumentedModel:
 
     @cached_property
     def atoms(self) -> tuple:
-        """The formula's atoms, in the order `ltl_to_buchi` gives them."""
-        return tuple(sorted(formula_atoms(self.formula), key=str))
+        """`ltl.formula_atoms` of the formula: the atoms of the automaton
+        `ltl_to_buchi` makes of its negation, in the same order."""
+        return formula_atoms(self.formula)
 
     @cached_property
     def atom_readers(self) -> tuple:

@@ -1,7 +1,9 @@
 """Test-only references that the product code does not call.
 
 Each is an independent reading that a test compares the product against:
-Büchi membership of a lasso word, the direct recursive evaluation of a
+Büchi membership of a lasso word, the product search as it read dict
+letters and re-scanned graph steps for a lasso's labels
+(`ref_check_buchi`), the direct recursive evaluation of a
 formula on a lasso of dict letters (`eval_on_lasso`, which
 `ltl.run_lasso_program` replaced in replay), the `eval_expr` dict reader of
 a step's atoms (`eval_letter`, which the compiled `ltl.run_letter`
@@ -32,8 +34,11 @@ from ttscheck.expr import (
 )
 from ttscheck.ltl import (
     FF,
+    STUTTER,
     TT,
     BuchiAutomaton,
+    CheckResult,
+    Counterexample,
     EventAtom,
     LAnd,
     LNot,
@@ -44,6 +49,8 @@ from ttscheck.ltl import (
     StateAtom,
     _nested_dfs,
     formula_atoms,
+    graph_steps,
+    ltl_to_buchi,
     nnf,
 )
 from ttscheck.model import (
@@ -82,15 +89,19 @@ from ttscheck.traces import (
 
 
 def buchi_accepts(ba: BuchiAutomaton, stem: list, cycle: list) -> bool:
-    """Membership of an ultimately periodic word in the automaton language."""
+    """Membership of an ultimately periodic word in the automaton language.
+    A letter is a dict keyed by atoms, where a missing atom is false, or a
+    tuple in `ba.atoms` order."""
     assert cycle
     word = stem + cycle
     n = len(word)
     loop = len(stem)
 
-    def compatible(state_idx: int, a: dict) -> bool:
+    def compatible(state_idx: int, a) -> bool:
         req = ba.states[state_idx]
-        return all(a.get(atom, False) == v for atom, v in req.items())
+        if isinstance(a, tuple):  # a `run_letter` tuple, in `ba.atoms` order
+            return a == req
+        return all(a.get(atom, False) == v for atom, v in zip(ba.atoms, req))
 
     # product of the lasso word with the automaton; nested DFS over it
     def word_next(i: int) -> int:
@@ -110,6 +121,64 @@ def buchi_accepts(ba: BuchiAutomaton, stem: list, cycle: list) -> bool:
 
     initial = [(0, q) for q in ba.initial]
     return _nested_dfs(initial, product_succ, lambda node: ba.accepting[node[1]]) is not None
+
+
+def ref_check_buchi(g, f: LtlFormula) -> CheckResult:
+    """The product search of `ltl._check_buchi` with dict letters: each graph
+    step's letter is read by `eval_letter` and compared with the automaton's
+    required letter keyed by atom, and each lasso step's label is found
+    again by re-scanning its source's graph steps."""
+    ba = ltl_to_buchi(LNot(f))
+    atoms = ba.atoms
+    required = [dict(zip(atoms, req)) for req in ba.states]
+    letter_cache: dict = {}
+
+    def step_letter(node: int, label, dst: int) -> dict:
+        key = (node, label, dst)
+        if key not in letter_cache:
+            src, post = g.nodes[node], g.nodes[dst]
+            event = None if label is STUTTER else Event(label, post.marking, post.store)
+            letter_cache[key] = eval_letter(atoms, src.marking, src.store, event)
+        return letter_cache[key]
+
+    succ_cache: dict = {}
+
+    def successors(prod):
+        if prod in succ_cache:
+            return succ_cache[prod]
+        (node, q) = prod
+        out = []
+        for (label, dst) in graph_steps(g, node):
+            if step_letter(node, label, dst) == required[q]:
+                for r in ba.succ[q]:
+                    out.append((dst, r))
+        succ_cache[prod] = out
+        return out
+
+    initial = [(g.initial, q) for q in ba.initial]
+    hit = _nested_dfs(initial, successors, lambda prod: ba.accepting[prod[1]])
+    if hit is None:
+        return CheckResult(True, None, len(succ_cache), False)
+    stem_nodes, cycle_nodes = hit
+
+    def project(seq) -> list:
+        """Product node sequence -> graph steps (src, label, dst)."""
+        steps = []
+        for (na, nb) in zip(seq, seq[1:]):
+            (ga, qa), (gb, qb) = na, nb
+            for (label, dst) in graph_steps(g, ga):
+                if dst == gb and qb in ba.succ[qa] \
+                        and step_letter(ga, label, dst) == required[qa]:
+                    steps.append((ga, label, gb))
+                    break
+            else:
+                raise AssertionError("lasso step lost during projection")
+        return steps
+
+    return CheckResult(False,
+                       Counterexample(tuple(project(stem_nodes)),
+                                      tuple(project(cycle_nodes))),
+                       len(succ_cache), False)
 
 
 def eval_letter(atoms, marking, store, event: Optional[Event]) -> dict:

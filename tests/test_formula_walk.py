@@ -34,8 +34,8 @@ from ttscheck.ltl import (
     children,
     formula_atoms,
     graph_steps,
-    letter,
     nnf,
+    run_letter,
     subformulas,
     truth,
 )
@@ -122,8 +122,11 @@ def ref_check_safety(g, body) -> CheckResult:
     while queue:
         node = queue.popleft()
         explored += 1
+        src = g.nodes[node]
         for (label, dst) in graph_steps(g, node):
-            a = letter(atoms, readers, g.nodes[node], label, g.nodes[dst])
+            post = g.nodes[dst]
+            a = dict(zip(atoms, run_letter(readers, src.marking, src.store, label,
+                                           post.marking, post.store)))
             if not ref_eval_propositional(body, a):
                 steps = [(node, label, dst)]
                 cur = node
@@ -161,7 +164,7 @@ assignments = st.fixed_dictionaries({x: st.booleans() for x in ATOMS})
 @settings(max_examples=300, deadline=None)
 @given(formulas)
 def test_walkers_agree_with_recursive_references(f):
-    assert formula_atoms(f) == ref_formula_atoms(f)
+    assert formula_atoms(f) == tuple(sorted(ref_formula_atoms(f), key=str))
     g = nnf(f)
     cl: set = set()
     ref_closure(g, cl)
@@ -192,7 +195,7 @@ def test_subformulas_walks_deep_formulas_without_recursion():
     f = ATOMS[0]
     for _ in range(5000):
         f = LAlways(f)
-    assert formula_atoms(f) == {ATOMS[0]}
+    assert formula_atoms(f) == (ATOMS[0],)
     assert sum(1 for _ in subformulas(f)) == 5001
 
 
