@@ -183,7 +183,9 @@ class Transition:
 @dataclass(frozen=True)
 class TtsModel:
     """A complete net.  Treated as immutable once validated: firing produces
-    fresh marking/store values, so a model can be shared across threads."""
+    fresh marking/store values.  The one part that changes is `step_memo`,
+    which `traces.simulate` fills without a lock, so a model can be shared
+    across threads as long as no two of them simulate it at once."""
 
     name: str
     places: dict  # name -> PlaceDecl
@@ -242,6 +244,12 @@ class TtsModel:
                 deps |= readers.get(x, set())
             out[name] = frozenset(deps)
         return out
+
+    @cached_property
+    def step_memo(self) -> "StepMemo":
+        """The simulator's `StepMemo`: every transition tracked, firing one
+        re-tests its `dependents`, and a step's payload is its `Event`."""
+        return StepMemo(self.dependents, _step_event)
 
 
 @dataclass(frozen=True)
@@ -501,6 +509,63 @@ def step(model: TtsModel, marking: Marking, store: Store, name: str,
              if u == name or u not in before
              or not is_enabled(model, model.transitions[u], mid_marking, store)}
     return new_marking, new_store, now_enabled, fresh
+
+
+class StepMemo:
+    """The `step`s of one run engine on one model, each taken once.
+
+    A state, the marking's and the store's values in the model's place and
+    variable order, is interned to an int id; `states[id]` holds the first
+    marking and store seen with those values.  `steps` maps (state id,
+    transition) to (successor id, the tracked transitions the firing
+    disables, the transitions whose clocks restart, sorted, payload), where
+    the payload is `payload(marking, store, transition, post marking, post
+    store)`.  A miss calls `step` unchanged, and nothing is stored unless it
+    returns, so a firing that `step` rejects raises again on every visit.
+
+    A step's result depends only on the pre-state, the transition, `among`
+    and `before`.  `among` is fixed per transition here, and an engine may
+    use the memo only if the `before` it passes is the pre-state's enabled
+    set among the transitions it tracks, so that the state id is a
+    sufficient key.  The memo holds no reference to its model: each call
+    passes it."""
+
+    __slots__ = ("among", "payload", "ids", "states", "steps")
+
+    def __init__(self, among: dict, payload):
+        self.among = among  # transition -> the tracked transitions step re-tests
+        self.payload = payload
+        self.ids: dict = {}  # state values -> state id
+        self.states: list = []  # state id -> (marking, store)
+        self.steps: dict = {}  # (state id, transition) -> step result
+
+    def intern(self, model: TtsModel, marking: Marking, store: Store) -> int:
+        key = (*map(marking.__getitem__, model.places), *map(store.__getitem__, model.vars))
+        sid = self.ids.get(key)
+        if sid is None:
+            sid = self.ids[key] = len(self.states)
+            self.states.append((marking, store))
+        return sid
+
+    def step(self, model: TtsModel, sid: int, name: str, before: Collection[str]) -> tuple:
+        """Fire `name` in state `sid`, whose tracked enabled set is `before`."""
+        key = (sid, name)
+        hit = self.steps.get(key)
+        if hit is None:
+            marking, store = self.states[sid]
+            among = self.among[name]
+            post_m, post_s, live, fresh = step(model, marking, store, name, before, among)
+            payload = self.payload(marking, store, name, post_m, post_s)
+            hit = self.steps[key] = (
+                self.intern(model, post_m, post_s),
+                tuple(n for n in among if n in before and n not in live),
+                tuple(sorted(fresh)), payload)
+        return hit
+
+
+def _step_event(marking: Marking, store: Store, name: str, post_marking: Marking,
+                post_store: Store) -> Event:
+    return Event(name, post_marking, post_store)
 
 
 def eval_predicate(p: EventPredicate, e: Event) -> bool:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
 from .expr import (Assign, Binary, Chain, Expr, Lit, Name, Unary, chain, free_names,
@@ -26,6 +26,7 @@ from .expr import (Assign, Binary, Chain, Expr, Lit, Name, Unary, chain, free_na
 from .model import (
     EventPredicate,
     ExplorationError,
+    StepMemo,
     TimeBound,
     TimeInterval,
     Transition,
@@ -35,7 +36,6 @@ from .model import (
     enabled,
     matching_transitions,
     residual_predicate,
-    step,
     validate_model,
 )
 from .ltl import (
@@ -116,7 +116,8 @@ class ObserverSpec:
 @dataclass(frozen=True)
 class InstrumentedModel:
     """A composed model.  The cached properties are what every replay of it
-    reads; each is computed on first use and never changed afterwards."""
+    reads; each is computed on first use, and all but `step_memo`, which
+    the replays fill, never change afterwards."""
 
     model: TtsModel
     provenance: dict  # element name -> "system" | "observer" | "hooked"
@@ -157,11 +158,19 @@ class InstrumentedModel:
                 for n, deps in self.model.dependents.items()}
 
     @cached_property
+    def step_memo(self) -> StepMemo:
+        """Replay's `model.StepMemo`: the watchers tracked, firing a
+        transition re-tests its `watcher_dependents`, and a step's payload
+        is its `run_letter` tuple."""
+        return StepMemo(self.watcher_dependents, partial(run_letter, self.atom_readers))
+
+    @cached_property
     def replay_start(self) -> tuple:
-        """Initial marking and store, and the watchers enabled in them, by
-        name."""
+        """The initial state's id in `step_memo`, and the watchers enabled
+        in it, by name."""
         m, s = self.model.initial_marking(), self.model.initial_store()
-        return m, s, tuple(sorted(enabled(self.model, m, s, self.observer_transitions)))
+        return (self.step_memo.intern(self.model, m, s),
+                tuple(sorted(enabled(self.model, m, s, self.observer_transitions))))
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +570,9 @@ class _ReplayState:
     watchers': `watches` holds the enabled watchers' windows only, a firing
     re-tests only the watchers it may change (`watcher_dependents`), and a
     system event the composed net cannot fire still raises in `model.fire`.
+    Each step, with its letter, is read from the composed model's
+    `step_memo`: `state` is the current state's id there, and `watches` is
+    the pre-state's tracked enabled set that the memo relies on.
 
     Times are ints, in ticks of 1/scale, an exact rescaling: `scale` starts
     as a multiple of the model's `time_scale` and of every time of the
@@ -570,16 +582,23 @@ class _ReplayState:
 
     def __init__(self, inst: InstrumentedModel, scale: int):
         self.model = inst.model
-        self.readers = inst.atom_readers
+        self.memo = inst.step_memo
         self.priority_pairs = inst.priority_pairs
-        self.dependents = inst.watcher_dependents
-        self.marking, self.store, live = inst.replay_start
+        self.state, live = inst.replay_start
         self.scale = scale
         self.factor = scale // self.model.time_scale  # ticks per model unit
         self.now = 0
         self.until: Optional[int] = None  # time of the next system event
         self.watches: dict = {n: _window(self.model, n, 0, self.factor) for n in live}
         self.letters: list = []
+
+    @property
+    def marking(self) -> dict:
+        return self.memo.states[self.state][0]
+
+    @property
+    def store(self) -> dict:
+        return self.memo.states[self.state][1]
 
     def ticks(self, t: Fraction) -> int:
         """Time `t` of the trace in ticks."""
@@ -596,15 +615,12 @@ class _ReplayState:
             w.double()
 
     def _fire(self, name: str):
-        among = self.dependents[name]
-        prev_m, prev_s = self.marking, self.store
-        self.marking, self.store, live, fresh = step(
-            self.model, self.marking, self.store, name, self.watches, among)
-        self.letters.append(run_letter(self.readers, prev_m, prev_s, name,
-                                       self.marking, self.store))
-        for gone in [n for n in among if n in self.watches and n not in live]:
-            del self.watches[gone]
-        for n in sorted(fresh):
+        self.state, gone, fresh, letter = self.memo.step(
+            self.model, self.state, name, self.watches)
+        self.letters.append(letter)
+        for n in gone:
+            del self.watches[n]
+        for n in fresh:
             self.watches[n] = _window(self.model, n, self.now, self.factor)
 
     def _ripe(self) -> Optional[str]:
@@ -678,13 +694,14 @@ def replay_instrumented(inst: InstrumentedModel, trace: TimedTrace) -> TraceVerd
         st.play_until(st.ticks(t), ev.transition)
         st._fire(ev.transition)
         # recorded post-state must agree on the system projection
+        store = st.store
         for k, v in ev.store.items():
-            if st.store.get(k) != v:
+            if store.get(k) != v:
                 raise ExplorationError(f"replay diverged on variable {k!r}")
     st.play_until(max(st.ticks(trace.end), st.now))
     # play out remaining watcher deadlines over an idle tail: decisive oracle
     # verdicts are stable under every continuation, including this one
     st.play_until(None)
-    final = run_letter(st.readers, st.marking, st.store, None, None, None)
+    final = run_letter(inst.atom_readers, st.marking, st.store, None, None, None)
     holds = run_lasso_program(inst.lasso_program, st.letters, [final])
     return TraceVerdict(Verdict.HOLDS if holds else Verdict.FAILS)

@@ -23,7 +23,6 @@ from .model import (
     TtsModel,
     enabled,
     fire,
-    step,
 )
 
 
@@ -151,6 +150,10 @@ def simulate(model: TtsModel, horizon: Fraction, seed: int,
     horizon's denominator, and doubles, with every time the run holds,
     whenever a midpoint falls between two ticks.
 
+    Each untimed step is read from the model's `step_memo`, so a step
+    taken in an earlier run, or earlier in this one, is not taken again,
+    and runs that take the same step share its `Event`.
+
     Random choices do not depend on `horizon` until the first firing past
     it, so a run to a smaller horizon is this run cut there (`truncate`).
     More than `MAX_FIRINGS_AT_ONE_INSTANT` firings in a row at one instant
@@ -163,9 +166,10 @@ def simulate(model: TtsModel, horizon: Fraction, seed: int,
     grid = scale // denominator  # ticks per 1/denominator step
     end = horizon.numerator * (scale // horizon.denominator)
     higher = {n: model.higher_than(n) for n in model.transitions}
-    dependents = model.dependents
+    memo = model.step_memo
     marking = model.initial_marking()
     store = model.initial_store()
+    state = memo.intern(model, marking, store)
     now = 0
     pending: dict = {}
     for name in sorted(enabled(model, marking, store)):
@@ -225,24 +229,22 @@ def simulate(model: TtsModel, horizon: Fraction, seed: int,
             raise ExplorationError(
                 f"more than {MAX_FIRINGS_AT_ONE_INSTANT} firings at time "
                 f"{format_rational(Fraction(tau, scale))} without time passing")
-        among = dependents[name]
-        marking, store, now_enabled, fresh = step(
-            model, marking, store, name, pending, among)
-        timed.append((tau, Event(name, marking, store)))
-        for gone in [n for n in among if n in pending and n not in now_enabled]:
-            del pending[gone]
+        state, gone, fresh, event = memo.step(model, state, name, pending)
+        timed.append((tau, event))
+        for n in gone:
+            del pending[n]
         # strict-later obligation for higher-priority competitors we preempted
         for h in higher[name]:
             if h in pending and h not in fresh:
                 w = pending[h]
                 if w.earliest < tau or (w.earliest == tau and not w.earliest_strict):
                     w.earliest, w.earliest_strict = tau, True
-        for n in sorted(fresh):
+        for n in fresh:
             pending[n] = _window(model, n, tau, factor)
         now = tau
 
     return TimedTrace(tuple((Fraction(t, scale), e) for t, e in timed), Fraction(now, scale),
-                      (model.initial_marking(), model.initial_store()), deadlocked)
+                      (marking, store), deadlocked)
 
 
 def truncate(trace: TimedTrace, horizon) -> TimedTrace:

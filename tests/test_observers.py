@@ -22,7 +22,6 @@ from ttscheck.ltl import (
     StateAtom,
     check,
     formula_atoms,
-    run_letter,
 )
 from ttscheck.model import Event, ExplorationError, Transition, closed_interval, eval_predicate
 from ttscheck.observers import (
@@ -330,16 +329,32 @@ def ref_run_eval(f, run: list, final_state: tuple, i: int = 0) -> bool:
 
 def test_lasso_reading_agrees_with_weak_run_evaluation(monkeypatch, airlock, relay, chain):
     # every replayed run of the catalogs, inconclusive-oracle runs included:
-    # the final state stuttering forever reads like the weak finite reading
+    # the final state stuttering forever reads like the weak finite reading.
+    # Each step is recorded where every firing passes, `_ReplayState._fire`,
+    # whether or not the step memo already held it; the final stutter
+    # letter where the lasso program reads it
     steps = []
+    replays = []
+    lasso_program_run = observers.run_lasso_program
 
-    def recording(readers, marking, store, transition, post_marking, post_store):
-        letter = run_letter(readers, marking, store, transition, post_marking, post_store)
-        event = None if transition is None else Event(transition, post_marking, post_store)
-        steps.append((marking, store, event, letter))
-        return letter
+    class Recording(observers._ReplayState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            replays.append(self)
 
-    monkeypatch.setattr(observers, "run_letter", recording)
+        def _fire(self, name):
+            m, s = self.marking, self.store
+            super()._fire(name)
+            steps.append((m, s, Event(name, self.marking, self.store), self.letters[-1]))
+
+    def reading(program, stem, cycle):
+        (st,) = replays
+        assert stem is st.letters and len(cycle) == 1
+        steps.append((st.marking, st.store, None, cycle[0]))
+        return lasso_program_run(program, stem, cycle)
+
+    monkeypatch.setattr(observers, "_ReplayState", Recording)
+    monkeypatch.setattr(observers, "run_lasso_program", reading)
     compared = holds = 0
     for model in (airlock, relay, chain):
         patterns = [parse_pattern(t) for t in xcheck_catalog(model.name)]
@@ -350,6 +365,7 @@ def test_lasso_reading_agrees_with_weak_run_evaluation(monkeypatch, airlock, rel
             atoms = formula_atoms(inst.formula)
             for seed, t in enumerate(traces):
                 steps.clear()
+                replays.clear()
                 rv = replay_instrumented(inst, t)
                 *run, (m, s, last, _) = steps
                 assert last is None and all(e is not None for (_, _, e, _) in run)
