@@ -10,8 +10,8 @@ Domains are `zone.Domain`s: every interval constant of the model is scaled
 by the LCM of their denominators and each bound is one int, so firability is
 an O(n) test and a successor one incremental closure (see `zone`).  The
 rescaling is exact.  No product code reads a domain's values: the exports
-print each class's marking and store only, and `Domain.bounds_of`, `entry`
-and `dump`, which decode bounds back to Fractions, serve the tests.
+print each class's marking and store only, and the tests decode bounds back
+to Fractions with their own readers.
 """
 
 from __future__ import annotations

@@ -356,18 +356,6 @@ def free_names(e: Expr) -> set[str]:
     raise AssertionError(f"unhandled expression node {e!r}")
 
 
-def action_names(acts: tuple[Assign, ...]) -> tuple[set[str], set[str]]:
-    """Return (read names, written names) of an action sequence."""
-    read: set[str] = set()
-    written: set[str] = set()
-    for a in acts:
-        read |= free_names(a.expr)
-        if a.cond is not None:
-            read |= free_names(a.cond)
-        written.add(a.target)
-    return read, written
-
-
 # ---------------------------------------------------------------------------
 # Pretty printing (used by model/pattern serializers and diagnostics)
 

@@ -148,8 +148,6 @@ class LEventually:
 LtlFormula = Union[TT, FF, EventAtom, StateAtom, LNot, LAnd, LOr, LImplies,
                    LUntil, LRelease, LAlways, LEventually]
 
-Atom = Union[EventAtom, StateAtom]
-
 
 def nnf(f: LtlFormula, neg: bool = False) -> LtlFormula:
     """Negation normal form over the core TT/FF/atom/and/or/U/R."""
@@ -281,7 +279,7 @@ class BuchiAutomaton:
     accepting: list  # bool per state
 
     @property
-    def state_count(self) -> int:
+    def state_count(self) -> int:  # api: benchmarks/tracing.py
         return len(self.states)
 
 

@@ -27,7 +27,6 @@ from .expr import (
     Name,
     Unary,
     _Parser,
-    action_names,
     chain,
     eval_expr,
     format_rational,
@@ -132,16 +131,6 @@ def read_interval(p: _Parser) -> TimeInterval:
     err = iv.check()
     if err:
         raise ExprError(f"bad interval {text!r}: {err}")
-    return iv
-
-
-def parse_interval(text: str) -> TimeInterval:
-    p = _Parser(tokenize(text))
-    try:
-        iv = read_interval(p)
-        p.expect_end()
-    except ExprError as exc:
-        raise ModelError(str(exc)) from exc
     return iv
 
 
@@ -329,10 +318,11 @@ def _expr_kind(e: Expr, model: TtsModel, diags: list, where: str,
 
 
 def check_expr(e: Expr, model: TtsModel, where: str, *, allow_transitions: bool = False,
-               want: str = "bool") -> list:
+               want: Optional[str] = "bool") -> list:
+    """Scoping and typing diagnostics of `e`; `want=None` accepts either type."""
     diags: list = []
     k = _expr_kind(e, model, diags, where, allow_transitions)
-    if k is not None and k != want:
+    if k is not None and want is not None and k != want:
         diags.append(Diagnostic(where, f"expression has type {k}, expected {want}"))
     return diags
 
@@ -369,21 +359,14 @@ def validate_model(model: TtsModel) -> list:
                 diags.append(Diagnostic(t.name, f"arc references undeclared place {arc!r}"))
         if t.guard is not None:
             diags.extend(check_expr(t.guard, model, t.name))
-            for ident in free_names(t.guard):
-                if ident in model.transitions:
-                    diags.append(Diagnostic(t.name, f"guard references transition {ident!r}"))
         for a in t.action:
-            if a.target not in model.vars:
+            target = model.vars.get(a.target)
+            if target is None:
                 diags.append(Diagnostic(t.name, f"action assigns undeclared variable {a.target!r}"))
-            else:
-                want = model.vars[a.target].kind
-                diags.extend(check_expr(a.expr, model, t.name, want=want))
+            diags.extend(check_expr(a.expr, model, t.name,
+                                    want=target.kind if target is not None else None))
             if a.cond is not None:
                 diags.extend(check_expr(a.cond, model, t.name))
-            read, _ = action_names((a,))
-            for ident in read:
-                if ident in model.transitions:
-                    diags.append(Diagnostic(t.name, f"action references transition {ident!r}"))
 
     for (hi, lo) in model.priority:
         if hi == lo:

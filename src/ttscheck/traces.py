@@ -262,7 +262,7 @@ def truncate(trace: TimedTrace, horizon) -> TimedTrace:
                       trace.initial, False)
 
 
-def replay(model: TtsModel, trace: TimedTrace) -> bool:
+def replay(model: TtsModel, trace: TimedTrace) -> bool:  # api: benchmarks/verify.py
     """Re-fire the trace's events in order, checking recorded post-states."""
     marking = model.initial_marking()
     store = model.initial_store()
@@ -354,6 +354,8 @@ def _parse_state(rest: str, lineno: int):
 
 
 def parse_trace(text: str) -> TimedTrace:
+    """`.trace` text as a trace: an `=` initial state may come first only,
+    and nothing may follow `%deadlock`."""
     items: list = []
     initial = None
     deadlocked = False
@@ -361,6 +363,8 @@ def parse_trace(text: str) -> TimedTrace:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if deadlocked:
+            raise TraceError(f"line {lineno}: nothing may follow %deadlock")
         if line == "%deadlock":
             deadlocked = True
             continue
@@ -381,6 +385,8 @@ def parse_trace(text: str) -> TimedTrace:
             marking, store = _parse_state(staterest, lineno)
             items.append(Event(name, marking, store))
         elif head == "=":
+            if items or initial is not None:
+                raise TraceError(f"line {lineno}: the '=' initial state must be the first item")
             initial = _parse_state(rest, lineno)
         else:
             raise TraceError(f"line {lineno}: unknown item {head!r}")

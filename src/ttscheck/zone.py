@@ -1,18 +1,13 @@
-"""Difference-bound matrices over firing-time variables, with strict bounds.
+"""Firing domains of the state-class graph: difference-bound matrices over
+firing-time variables, with strict bounds.
 
-Both representations here constrain variables th_1..th_n (one per enabled
-transition) plus the constant 0 at index 0: entry (i, j) is an upper bound on
-th_i - th_j.  Canonical form is the all-pairs-shortest-path closure, which is
-a normal form: two constraint sets have the same solutions iff their canonical
+A domain constrains variables th_1..th_n (one per enabled transition) plus
+the constant 0 at index 0: entry (i, j) is an upper bound on th_i - th_j.
+Canonical form is the all-pairs-shortest-path closure, which is a normal
+form: two constraint sets have the same solutions iff their canonical
 matrices are identical.
 
-`Dbm` holds exact rationals tagged strict/non-strict, `None` standing for
-+infinity, and closes with a full Floyd-Warshall (`canonicalize`).  No
-product code path calls it: tests keep it as the reference for the integer
-kernel and for the witness schedules of `ltl`, which solve their sparse
-constraints by shortest paths instead.
-
-`Domain` is the firing domain of the state-class graph.  Every interval
+`Domain` is the one representation the product uses.  Every interval
 constant of the model is multiplied by `scale`, the LCM of their
 denominators, so each bound is an integer c; zone entries are sums of those
 constants, so the rescaling is exact.  A bound is stored as one int, `2c`
@@ -20,8 +15,13 @@ for `< c` and `2c+1` for `<= c` (Bengtsson & Yi, LNCS 3098), with `INF` for
 +infinity; integer order is then the order of bounds.  Firability is an O(n)
 test on the canonical domain and the successor domain an incremental closure
 of one row (Berthomieu & Diaz, IEEE TSE 1991), so the class graph never runs
-a full closure.  Values leave the kernel as Fractions: `Domain.bounds_of`,
-`entry` and `dump` decode to the same `(value, strict)` pairs as `Dbm`.
+a full closure.
+
+`Dbm` and `canonicalize` are the Fraction core that the benchmark's tracer
+names: exact rationals tagged strict/non-strict, `None` standing for
++infinity, closed by a full Floyd-Warshall.  No command calls them; the
+tests build their reference zones, and decode `Domain` entries to the same
+`(value, strict)` pairs, in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .expr import format_rational
 from .model import TimeInterval
 
 # A bound is (value, strict) or None for +infinity.
@@ -61,13 +60,6 @@ def bound_add(a: Bound, b: Bound) -> Bound:
     return (a[0] + b[0], a[1] or b[1])
 
 
-def format_bound(b: Bound) -> str:
-    if b is None:
-        return "inf"
-    op = "<" if b[1] else "<="
-    return f"{op}{format_rational(b[0])}"
-
-
 @dataclass(frozen=True)
 class Dbm:
     """Canonical difference-bound matrix; index 0 is the constant zero."""
@@ -79,50 +71,11 @@ class Dbm:
     def size(self) -> int:
         return len(self.names) + 1
 
-    def index(self, name: str) -> int:
-        return self.names.index(name) + 1
 
-    def bounds_of(self, name: str) -> tuple:
-        """Return (lower bound, upper bound) of a variable as Bound pairs.
-
-        The lower bound is returned as the raw (0 - th) entry: value -c with
-        strictness s encodes th >= c (strict if s).
-        """
-        i = self.index(name)
-        return self.m[0][i], self.m[i][0]
-
-    def entry(self, a: str, b: str) -> Bound:
-        i = 0 if a == "0" else self.index(a)
-        j = 0 if b == "0" else self.index(b)
-        return self.m[i][j]
-
-    def dump(self) -> str:
-        """Matrix of `<v` / `<=v` / `inf` entries, used by golden tests."""
-        labels = ("0",) + self.names
-        rows = []
-        for i, row in enumerate(self.m):
-            cells = "  ".join(format_bound(b) for b in row)
-            rows.append(f"{labels[i]}: {cells}")
-        return "\n".join(rows)
-
-
-def _rows(d: Dbm) -> list:
-    return [list(row) for row in d.m]
-
-
-def _freeze(names: tuple, rows: list) -> Dbm:
-    return Dbm(names, tuple(tuple(row) for row in rows))
-
-
-def trivial() -> Dbm:
-    """The zone with no variables (valid deadlock domain)."""
-    return Dbm((), ((LE_ZERO,),))
-
-
-def canonicalize(d: Dbm) -> Optional[Dbm]:
+def canonicalize(d: Dbm) -> Optional[Dbm]:  # api: benchmarks/tracing.py
     """Shortest-path closure; None when the constraints are inconsistent."""
     n = d.size
-    rows = _rows(d)
+    rows = [list(row) for row in d.m]
     for i in range(n):
         rows[i][i] = bound_min(rows[i][i], LE_ZERO)
     for k in range(n):
@@ -140,89 +93,7 @@ def canonicalize(d: Dbm) -> Optional[Dbm]:
         dii = rows[i][i]
         if dii is not None and (dii[0] < 0 or (dii[0] == 0 and dii[1])):
             return None
-    return _freeze(d.names, rows)
-
-
-def from_constraints(names: tuple, constraints: dict) -> Optional[Dbm]:
-    """Build and canonicalize a zone from {(i, j): Bound} raw constraints."""
-    size = len(names) + 1
-    rows = [[None if i != j else LE_ZERO for j in range(size)] for i in range(size)]
-    for (i, j), b in constraints.items():
-        rows[i][j] = bound_min(rows[i][j], b)
-    return canonicalize(_freeze(tuple(names), rows))
-
-
-def constrain_many(d: Dbm, items) -> Optional[Dbm]:
-    rows = _rows(d)
-    changed = False
-    for (i, j, b) in items:
-        if not bound_le(rows[i][j], b):
-            rows[i][j] = b
-            changed = True
-    if not changed:
-        return d
-    return canonicalize(_freeze(d.names, rows))
-
-
-def interval_bounds(interval: TimeInterval) -> tuple:
-    """Static interval as (upper Bound on th, upper Bound on -th)."""
-    up: Bound
-    if interval.upper.is_infinite:
-        up = None
-    else:
-        up = (interval.upper.value, interval.upper.strict)
-    lo: Bound = (-interval.lower.value, interval.lower.strict)
-    return up, lo
-
-
-def add_variable(d: Dbm, name: str, interval: TimeInterval) -> Optional[Dbm]:
-    """Insert a fresh variable constrained to its static interval only."""
-    if name in d.names:
-        raise ValueError(f"variable {name!r} already present")
-    names = tuple(sorted(d.names + (name,)))
-    pos = names.index(name) + 1
-    up, lo = interval_bounds(interval)
-    size = len(names) + 1
-
-    def old_index(k: int) -> Optional[int]:
-        if k == 0:
-            return 0
-        n = names[k - 1]
-        if n == name:
-            return None
-        return d.index(n)
-
-    rows = []
-    for a in range(size):
-        oa = old_index(a)
-        row = []
-        for b in range(size):
-            ob = old_index(b)
-            if oa is None and ob is None:
-                row.append(LE_ZERO)
-            elif oa is None:
-                row.append(up if ob == 0 else None)
-            elif ob is None:
-                row.append(lo if oa == 0 else None)
-            else:
-                row.append(d.m[oa][ob])
-        rows.append(row)
-    assert rows[pos][pos] == LE_ZERO
-    return canonicalize(_freeze(names, rows))
-
-
-def satisfies(d: Dbm, point: dict) -> bool:
-    """Check a concrete rational valuation against all matrix constraints."""
-    vals = [Fraction(0)] + [Fraction(point[n]) for n in d.names]
-    for i in range(d.size):
-        for j in range(d.size):
-            b = d.m[i][j]
-            if b is None:
-                continue
-            diff = vals[i] - vals[j]
-            if diff > b[0] or (diff == b[0] and b[1]):
-                return False
-    return True
+    return Dbm(d.names, tuple(tuple(row) for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +129,6 @@ def _encode(value: Fraction, strict: bool, scale: int) -> int:
     return 2 * scaled.numerator + (0 if strict else 1)
 
 
-def _decode(e, scale: int) -> Bound:
-    if e == INF:
-        return None
-    return (Fraction(e >> 1, scale), not e & 1)
-
-
 def _encode_interval(interval: TimeInterval, scale: int) -> tuple:
     """Static interval as encoded (upper bound on th, upper bound on -th)."""
     up = interval.upper
@@ -281,23 +146,6 @@ class Domain:
 
     def index(self, name: str) -> int:
         return self.names.index(name) + 1
-
-    def bounds_of(self, name: str) -> tuple:
-        """(lower, upper) of a variable as decoded Bound pairs, as `Dbm.bounds_of`."""
-        i = self.index(name)
-        return _decode(self.m[0][i], self.scale), _decode(self.m[i][0], self.scale)
-
-    def entry(self, a: str, b: str) -> Bound:
-        i = 0 if a == "0" else self.index(a)
-        j = 0 if b == "0" else self.index(b)
-        return _decode(self.m[i][j], self.scale)
-
-    def dump(self) -> str:
-        """Decoded matrix, byte-identical to `Dbm.dump` of the same zone."""
-        labels = ("0",) + self.names
-        return "\n".join(
-            f"{labels[i]}: " + "  ".join(format_bound(_decode(e, self.scale)) for e in row)
-            for i, row in enumerate(self.m))
 
 
 def firable(d: Domain, t: str, higher) -> bool:

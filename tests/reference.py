@@ -11,8 +11,9 @@ replaced), the non-intrusiveness of an observer composition, the text form
 of an action list, the simulator and instrumented replay with `Fraction`
 time, a replay that tracks every transition's enabledness, and the
 character-scanning readers of `.tts` transition lines and `.pat` lines that
-the token-level ones replaced.  No module under `src/ttscheck` imports
-this one.
+the token-level ones replaced, and the Fraction zones built on
+`zone.canonicalize` with the readers that decode a `zone.Domain` to them.
+No module under `src/ttscheck` imports this one.
 """
 
 import random
@@ -22,6 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ttscheck import classgraph as cg
+from ttscheck import zone
 from ttscheck.expr import (
     Assign,
     ExprError,
@@ -31,6 +33,7 @@ from ttscheck.expr import (
     format_expr,
     format_rational,
     parse_rational,
+    tokenize,
 )
 from ttscheck.ltl import (
     FF,
@@ -63,6 +66,7 @@ from ttscheck.model import (
     Transition,
     TtsModel,
     enabled,
+    read_interval,
     step,
 )
 from ttscheck.observers import MAX_WATCHER_FIRINGS, InstrumentedModel
@@ -897,3 +901,140 @@ def parse_pattern_scanning(text: str):
         tok = p.peek()
         raise PatternError(f"trailing input {tok.text!r} at column {tok.pos + 1}")
     return out
+
+
+# ---------------------------------------------------------------------------
+# Fraction zones: `zone.Dbm` built from constraints and static intervals, a
+# point test, and the readers that give a `zone.Dbm` or an integer
+# `zone.Domain` back as `(value, strict)` bounds, None for +infinity
+
+
+def _freeze(names: tuple, rows: list) -> zone.Dbm:
+    return zone.Dbm(names, tuple(tuple(row) for row in rows))
+
+
+def trivial() -> zone.Dbm:
+    """The zone with no variables (valid deadlock domain)."""
+    return zone.Dbm((), ((zone.LE_ZERO,),))
+
+
+def from_constraints(names: tuple, constraints: dict) -> Optional[zone.Dbm]:
+    """Build and canonicalize a zone from {(i, j): Bound} raw constraints."""
+    size = len(names) + 1
+    rows = [[None if i != j else zone.LE_ZERO for j in range(size)] for i in range(size)]
+    for (i, j), b in constraints.items():
+        rows[i][j] = zone.bound_min(rows[i][j], b)
+    return zone.canonicalize(_freeze(tuple(names), rows))
+
+
+def constrain_many(d: zone.Dbm, items) -> Optional[zone.Dbm]:
+    rows = [list(row) for row in d.m]
+    changed = False
+    for (i, j, b) in items:
+        if not zone.bound_le(rows[i][j], b):
+            rows[i][j] = b
+            changed = True
+    if not changed:
+        return d
+    return zone.canonicalize(_freeze(d.names, rows))
+
+
+def interval_bounds(interval: TimeInterval) -> tuple:
+    """Static interval as (upper Bound on th, upper Bound on -th)."""
+    up = None if interval.upper.is_infinite else (interval.upper.value, interval.upper.strict)
+    return up, (-interval.lower.value, interval.lower.strict)
+
+
+def add_variable(d: zone.Dbm, name: str, interval: TimeInterval) -> Optional[zone.Dbm]:
+    """Insert a fresh variable constrained to its static interval only."""
+    if name in d.names:
+        raise ValueError(f"variable {name!r} already present")
+    names = tuple(sorted(d.names + (name,)))
+    up, lo = interval_bounds(interval)
+    old = [0] + [None if n == name else index(d, n) for n in names]
+    rows = []
+    for oa in old:
+        row = []
+        for ob in old:
+            if oa is None and ob is None:
+                row.append(zone.LE_ZERO)
+            elif oa is None:
+                row.append(up if ob == 0 else None)
+            elif ob is None:
+                row.append(lo if oa == 0 else None)
+            else:
+                row.append(d.m[oa][ob])
+        rows.append(row)
+    return zone.canonicalize(_freeze(names, rows))
+
+
+def satisfies(d: zone.Dbm, point: dict) -> bool:
+    """Check a concrete rational valuation against all matrix constraints."""
+    vals = [Fraction(0)] + [Fraction(point[n]) for n in d.names]
+    for i in range(d.size):
+        for j in range(d.size):
+            b = d.m[i][j]
+            if b is None:
+                continue
+            diff = vals[i] - vals[j]
+            if diff > b[0] or (diff == b[0] and b[1]):
+                return False
+    return True
+
+
+def decode(e, scale: int):
+    """An encoded `zone.Domain` bound as a `(value, strict)` pair."""
+    if e == zone.INF:
+        return None
+    return (Fraction(e >> 1, scale), not e & 1)
+
+
+def _bound(d, e):
+    return decode(e, d.scale) if isinstance(d, zone.Domain) else e
+
+
+def index(d, name: str) -> int:
+    """Row of a variable of a `Dbm` or `Domain`; "0" is the constant zero."""
+    return 0 if name == "0" else d.names.index(name) + 1
+
+
+def bounds_of(d, name: str) -> tuple:
+    """(lower, upper) of a variable of a `Dbm` or `Domain`.
+
+    The lower bound is the raw (0 - th) entry: value -c with strictness s
+    encodes th >= c (strict if s).
+    """
+    i = index(d, name)
+    return _bound(d, d.m[0][i]), _bound(d, d.m[i][0])
+
+
+def entry(d, a: str, b: str):
+    """Bound on th_a - th_b of a `Dbm` or `Domain`."""
+    return _bound(d, d.m[index(d, a)][index(d, b)])
+
+
+def format_bound(b) -> str:
+    if b is None:
+        return "inf"
+    op = "<" if b[1] else "<="
+    return f"{op}{format_rational(b[0])}"
+
+
+def dump(d) -> str:
+    """Matrix of `<v` / `<=v` / `inf` entries, the same text for a `Dbm` and
+    a `Domain` of one zone."""
+    labels = ("0",) + d.names
+    return "\n".join(
+        f"{labels[i]}: " + "  ".join(format_bound(_bound(d, e)) for e in row)
+        for i, row in enumerate(d.m))
+
+
+def parse_interval(text: str) -> TimeInterval:
+    """A whole text as one interval, read by the model's `read_interval`."""
+    p = _Parser(tokenize(text))
+    try:
+        iv = read_interval(p)
+        p.expect_end()
+    except ExprError as exc:
+        raise ModelError(str(exc)) from exc
+    return iv

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import guarded_nets
+from reference import bounds_of
 from ttscheck import classgraph as cg
 from ttscheck.model import ExplorationError, fire, parse_tts
 from ttscheck.traces import simulate
@@ -16,14 +17,14 @@ def test_initial_class_airlock(airlock):
     assert c.store == {"req1": False, "req2": False}
     assert c.domain.names == ("Button1", "Button2", "Shutdown")
     for n in c.domain.names:
-        lo, up = c.domain.bounds_of(n)
+        lo, up = bounds_of(c.domain, n)
         assert lo == (Fraction(0), False) and up is None
 
 
 def test_initial_class_punctual_window():
     m = parse_tts("places P=1\ntrans t in [6,6] consume {P}\n")
     c = cg.initial_class(m)
-    assert c.domain.bounds_of("t") == ((Fraction(-6), False), (Fraction(6), False))
+    assert bounds_of(c.domain, "t") == ((Fraction(-6), False), (Fraction(6), False))
 
 
 def test_initial_class_deadlock_is_valid():
@@ -61,7 +62,7 @@ def test_successor_airlock_close_window(airlock):
     c = cg.successor(airlock, c, "Open1")
     assert c.marking["D1isOpen"] == 1
     assert "Close1" in c.domain.names
-    assert c.domain.bounds_of("Close1") == ((Fraction(-4), False), (Fraction(4), False))
+    assert bounds_of(c.domain, "Close1") == ((Fraction(-4), False), (Fraction(4), False))
 
 
 def test_successor_fires_ventil_chain(airlock):
@@ -69,7 +70,7 @@ def test_successor_fires_ventil_chain(airlock):
     for t in ("Button1", "Open1", "Close1"):
         c = cg.successor(airlock, c, t)
     assert c.store["req1"] is False
-    assert c.domain.bounds_of("Ventil") == ((Fraction(-6), False), (Fraction(6), False))
+    assert bounds_of(c.domain, "Ventil") == ((Fraction(-6), False), (Fraction(6), False))
 
 
 def test_successor_persistent_residual_window():
@@ -77,7 +78,7 @@ def test_successor_persistent_residual_window():
     m = parse_tts("places P=1 Q=1\ntrans t in [1,1] consume {P}\ntrans u in [2,5] consume {Q}\n")
     c = cg.initial_class(m)
     c2 = cg.successor(m, c, "t")
-    assert c2.domain.bounds_of("u") == ((Fraction(-1), False), (Fraction(4), False))
+    assert bounds_of(c2.domain, "u") == ((Fraction(-1), False), (Fraction(4), False))
 
 
 def test_successor_requires_firability():

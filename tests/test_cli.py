@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import guarded_nets
+from test_traces import MISPLACED_ITEMS
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -243,6 +244,16 @@ def test_bad_trace_value_or_zero_denominator_is_input_error(tmp_path, args, text
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
+
+
+@pytest.mark.parametrize("name", MISPLACED_ITEMS)
+def test_misplaced_trace_item_is_input_error(tmp_path, name):
+    text, message = MISPLACED_ITEMS[name]
+    path = tmp_path / "misplaced.trace"
+    path.write_text(text)
+    r = run_cli("oracle", "present Open1 after Button1 within [0,10]", str(path))
+    assert r.returncode == 2
+    assert r.stderr == f"error: cannot load trace {path}: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["check", "xcheck"])

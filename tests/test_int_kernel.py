@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+import reference
 from conftest import n_door_airlock, nets
 from ttscheck import classgraph as cg
 from ttscheck import zone
@@ -31,19 +32,19 @@ from ttscheck.model import (
 
 def ref_initial(model):
     marking, store = model.initial_marking(), model.initial_store()
-    d = zone.trivial()
+    d = reference.trivial()
     for name in sorted(enabled(model, marking, store)):
-        d = zone.add_variable(d, name, model.transitions[name].timing)
+        d = reference.add_variable(d, name, model.transitions[name].timing)
     return marking, store, d
 
 
 def ref_fire_window(model, d, t):
     if t not in d.names:
         return None
-    ti = d.index(t)
+    ti = reference.index(d, t)
     higher = model.higher_than(t)
-    items = [(ti, d.index(u), (Fraction(0), u in higher)) for u in d.names if u != t]
-    return zone.constrain_many(d, items)
+    items = [(ti, reference.index(d, u), (Fraction(0), u in higher)) for u in d.names if u != t]
+    return reference.constrain_many(d, items)
 
 
 def ref_firable(model, d):
@@ -57,11 +58,11 @@ def ref_successor(model, cls, t):
     new_marking, new_store, now_enabled, fresh = step(
         model, marking, store, t, enabled(model, marking, store))
     names = tuple(sorted(now_enabled - fresh))
-    ti = fired.index(t)
-    old = [ti] + [fired.index(n) for n in names]
+    ti = reference.index(fired, t)
+    old = [ti] + [reference.index(fired, n) for n in names]
     d2 = zone.Dbm(names, tuple(tuple(fired.m[a][b] for b in old) for a in old))
     for name in sorted(fresh):
-        d2 = zone.add_variable(d2, name, model.transitions[name].timing)
+        d2 = reference.add_variable(d2, name, model.transitions[name].timing)
     return new_marking, new_store, zone.canonicalize(d2)
 
 
@@ -107,7 +108,7 @@ def assert_same_graph(model, max_classes=1_000_000):
     for c, (marking, store, d) in zip(g.nodes, nodes):
         assert (c.marking, c.store) == (marking, store)
         assert c.domain.names == d.names
-        assert c.domain.dump() == d.dump()
+        assert reference.dump(c.domain) == reference.dump(d)
         assert cg.firable(model, c) == ref_firable(model, d)
     return g
 
@@ -131,10 +132,10 @@ def test_bounds_decode_to_exact_fractions():
                   "trans b in [1/4,1] consume {Q}\n")
     c = cg.initial_class(m)
     assert c.domain.scale == 12
-    assert c.domain.bounds_of("a") == ((Fraction(-1, 3), True), (Fraction(5, 2), True))
-    assert c.domain.bounds_of("b") == ((Fraction(-1, 4), False), (Fraction(1), False))
-    assert c.domain.entry("a", "b") == (Fraction(9, 4), True)
-    assert c.domain.dump() == ref_initial(m)[2].dump()
+    assert reference.bounds_of(c.domain, "a") == ((Fraction(-1, 3), True), (Fraction(5, 2), True))
+    assert reference.bounds_of(c.domain, "b") == ((Fraction(-1, 4), False), (Fraction(1), False))
+    assert reference.entry(c.domain, "a", "b") == (Fraction(9, 4), True)
+    assert reference.dump(c.domain) == reference.dump(ref_initial(m)[2])
     assert_same_graph(m)
 
 
@@ -145,7 +146,7 @@ def test_priority_boundary_at_zero_difference(prio, expected):
     m = parse_tts("places P=1 Q=1\ntrans t in [2,3] consume {P}\n"
                   f"trans u in [2,2] consume {{Q}}\n{prio}\n")
     c = cg.initial_class(m)
-    assert c.domain.entry("u", "t") == (Fraction(0), False)
+    assert reference.entry(c.domain, "u", "t") == (Fraction(0), False)
     assert cg.firable(m, c) == expected == ref_firable(m, ref_initial(m)[2])
     assert_same_graph(m)
 

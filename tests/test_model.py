@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import guarded_nets, n_door_airlock, xcheck_catalog
+from reference import parse_interval
 from test_int_kernel import nets
-from ttscheck.expr import Lit, parse_expr
+from ttscheck.expr import Lit, parse_actions, parse_expr
 from ttscheck.model import (
     Event,
     ExplorationError,
@@ -18,7 +19,6 @@ from ttscheck.model import (
     eval_predicate,
     fire,
     is_enabled,
-    parse_interval,
     parse_tts,
     residual_predicate,
     step,
@@ -74,6 +74,21 @@ def test_chain_operands_are_typed_one_by_one():
     assert [str(d) for d in validate_model(m)] == [
         "t: operator '&' applied to int operand",
         "t: operator '|' applied to int operand",
+    ]
+
+
+def test_transition_name_in_guard_or_action_is_reported_once():
+    ts = {"G": Transition("G", guard=parse_expr("A")),
+          "A": Transition("A", action=parse_actions("x := G")),
+          "C": Transition("C", action=parse_actions("if G then x := true")),
+          "U": Transition("U", action=parse_actions("y := C"))}
+    m = TtsModel("m", {}, {"x": VarDecl("x", "bool", False)}, ts, ())
+    assert [str(d) for d in validate_model(m)] == [
+        "G: transition name 'A' not allowed here",
+        "A: transition name 'G' not allowed here",
+        "C: transition name 'G' not allowed here",
+        "U: action assigns undeclared variable 'y'",
+        "U: transition name 'C' not allowed here",
     ]
 
 

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttscheck.expr import parse_expr
-from ttscheck.model import Event, parse_interval
+from reference import parse_interval
+from ttscheck.model import Event
 from ttscheck.oracle import (
     Verdict,
     _and3v,

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import n_door_airlock_tts
 from test_int_kernel import nets
 from ttscheck import classgraph as cg
@@ -33,10 +34,10 @@ from ttscheck.traces import parse_trace, replay
 def ref_zone(k, cons):
     """Canonical DBM of the constraints; step i is variable i (names sort by
     step), None when inconsistent."""
-    d = zone.trivial()
+    d = reference.trivial()
     for i in range(1, k + 1):
-        d = zone.add_variable(d, f"s{i:04d}", DEFAULT_INTERVAL)
-    return zone.constrain_many(d, cons)
+        d = reference.add_variable(d, f"s{i:04d}", DEFAULT_INTERVAL)
+    return reference.constrain_many(d, cons)
 
 
 def ref_solve_schedule(model, firing):
@@ -58,7 +59,7 @@ def ref_solve_schedule(model, firing):
             val = lo
         else:
             val = (lo + up_b[0]) / 2
-        d = zone.constrain_many(d, [(i, 0, (val, False)), (0, i, (-val, False))])
+        d = reference.constrain_many(d, [(i, 0, (val, False)), (0, i, (-val, False))])
         assert d is not None
         times.append(val)
     return times

@@ -169,6 +169,23 @@ def test_negative_marking_rejected_negative_store_kept():
     assert t.events == (Event("t", {"P": 2}, {"x": -1}),)
 
 
+INIT = "= m:{Idle=1} | s:{req1=false,req2=false}\n"
+BUTTON = "! Button1 | m:{Idle=1} | s:{req1=true,req2=false}\n"
+MISPLACED_ITEMS = {
+    "after-deadlock": (INIT + "%deadlock\n@ 3\n" + BUTTON, "line 3: nothing may follow %deadlock"),
+    "initial-after-event": (BUTTON + INIT, "line 2: the '=' initial state must be the first item"),
+    "second-initial": (INIT + INIT, "line 2: the '=' initial state must be the first item"),
+}
+
+
+@pytest.mark.parametrize("name", MISPLACED_ITEMS)
+def test_misplaced_trace_item_rejected_at_its_line(name):
+    text, message = MISPLACED_ITEMS[name]
+    with pytest.raises(TraceError) as exc:
+        parse_trace(text)
+    assert str(exc.value) == message
+
+
 def test_deadlock_marker_round_trip():
     t = TimedTrace.of([Duration(Fraction(1))], None, deadlocked=True)
     assert parse_trace(serialize_trace(t)) == t
