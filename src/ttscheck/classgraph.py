@@ -16,8 +16,6 @@ to Fractions with their own readers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import zone
 from .model import (
     CapacityExceeded,  # re-exported: callers catch `classgraph.CapacityExceeded`
@@ -28,11 +26,12 @@ from .model import (
     enabled,
     step,
 )
+from .records import field, record
 from .traces import _fmt_marking, _fmt_store
 from .zone import Domain
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StateClass:
     marking: Marking
     store: Store
@@ -51,7 +50,7 @@ class ClassBudgetExceeded(ExplorationError):
     pass
 
 
-@dataclass
+@record
 class ClassGraph:
     model: TtsModel
     nodes: list = field(default_factory=list)  # StateClass, index = node id

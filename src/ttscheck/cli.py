@@ -19,7 +19,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,6 +37,7 @@ from .patterns import (
     pattern_constants,
     validate_pattern,
 )
+from .records import field, record
 from .traces import TraceError, parse_trace, serialize_trace, simulate, truncate
 
 EXIT_OK = 0
@@ -49,7 +49,7 @@ EXIT_BUDGET = 3
 def _load_model(path: str):
     try:
         model = load_tts(path)
-    except (OSError, ModelError) as exc:
+    except (OSError, UnicodeDecodeError, ModelError) as exc:
         raise _InputError(f"cannot load model {path}: {exc}")
     return model
 
@@ -57,7 +57,7 @@ def _load_model(path: str):
 def _load_patterns(model, path: str) -> list:
     try:
         patterns = parse_pattern_file(Path(path).read_text(encoding="utf-8"))
-    except (OSError, PatternError) as exc:
+    except (OSError, UnicodeDecodeError, PatternError) as exc:
         raise _InputError(f"cannot load patterns {path}: {exc}")
     for p in patterns:
         diags = validate_pattern(p, model)
@@ -221,7 +221,7 @@ def cmd_oracle(args) -> int:
         raise _InputError(str(exc))
     try:
         trace = parse_trace(Path(args.trace).read_text(encoding="utf-8"))
-    except (OSError, TraceError) as exc:
+    except (OSError, UnicodeDecodeError, TraceError) as exc:
         raise _InputError(f"cannot load trace {args.trace}: {exc}")
     report = cross_check(pattern, trace)
     payload = {
@@ -244,7 +244,7 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 # xcheck
 
-@dataclass
+@record
 class _PatternXcheck:
     """One pattern's observer, horizon and tallies in a cross-check."""
 

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Union
+
+from .records import record
 
 Value = Union[bool, int]
 
@@ -73,30 +74,30 @@ def tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # AST
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Lit:
     value: Value
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Name:
     ident: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Unary:
     op: str  # "!" | "-"
     operand: "Expr"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Binary:
     op: str  # "=", "!=", "<", "<=", ">", ">=", "+", "-"
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Chain:
     """An `&` or `|` chain of two or more operands, left to right.  A
     parenthesized chain of the same operator stays one operand."""
@@ -114,7 +115,7 @@ def chain(op: str, operands) -> Expr:
     return operands[0] if len(operands) == 1 else Chain(op, operands)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Assign:
     """`target := expr`, optionally guarded by `cond` (None = unconditional)."""
 

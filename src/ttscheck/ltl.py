@@ -18,33 +18,33 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .classgraph import ClassGraph
 from .expr import Expr, compile_expr, format_expr
 from .model import Event, TtsModel, enabled, fire, step
+from .records import record
 from .traces import TimedTrace
 
 
 # ---------------------------------------------------------------------------
 # Formula AST
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TT:
     def __str__(self):
         return "true"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FF:
     def __str__(self):
         return "false"
 
 
 def _cached_hash(atom, value: Expr) -> int:
-    """The dataclass hash of a one-field atom, computed once: hashing an
+    """The record hash of a one-field atom, computed once: hashing an
     expression walks its whole tree, and the tableau's raw states and the
     safety scan's `truth` lookups are dicts keyed by atoms."""
     h = atom.__dict__.get("_hash")
@@ -54,7 +54,7 @@ def _cached_hash(atom, value: Expr) -> int:
     return h
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EventAtom:
     pred: Expr
 
@@ -65,7 +65,7 @@ class EventAtom:
         return f"ev({format_expr(self.pred)})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StateAtom:
     expr: Expr
 
@@ -76,7 +76,7 @@ class StateAtom:
         return f"st({format_expr(self.expr)})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LNot:
     f: "LtlFormula"
 
@@ -84,7 +84,7 @@ class LNot:
         return f"!({self.f})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LAnd:
     left: "LtlFormula"
     right: "LtlFormula"
@@ -93,7 +93,7 @@ class LAnd:
         return f"({self.left} & {self.right})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LOr:
     left: "LtlFormula"
     right: "LtlFormula"
@@ -102,7 +102,7 @@ class LOr:
         return f"({self.left} | {self.right})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LImplies:
     left: "LtlFormula"
     right: "LtlFormula"
@@ -111,7 +111,7 @@ class LImplies:
         return f"({self.left} => {self.right})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LUntil:
     left: "LtlFormula"
     right: "LtlFormula"
@@ -120,7 +120,7 @@ class LUntil:
         return f"({self.left} U {self.right})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LRelease:
     left: "LtlFormula"
     right: "LtlFormula"
@@ -129,7 +129,7 @@ class LRelease:
         return f"({self.left} R {self.right})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LAlways:
     f: "LtlFormula"
 
@@ -137,7 +137,7 @@ class LAlways:
         return f"[]({self.f})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LEventually:
     f: "LtlFormula"
 
@@ -266,7 +266,7 @@ def graph_steps(g: ClassGraph, node: int):
 # ---------------------------------------------------------------------------
 # Tableau construction: formula -> Buchi automaton
 
-@dataclass
+@record
 class BuchiAutomaton:
     """States are maximal consistent subsets of the closure, degeneralized.
     A state's required letter is a tuple of truth values in `atoms` order,
@@ -539,7 +539,7 @@ def _nested_dfs(initial, successors: Callable, is_accepting: Callable):
 # ---------------------------------------------------------------------------
 # Checking
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Counterexample:
     """A violating run: stem then cycle (empty cycle = finite safety prefix)."""
 
@@ -547,7 +547,7 @@ class Counterexample:
     cycle: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CheckResult:
     passed: bool
     counterexample: Optional[Counterexample] = None

@@ -12,7 +12,6 @@ is built on top in `classgraph`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Collection, Optional, Union
@@ -34,6 +33,7 @@ from .expr import (
     parse_rational,
     tokenize,
 )
+from .records import record
 
 Marking = dict  # place name -> token count
 Store = dict  # variable name -> bool | int
@@ -55,7 +55,7 @@ class CapacityExceeded(ExplorationError):
 # ---------------------------------------------------------------------------
 # Time bounds and intervals
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TimeBound:
     """A bound value with strictness; value None means +infinity."""
 
@@ -67,7 +67,7 @@ class TimeBound:
         return self.value is None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TimeInterval:
     """Static firing interval; lower is finite and >= 0, upper may be infinite."""
 
@@ -137,14 +137,14 @@ def read_interval(p: _Parser) -> TimeInterval:
 # ---------------------------------------------------------------------------
 # Declarations
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PlaceDecl:
     name: str
     initial: int = 0
     capacity: int = 1
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VarDecl:
     name: str
     kind: str  # "bool" | "int"
@@ -158,7 +158,7 @@ class VarDecl:
         return isinstance(v, int) and not isinstance(v, bool) and self.lo <= v <= self.hi
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Transition:
     name: str
     guard: Optional[Expr] = None
@@ -169,7 +169,7 @@ class Transition:
     read: frozenset = frozenset()  # tested places (not consumed)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TtsModel:
     """A complete net.  Treated as immutable once validated: firing produces
     fresh marking/store values.  The one part that changes is `step_memo`,
@@ -241,7 +241,7 @@ class TtsModel:
         return StepMemo(self.dependents, _step_event)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Event:
     """A fired transition together with the state immediately after it.
 
@@ -265,7 +265,7 @@ EventPredicate = Expr  # boolean combination of transition/variable/place atoms
 # ---------------------------------------------------------------------------
 # Validation
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Diagnostic:
     element: str
     message: str

@@ -16,7 +16,6 @@ switching a bracket only flips the direction of one priority edge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Optional
@@ -70,6 +69,7 @@ from .patterns import (
     PresentFirstBeforeWithin,
     PresentLasting,
 )
+from .records import record
 from .traces import TimedTrace, _window
 
 
@@ -80,7 +80,7 @@ class ObserverError(ValueError):
 # ---------------------------------------------------------------------------
 # Observer structure
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Hook:
     """Instrumentation of system transitions matching an event predicate.
 
@@ -98,7 +98,7 @@ class Hook:
 PrioSide = tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Fragment:
     prefix: str
     vars: tuple = ()
@@ -107,13 +107,13 @@ class Fragment:
     priorities: tuple = ()  # pairs (higher: PrioSide, lower: PrioSide)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ObserverSpec:
     fragments: tuple
     formula: LtlFormula
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InstrumentedModel:
     """A composed model.  The cached properties are what every replay of it
     reads; each is computed on first use, and all but `step_memo`, which

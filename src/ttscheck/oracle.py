@@ -31,7 +31,6 @@ Conventions shared by both semantics (sequence rendering of dense time):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -61,6 +60,7 @@ from .patterns import (
     PresentLasting,
     to_mtl,
 )
+from .records import record
 from .traces import TimedTrace
 
 
@@ -70,7 +70,7 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TraceVerdict:
     value: Verdict
     witness: Optional[str] = None
@@ -414,7 +414,7 @@ def _meval_until(f: MUntil, s: TimedTrace, i: int):
 # ---------------------------------------------------------------------------
 # Cross-check
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CrossReport:
     pattern: str
     fott: TraceVerdict

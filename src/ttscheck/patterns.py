@@ -8,7 +8,6 @@ optionally scoped `before R` / `after R`), closed under `and` / `=>`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -22,6 +21,7 @@ from .model import (
     predicate_is_state_only,
     read_interval,
 )
+from .records import record
 
 
 class PatternError(ValueError):
@@ -31,17 +31,17 @@ class PatternError(ValueError):
 # ---------------------------------------------------------------------------
 # Scopes and pattern AST
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GlobalScope:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BeforeScope:
     r: EventPredicate
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AfterScope:
     r: EventPredicate
 
@@ -49,41 +49,41 @@ class AfterScope:
 Scope = Union[GlobalScope, BeforeScope, AfterScope]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PresentAfterWithin:
     a: EventPredicate
     b: EventPredicate
     interval: TimeInterval
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PresentFirstBeforeWithin:
     a: EventPredicate
     b: EventPredicate
     interval: TimeInterval
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PresentLasting:
     a: EventPredicate  # must be a state predicate
     d: Fraction
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AbsentAfterInterval:
     a: EventPredicate
     b: EventPredicate
     interval: TimeInterval
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AbsentBeforeDuration:
     a: EventPredicate
     b: EventPredicate
     d: Fraction
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LeadstoFirstWithin:
     a: EventPredicate
     b: EventPredicate
@@ -91,13 +91,13 @@ class LeadstoFirstWithin:
     scope: Scope = GlobalScope()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AndPattern:
     left: "Pattern"
     right: "Pattern"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ImpliesPattern:
     left: "Pattern"
     right: "Pattern"
@@ -318,56 +318,56 @@ def validate_pattern(p: Pattern, model: TtsModel) -> list:
 # ---------------------------------------------------------------------------
 # MTL form
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MAtom:
     pred: EventPredicate
     state: bool = False  # True: piecewise-constant state signal; False: event
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MNot:
     f: "MtlFormula"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MAnd:
     left: "MtlFormula"
     right: "MtlFormula"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MImplies:
     left: "MtlFormula"
     right: "MtlFormula"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MUntil:
     left: "MtlFormula"
     right: "MtlFormula"
     interval: Optional[TimeInterval] = None  # timed untils quantify strictly-future
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MWeakUntil:
     left: "MtlFormula"
     right: "MtlFormula"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MAlways:
     f: "MtlFormula"
     interval: Optional[TimeInterval] = None
     strict: bool = False  # untimed only: quantify strictly after the anchor
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MEventually:
     f: "MtlFormula"
     interval: Optional[TimeInterval] = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MTrue:
     pass
 

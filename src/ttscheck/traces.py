@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -24,9 +23,10 @@ from .model import (
     enabled,
     fire,
 )
+from .records import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Duration:
     value: Fraction
 
@@ -35,7 +35,7 @@ class TraceError(ValueError):
     """Malformed trace text."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TimedTrace:
     """A run: `timed` holds (time, Event) pairs in firing order, at
     non-decreasing absolute times, and `end` is the run's total duration,
@@ -85,7 +85,7 @@ ENDPOINT_BIAS = 0.25
 MAX_FIRINGS_AT_ONE_INSTANT = 10_000
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class _Pending:
     """Firing window of an enabled transition, in absolute time, in the
     ticks of the run that holds it."""

@@ -27,11 +27,11 @@ tests build their reference zones, and decode `Domain` entries to the same
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .model import TimeInterval
+from .records import record
 
 # A bound is (value, strict) or None for +infinity.
 Bound = Optional[tuple]
@@ -60,7 +60,7 @@ def bound_add(a: Bound, b: Bound) -> Bound:
     return (a[0] + b[0], a[1] or b[1])
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Dbm:
     """Canonical difference-bound matrix; index 0 is the constant zero."""
 
@@ -136,7 +136,7 @@ def _encode_interval(interval: TimeInterval, scale: int) -> tuple:
     return hi, _encode(-interval.lower.value, interval.lower.strict, scale)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Domain:
     """Canonical firing domain with integer-encoded bounds; index 0 is zero."""
 

@@ -256,6 +256,22 @@ def test_misplaced_trace_item_is_input_error(tmp_path, name):
     assert r.stderr == f"error: cannot load trace {path}: {message}\n"
 
 
+@pytest.mark.parametrize("kind,args", [
+    ("model", ("graph",)),
+    ("patterns", ("check", "models/airlock.tts")),
+    ("patterns", ("xcheck", "models/airlock.tts")),
+    ("trace", ("oracle", "present Ventil after Open1 within [0,10]")),
+], ids=["graph-model", "check-patterns", "xcheck-patterns", "oracle-trace"])
+def test_non_utf8_input_is_input_error(tmp_path, kind, args):
+    # a UTF-16 byte-order mark: the file is text, but not UTF-8
+    path = tmp_path / "bin"
+    path.write_bytes(b"\xff\xfeplaces P=1\n")
+    r = run_cli(*args, str(path))
+    assert r.returncode == 2
+    assert r.stderr == (f"error: cannot load {kind} {path}: 'utf-8' codec can't decode "
+                        "byte 0xff in position 0: invalid start byte\n")
+
+
 @pytest.mark.parametrize("command", ["check", "xcheck"])
 def test_observer_prefix_skips_names_the_model_declares(tmp_path, command):
     # the net declares ob1_foundA, a name of the `lasting` observer under the
@@ -522,6 +538,47 @@ def test_cli_returns_an_exit_code_on_random_input_text(tts, pat, trace):
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main(args)
             assert code in (0, 1, 2, 3), (args, code)
+
+
+NOT_UTF8 = [b"\xff\xfe", b"\x80", b"\xc3(", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_texts(TTS_LINES, 3, always=4), near_texts(PAT_LINES, 2), near_texts(TRACE_LINES, 5),
+       st.sampled_from(["model", "patterns", "trace"]), st.sampled_from(NOT_UTF8), st.data())
+def test_cli_reports_non_utf8_input_text_as_input_error(tts, pat, trace, kind, bad, data):
+    """Bytes that are not UTF-8, put anywhere in a `.tts`, `.pat` or `.trace`
+    file, make every command that reads the file exit 2 with one `error:`
+    line.  A command that reads the file first names it."""
+    from ttscheck.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for k, name, text in (("model", "m.tts", tts), ("patterns", "p.pat", pat),
+                              ("trace", "r.trace", trace)):
+            raw = text.encode("utf-8")
+            if k == kind:
+                at = data.draw(st.integers(0, len(raw)))
+                raw = raw[:at] + bad + raw[at:]
+            paths[k] = pathlib.Path(tmp) / name
+            paths[k].write_bytes(raw)
+        model, patterns, run = (str(paths[k]) for k in ("model", "patterns", "trace"))
+        readers = {"model": (["check", model, patterns], ["graph", model],
+                             ["simulate", model], ["xcheck", model, patterns, "--runs", "3"]),
+                   "patterns": (["check", model, patterns],
+                                ["xcheck", model, patterns, "--runs", "3"]),
+                   "trace": (["oracle", PAT_LINES[0], run],)}
+        named = f"error: cannot load {kind} {paths[kind]}: 'utf-8' codec can't decode"
+        for args in readers[kind]:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(args)
+            assert code == 2, (args, code)
+            assert err.getvalue().count("\n") == 1, err.getvalue()
+            if kind == "patterns":  # read after the model, which may be malformed
+                assert err.getvalue().startswith((named, "error: cannot load model ")), args
+            else:
+                assert err.getvalue().startswith(named), (args, err.getvalue())
 
 
 def test_invocations_leave_no_cyclic_garbage():

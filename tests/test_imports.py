@@ -3,11 +3,14 @@
 Read with the standard library's `ast` alone: an import binds a name, and
 the module must load that name somewhere.  A name the module lists in its
 `__all__`, or whose import line carries the marker `# re-exported`, is
-exported on purpose and counts as used.
+exported on purpose and counts as used.  And importing the command line
+leaves the standard library's heavier modules unloaded.
 """
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import ttscheck
 
@@ -55,3 +58,16 @@ def test_unused_import_is_found_and_marked_one_is_kept():
               "__all__ = ['G']\n"
               "x = os.path.join(E)\n")
     assert unused_imports(source) == [(4, "B")]
+
+
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    """Start-up stays lean: importing the command line in a fresh isolated
+    interpreter loads neither `dataclasses` nor `inspect`, whose import and
+    per-class method compiles were most of `ttscheck`'s start-up time."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import ttscheck.cli; "
+            "print(ttscheck.cli.__file__); "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    r = subprocess.run([sys.executable, "-I", "-c", code, str(PACKAGE.parent)],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == [str(PACKAGE / "cli.py"), "[]"]
