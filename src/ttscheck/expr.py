@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Optional, Union
 
 from .records import record
 
@@ -41,10 +41,14 @@ _TOKEN_RE = re.compile(
 )
 
 
-class Token(NamedTuple):
-    kind: str  # "num" | "name" | "op" | "end"
-    text: str
-    pos: int
+class Token:
+    """A token: its kind, "num" | "name" | "op" | "end", its text and its
+    0-based column."""
+
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind, self.text, self.pos = kind, text, pos
 
 
 def tokenize(text: str) -> list[Token]:

@@ -11,8 +11,10 @@ replaced), the non-intrusiveness of an observer composition, the text form
 of an action list, the simulator and instrumented replay with `Fraction`
 time, a replay that tracks every transition's enabledness, and the
 character-scanning readers of `.tts` transition lines and `.pat` lines that
-the token-level ones replaced, and the Fraction zones built on
-`zone.canonicalize` with the readers that decode a `zone.Domain` to them.
+the token-level ones replaced, the Fraction zones built on
+`zone.canonicalize` with the readers that decode a `zone.Domain` to them,
+and the per-class method source that `records` compiled before it compiled
+one template per record shape (`record_methods`).
 No module under `src/ttscheck` imports this one.
 """
 
@@ -85,6 +87,7 @@ from ttscheck.patterns import (
     PresentFirstBeforeWithin,
     PresentLasting,
 )
+from ttscheck.records import _Factory
 from ttscheck.traces import (
     ENDPOINT_BIAS,
     MAX_FIRINGS_AT_ONE_INSTANT,
@@ -1038,3 +1041,50 @@ def parse_interval(text: str) -> TimeInterval:
     except ExprError as exc:
         raise ModelError(str(exc)) from exc
     return iv
+
+
+# ---------------------------------------------------------------------------
+# Record methods compiled from a source of their own class
+
+
+def record_methods(cls, frozen: bool) -> dict:
+    """name -> function of each method `records.record` generates for the
+    undecorated class `cls`, compiled as one `exec` of a source that spells
+    out the class's field names and defaults."""
+    own = dict(cls.__dict__)
+    names = tuple(own.get("__annotations__", {}))
+    defaults = {n: own[n] for n in names if n in own}
+    free = {"_object": object}  # what the methods read, as closure cells
+    params, lines = ["self"], []
+    for name in names:
+        value = name
+        if name not in defaults:
+            params.append(name)
+        else:
+            free[f"_dflt_{name}"] = default = defaults[name]
+            params.append(f"{name}=_dflt_{name}")
+            if isinstance(default, _Factory):
+                free[f"_make_{name}"] = default.make
+                value = f"_make_{name}() if {name} is _dflt_{name} else {name}"
+        lines.append(f"_object.__setattr__(self,{name!r},{value})" if frozen
+                     else f"self.{name}={value}")
+    if hasattr(cls, "__post_init__"):
+        lines.append("self.__post_init__()")
+    this = "".join(f"self.{n}," for n in names)
+    that = "".join(f"other.{n}," for n in names)
+    source = {
+        "__init__": f"def __init__({','.join(params)}):\n"
+                    + "".join(f" {line}\n" for line in lines or ["pass"]),
+        "__eq__": "def __eq__(self, other):\n"
+                  " if other.__class__ is self.__class__:\n"
+                  f"  return ({this})==({that})\n"
+                  " return NotImplemented\n",
+    }
+    if frozen:
+        source["__hash__"] = f"def __hash__(self):\n return hash(({this}))\n"
+    made = [m for m in source if m not in own]
+    ns = {"__name__": cls.__module__}
+    exec(f"def __create__({','.join(free)}):\n"
+         + "".join(f" {line}\n" for m in made for line in source[m].splitlines())
+         + f" return [{','.join(made)}]\n", ns)
+    return dict(zip(made, ns["__create__"](**free)))

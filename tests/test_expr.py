@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from ttscheck.expr import (
     free_names,
     parse_actions,
     parse_expr,
+    tokenize,
 )
 
 from conftest import guarded_nets, n_door_airlock
@@ -77,6 +80,38 @@ def test_parse_errors():
         parse_expr("(a | b")
     with pytest.raises(ExprError):
         parse_expr("3/2")  # rationals only appear in intervals, not expressions
+
+
+@pytest.mark.parametrize("text, tokens", [
+    ("Idle & (n >= 3/2) | !req1",
+     [("name", "Idle", 0), ("op", "&", 5), ("op", "(", 7), ("name", "n", 8), ("op", ">=", 10),
+      ("num", "3/2", 13), ("op", ")", 16), ("op", "|", 18), ("op", "!", 20),
+      ("name", "req1", 21), ("end", "", 25)]),
+    ("n := n - 1; if b then c := 0",
+     [("name", "n", 0), ("op", ":=", 2), ("name", "n", 5), ("op", "-", 7), ("num", "1", 9),
+      ("op", ";", 10), ("name", "if", 12), ("name", "b", 15), ("name", "then", 17),
+      ("name", "c", 22), ("op", ":=", 24), ("num", "0", 27), ("end", "", 28)]),
+    (" ]0, oo[ ", [("op", "]", 1), ("num", "0", 2), ("op", ",", 3), ("name", "oo", 5),
+                   ("op", "[", 7), ("end", "", 9)]),
+    ("Ölstand2 != 1.5", [("name", "Ölstand2", 0), ("op", "!=", 9), ("num", "1.5", 12),
+                         ("end", "", 15)]),
+    ("a=>b{c,d}", [("name", "a", 0), ("op", "=>", 1), ("name", "b", 3), ("op", "{", 4),
+                   ("name", "c", 5), ("op", ",", 6), ("name", "d", 7), ("op", "}", 8),
+                   ("end", "", 9)]),
+])
+def test_tokens_have_kind_text_and_column(text, tokens):
+    assert [(t.kind, t.text, t.pos) for t in tokenize(text)] == tokens
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a # b", "unexpected character '#' at column 3"),
+    ("a ≤ b", "unexpected character '≤' at column 3"),
+    ("x & (y", "expected ')' but found '' at column 7"),
+    ("a b", "trailing input 'b' at column 3"),
+])
+def test_parse_errors_name_their_column(text, message):
+    with pytest.raises(ExprError, match=f"^{re.escape(message)}$"):
+        parse_expr(text)
 
 
 def test_eval_with_marking_store_transition():

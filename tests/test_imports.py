@@ -4,7 +4,8 @@ Read with the standard library's `ast` alone: an import binds a name, and
 the module must load that name somewhere.  A name the module lists in its
 `__all__`, or whose import line carries the marker `# re-exported`, is
 exported on purpose and counts as used.  And importing the command line
-leaves the standard library's heavier modules unloaded.
+leaves the standard library's heavier modules unloaded and compiles one
+template per record shape, nothing more.
 """
 
 import ast
@@ -13,6 +14,7 @@ import subprocess
 import sys
 
 import ttscheck
+from test_records import record_shapes
 
 PACKAGE = pathlib.Path(ttscheck.__file__).parent
 MARKER = "# re-exported"
@@ -71,3 +73,39 @@ def test_cli_imports_neither_dataclasses_nor_inspect():
                        capture_output=True, text=True, timeout=60)
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines() == [str(PACKAGE / "cli.py"), "[]"]
+
+
+# Count the `compile` audit events of what follows `mark()` in a fresh
+# interpreter.  Compiles of module source files are left out: they happen
+# only where no cached bytecode is at hand.
+COUNT_COMPILES = """
+import sys
+events = []
+sys.addaudithook(lambda event, args: event == "compile"
+                 and not str(args[1]).endswith(".py") and events.append(args[1]))
+def mark():
+    print(len(events))
+    events.clear()
+"""
+
+
+def test_cli_import_compiles_one_template_per_record_shape():
+    """`import ttscheck.cli` compiles the standard library's own sources and
+    one template per shape of the package's record classes, whatever their
+    number: counted as audit events, not timed, so it holds on any host."""
+    path = str(PACKAGE.parent)
+    loaded = subprocess.run(
+        [sys.executable, "-I", "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+         "import ttscheck.cli; print(*(m for m in sys.modules if m not in before "
+         "and m.partition('.')[0] != 'ttscheck'))", path],
+        capture_output=True, text=True, timeout=60)
+    assert loaded.returncode == 0, loaded.stderr
+    code = (COUNT_COMPILES + "sys.path.insert(0, sys.argv[1]); import importlib\n"
+            "for name in sys.argv[2:]: importlib.import_module(name)\n"
+            "mark(); import ttscheck.cli; mark()\n")
+    counted = subprocess.run([sys.executable, "-I", "-c", code, path, *loaded.stdout.split()],
+                             capture_output=True, text=True, timeout=60)
+    assert counted.returncode == 0, counted.stderr
+    standard_library, package = map(int, counted.stdout.split())
+    assert package == len(record_shapes()), (standard_library, package)

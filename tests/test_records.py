@@ -2,9 +2,13 @@
 combination of options the package uses, twin classes with the same body
 have the same `__init__` signature, repr, equality, hash and frozen,
 unhashable, factory and slots behaviour.  And every record class of the
-package takes its annotated fields, in order, as `__init__` parameters."""
+package takes its annotated fields, in order, as `__init__` parameters, and
+its methods, made from the template of its shape, are what a compile of
+its own source makes."""
 
+import __future__
 import ast
+import copy
 import dataclasses
 import gc
 import importlib
@@ -14,6 +18,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference
 import ttscheck
 from ttscheck import records
 
@@ -64,6 +69,15 @@ def factory(field):
         initial: int = 0
         succ: dict = field(default_factory=dict)
     return Graph
+
+
+@case((), ({1: 2},), ({}, [3], "n"), frozen=True)
+def factories_out_of_name_order(field):
+    class Index:
+        succ: dict = field(default_factory=dict)
+        nodes: list = field(default_factory=list)
+        name: str = "index"
+    return Index
 
 
 @case(("t", {"P": 1, "Q": 0}), ("t", {"P": 1}), ("u", {}), frozen=True)
@@ -224,19 +238,74 @@ def test_records_hold_no_reference_cycles(name):
         gc.enable()
 
 
-def record_classes() -> list:
-    """(module, class name, annotated field names) of each class of the
-    package that a `record` decorator makes, read from the source."""
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("default", ["value", "factory"])
+def test_non_default_field_after_default_raises_type_error_naming_it(frozen, default):
+    def body(field):
+        class Late:
+            x: int
+            y: tuple = () if default == "value" else field(default_factory=tuple)
+            z: int
+        return Late
+    for make, field in ((dataclasses.dataclass, dataclasses.field),
+                        (records.record, records.field)):
+        with pytest.raises(TypeError) as raised:
+            make(body(field), frozen=frozen)
+        assert "'z'" in str(raised.value)
+
+
+def test_placeholder_ranks_sort_as_numbers():
+    for count in (0, 1, 9, 10, 11, 100, 101):
+        ranks = records._ranks(count)
+        assert len(set(ranks)) == count and sorted(ranks) == ranks
+
+
+def record_class_nodes() -> list:
+    """(module name, class definition, decorator options) of each class of
+    the package that a `record` decorator makes, read from the source."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, ast.ClassDef) and any(
-                    (dec.func if isinstance(dec, ast.Call) else dec).id == "record"
-                    for dec in node.decorator_list):
-                fields = [item.target.id for item in node.body
-                          if isinstance(item, ast.AnnAssign)]
-                found.append((path.stem, node.name, fields))
+        classes = [node for node in ast.parse(path.read_text(encoding="utf-8")).body
+                   if isinstance(node, ast.ClassDef)]
+        for node in classes:
+            for dec in node.decorator_list:
+                call = isinstance(dec, ast.Call)
+                if (dec.func if call else dec).id == "record":
+                    options = {k.arg: k.value.value for k in dec.keywords} if call else {}
+                    found.append((path.stem, node, options))
     return found
+
+
+def fields_of(node: ast.ClassDef) -> list:
+    return [item.target.id for item in node.body if isinstance(item, ast.AnnAssign)]
+
+
+def record_classes() -> list:
+    """(module, class name, annotated field names) of each record class."""
+    return [(module, node.name, fields_of(node)) for module, node, _ in record_class_nodes()]
+
+
+def record_shapes() -> set:
+    """The shapes of the package's record classes, read from the source:
+    what the bytecode of their generated methods depends on besides field
+    names.  That is whether the record is frozen, its field count, the
+    positions of its `default_factory` fields in the order of their names,
+    whether it has `__post_init__`, and which of `__init__`, `__eq__` and
+    `__hash__` the decorator makes rather than the class body."""
+    shapes = set()
+    for _, node, options in record_class_nodes():
+        frozen, fields = options.get("frozen", False), fields_of(node)
+        factories = sorted(item.target.id for item in node.body
+                           if isinstance(item, ast.AnnAssign) and isinstance(item.value, ast.Call)
+                           and item.value.func.id == "field")
+        defined = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+        defined |= {t.id for item in node.body if isinstance(item, ast.Assign)
+                    for t in item.targets}
+        made = tuple(m for m in ("__init__", "__eq__", "__hash__")[:3 if frozen else 2]
+                     if m not in defined)
+        shapes.add((frozen, len(fields), tuple(map(fields.index, factories)),
+                    "__post_init__" in defined, made))
+    return shapes
 
 
 def test_every_record_takes_its_annotations_in_order():
@@ -247,3 +316,63 @@ def test_every_record_takes_its_annotations_in_order():
         params = list(inspect.signature(cls.__init__).parameters)
         assert params == ["self"] + fields, (module, name)
         assert cls.__init__.__module__ == cls.__module__
+
+
+def undecorated(module, node: ast.ClassDef):
+    """The class `node` defines, made again in a copy of `module`'s
+    namespace with no decorator."""
+    bare = copy.copy(node)
+    bare.decorator_list = []
+    tree = ast.Module(body=[bare], type_ignores=[])
+    ns = dict(vars(module))
+    exec(compile(tree, module.__file__, "exec", flags=__future__.annotations.compiler_flag,
+                 dont_inherit=True), ns)
+    return ns[node.name]
+
+
+def same(a, b) -> bool:
+    """Equal values of one type; two `field(default_factory=f)` markers are
+    the same when their `f` is."""
+    if isinstance(a, records._Factory):
+        return isinstance(b, records._Factory) and a.make is b.make
+    return type(a) is type(b) and a == b
+
+
+def cells(fn) -> list:
+    return [cell.cell_contents for cell in fn.__closure__ or ()]
+
+
+def compiled_alike(cls, expected: dict) -> int:
+    """Assert that the methods of the record class `cls` are those of
+    `expected`, a compile of its own source: the same bytecode, names,
+    constants, defaults and closure.  Return how many were compared."""
+    for name, want in expected.items():
+        got, where = vars(cls)[name], (cls.__qualname__, name)
+        for attr in ("co_code", "co_consts", "co_names", "co_varnames", "co_freevars"):
+            assert getattr(got.__code__, attr) == getattr(want.__code__, attr), (where, attr)
+        assert (got.__defaults__ is None) is (want.__defaults__ is None), where
+        for mine, theirs in ((got.__defaults__ or (), want.__defaults__ or ()),
+                             (cells(got), cells(want))):
+            assert len(mine) == len(theirs) and all(map(same, mine, theirs)), where
+    return len(expected)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_record_methods_are_what_their_own_source_compiles_to(name):
+    body, options, _ = CASES[name]
+    expected = reference.record_methods(body(records.field), options["frozen"])
+    assert compiled_alike(records.record(body(records.field), **options), expected) >= 1
+
+
+def test_every_package_record_method_is_what_its_own_source_compiles_to():
+    """The methods the template of a class's shape makes run the bytecode
+    that a compile of the class's own source makes, as `records` did
+    before it kept one template per shape."""
+    compared = 0
+    for module_name, node, options in record_class_nodes():
+        module = importlib.import_module(f"ttscheck.{module_name}")
+        expected = reference.record_methods(undecorated(module, node),
+                                            options.get("frozen", False))
+        compared += compiled_alike(getattr(module, node.name), expected)
+    assert compared > 150
+    assert len(record_shapes()) < len(record_class_nodes()) / 2
