@@ -26,12 +26,12 @@ from .model import (
     enabled,
     step,
 )
-from .records import field, record
+from .records import record
 from .traces import _fmt_marking, _fmt_store
 from .zone import Domain
 
 
-@record(frozen=True)
+@record
 class StateClass:
     marking: Marking
     store: Store
@@ -52,10 +52,9 @@ class ClassBudgetExceeded(ExplorationError):
 
 @record
 class ClassGraph:
-    model: TtsModel
-    nodes: list = field(default_factory=list)  # StateClass, index = node id
+    nodes: list  # StateClass, index = node id
+    succ: dict  # id -> list[(transition, id)]
     initial: int = 0
-    succ: dict = field(default_factory=dict)  # id -> list[(transition, id)]
 
     @property
     def node_count(self) -> int:
@@ -110,10 +109,9 @@ def build_graph(model: TtsModel, max_classes: int = 1_000_000) -> ClassGraph:
     """
     from collections import deque
 
-    g = ClassGraph(model)
     init = initial_class(model)
+    g = ClassGraph([init], {})
     index: dict = {init.key(): 0}
-    g.nodes.append(init)
     queue = deque([0])
     order = list(model.transitions)
     while queue:

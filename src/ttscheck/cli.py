@@ -37,7 +37,6 @@ from .patterns import (
     pattern_constants,
     validate_pattern,
 )
-from .records import field, record
 from .traces import TraceError, parse_trace, serialize_trace, simulate, truncate
 
 EXIT_OK = 0
@@ -244,16 +243,13 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 # xcheck
 
-@record
 class _PatternXcheck:
     """One pattern's observer, horizon and tallies in a cross-check."""
 
-    pattern: object
-    inst: object
-    horizon: Fraction
-    agreements: int = 0
-    inconclusive: int = 0
-    mismatches: list = field(default_factory=list)  # (run, trace, fott, replay)
+    def __init__(self, pattern, inst, horizon: Fraction):
+        self.pattern, self.inst, self.horizon = pattern, inst, horizon
+        self.agreements = self.inconclusive = 0
+        self.mismatches = []  # (run, trace, fott, replay)
 
 
 def _xcheck(model, patterns, runs: int, base_seed: int, horizon, out) -> list:

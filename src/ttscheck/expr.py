@@ -78,30 +78,30 @@ def tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # AST
 
-@record(frozen=True)
+@record
 class Lit:
     value: Value
 
 
-@record(frozen=True)
+@record
 class Name:
     ident: str
 
 
-@record(frozen=True)
+@record
 class Unary:
     op: str  # "!" | "-"
     operand: "Expr"
 
 
-@record(frozen=True)
+@record
 class Binary:
     op: str  # "=", "!=", "<", "<=", ">", ">=", "+", "-"
     left: "Expr"
     right: "Expr"
 
 
-@record(frozen=True)
+@record
 class Chain:
     """An `&` or `|` chain of two or more operands, left to right.  A
     parenthesized chain of the same operator stays one operand."""
@@ -119,7 +119,7 @@ def chain(op: str, operands) -> Expr:
     return operands[0] if len(operands) == 1 else Chain(op, operands)
 
 
-@record(frozen=True)
+@record
 class Assign:
     """`target := expr`, optionally guarded by `cond` (None = unconditional)."""
 

@@ -31,13 +31,13 @@ from .traces import TimedTrace
 # ---------------------------------------------------------------------------
 # Formula AST
 
-@record(frozen=True)
+@record
 class TT:
     def __str__(self):
         return "true"
 
 
-@record(frozen=True)
+@record
 class FF:
     def __str__(self):
         return "false"
@@ -54,7 +54,7 @@ def _cached_hash(atom, value: Expr) -> int:
     return h
 
 
-@record(frozen=True)
+@record
 class EventAtom:
     pred: Expr
 
@@ -65,7 +65,7 @@ class EventAtom:
         return f"ev({format_expr(self.pred)})"
 
 
-@record(frozen=True)
+@record
 class StateAtom:
     expr: Expr
 
@@ -76,7 +76,7 @@ class StateAtom:
         return f"st({format_expr(self.expr)})"
 
 
-@record(frozen=True)
+@record
 class LNot:
     f: "LtlFormula"
 
@@ -84,7 +84,7 @@ class LNot:
         return f"!({self.f})"
 
 
-@record(frozen=True)
+@record
 class LAnd:
     left: "LtlFormula"
     right: "LtlFormula"
@@ -93,7 +93,7 @@ class LAnd:
         return f"({self.left} & {self.right})"
 
 
-@record(frozen=True)
+@record
 class LOr:
     left: "LtlFormula"
     right: "LtlFormula"
@@ -102,7 +102,7 @@ class LOr:
         return f"({self.left} | {self.right})"
 
 
-@record(frozen=True)
+@record
 class LImplies:
     left: "LtlFormula"
     right: "LtlFormula"
@@ -111,7 +111,7 @@ class LImplies:
         return f"({self.left} => {self.right})"
 
 
-@record(frozen=True)
+@record
 class LUntil:
     left: "LtlFormula"
     right: "LtlFormula"
@@ -120,7 +120,7 @@ class LUntil:
         return f"({self.left} U {self.right})"
 
 
-@record(frozen=True)
+@record
 class LRelease:
     left: "LtlFormula"
     right: "LtlFormula"
@@ -129,7 +129,7 @@ class LRelease:
         return f"({self.left} R {self.right})"
 
 
-@record(frozen=True)
+@record
 class LAlways:
     f: "LtlFormula"
 
@@ -137,7 +137,7 @@ class LAlways:
         return f"[]({self.f})"
 
 
-@record(frozen=True)
+@record
 class LEventually:
     f: "LtlFormula"
 
@@ -539,7 +539,7 @@ def _nested_dfs(initial, successors: Callable, is_accepting: Callable):
 # ---------------------------------------------------------------------------
 # Checking
 
-@record(frozen=True)
+@record
 class Counterexample:
     """A violating run: stem then cycle (empty cycle = finite safety prefix)."""
 
@@ -547,7 +547,7 @@ class Counterexample:
     cycle: tuple
 
 
-@record(frozen=True)
+@record
 class CheckResult:
     passed: bool
     counterexample: Optional[Counterexample] = None

@@ -12,6 +12,7 @@ is built on top in `classgraph`.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 from typing import Collection, Optional, Union
@@ -55,7 +56,7 @@ class CapacityExceeded(ExplorationError):
 # ---------------------------------------------------------------------------
 # Time bounds and intervals
 
-@record(frozen=True)
+@record
 class TimeBound:
     """A bound value with strictness; value None means +infinity."""
 
@@ -67,7 +68,7 @@ class TimeBound:
         return self.value is None
 
 
-@record(frozen=True)
+@record
 class TimeInterval:
     """Static firing interval; lower is finite and >= 0, upper may be infinite."""
 
@@ -137,14 +138,14 @@ def read_interval(p: _Parser) -> TimeInterval:
 # ---------------------------------------------------------------------------
 # Declarations
 
-@record(frozen=True)
+@record
 class PlaceDecl:
     name: str
     initial: int = 0
     capacity: int = 1
 
 
-@record(frozen=True)
+@record
 class VarDecl:
     name: str
     kind: str  # "bool" | "int"
@@ -158,7 +159,7 @@ class VarDecl:
         return isinstance(v, int) and not isinstance(v, bool) and self.lo <= v <= self.hi
 
 
-@record(frozen=True)
+@record
 class Transition:
     name: str
     guard: Optional[Expr] = None
@@ -169,7 +170,7 @@ class Transition:
     read: frozenset = frozenset()  # tested places (not consumed)
 
 
-@record(frozen=True)
+@record
 class TtsModel:
     """A complete net.  Treated as immutable once validated: firing produces
     fresh marking/store values.  The one part that changes is `step_memo`,
@@ -195,9 +196,12 @@ class TtsModel:
     def time_scale(self) -> int:
         """LCM of the denominators of the transitions' finite bounds: every
         bound is a whole number of 1/time_scale units."""
-        from .zone import scale_of  # zone imports this module
-
-        return scale_of(t.timing for t in self.transitions.values())
+        dens = [1]
+        for t in self.transitions.values():
+            dens.append(t.timing.lower.value.denominator)
+            if not t.timing.upper.is_infinite:
+                dens.append(t.timing.upper.value.denominator)
+        return math.lcm(*dens)
 
     @cached_property
     def ticks(self) -> dict:
@@ -241,7 +245,7 @@ class TtsModel:
         return StepMemo(self.dependents, _step_event)
 
 
-@record(frozen=True)
+@record
 class Event:
     """A fired transition together with the state immediately after it.
 
@@ -265,7 +269,7 @@ EventPredicate = Expr  # boolean combination of transition/variable/place atoms
 # ---------------------------------------------------------------------------
 # Validation
 
-@record(frozen=True)
+@record
 class Diagnostic:
     element: str
     message: str

@@ -80,7 +80,7 @@ class ObserverError(ValueError):
 # ---------------------------------------------------------------------------
 # Observer structure
 
-@record(frozen=True)
+@record
 class Hook:
     """Instrumentation of system transitions matching an event predicate.
 
@@ -98,7 +98,7 @@ class Hook:
 PrioSide = tuple
 
 
-@record(frozen=True)
+@record
 class Fragment:
     prefix: str
     vars: tuple = ()
@@ -107,13 +107,13 @@ class Fragment:
     priorities: tuple = ()  # pairs (higher: PrioSide, lower: PrioSide)
 
 
-@record(frozen=True)
+@record
 class ObserverSpec:
     fragments: tuple
     formula: LtlFormula
 
 
-@record(frozen=True)
+@record
 class InstrumentedModel:
     """A composed model.  The cached properties are what every replay of it
     reads; each is computed on first use, and all but `step_memo`, which

@@ -70,7 +70,7 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@record(frozen=True)
+@record
 class TraceVerdict:
     value: Verdict
     witness: Optional[str] = None
@@ -414,7 +414,7 @@ def _meval_until(f: MUntil, s: TimedTrace, i: int):
 # ---------------------------------------------------------------------------
 # Cross-check
 
-@record(frozen=True)
+@record
 class CrossReport:
     pattern: str
     fott: TraceVerdict

@@ -31,17 +31,17 @@ class PatternError(ValueError):
 # ---------------------------------------------------------------------------
 # Scopes and pattern AST
 
-@record(frozen=True)
+@record
 class GlobalScope:
     pass
 
 
-@record(frozen=True)
+@record
 class BeforeScope:
     r: EventPredicate
 
 
-@record(frozen=True)
+@record
 class AfterScope:
     r: EventPredicate
 
@@ -49,41 +49,41 @@ class AfterScope:
 Scope = Union[GlobalScope, BeforeScope, AfterScope]
 
 
-@record(frozen=True)
+@record
 class PresentAfterWithin:
     a: EventPredicate
     b: EventPredicate
     interval: TimeInterval
 
 
-@record(frozen=True)
+@record
 class PresentFirstBeforeWithin:
     a: EventPredicate
     b: EventPredicate
     interval: TimeInterval
 
 
-@record(frozen=True)
+@record
 class PresentLasting:
     a: EventPredicate  # must be a state predicate
     d: Fraction
 
 
-@record(frozen=True)
+@record
 class AbsentAfterInterval:
     a: EventPredicate
     b: EventPredicate
     interval: TimeInterval
 
 
-@record(frozen=True)
+@record
 class AbsentBeforeDuration:
     a: EventPredicate
     b: EventPredicate
     d: Fraction
 
 
-@record(frozen=True)
+@record
 class LeadstoFirstWithin:
     a: EventPredicate
     b: EventPredicate
@@ -91,13 +91,13 @@ class LeadstoFirstWithin:
     scope: Scope = GlobalScope()
 
 
-@record(frozen=True)
+@record
 class AndPattern:
     left: "Pattern"
     right: "Pattern"
 
 
-@record(frozen=True)
+@record
 class ImpliesPattern:
     left: "Pattern"
     right: "Pattern"
@@ -318,56 +318,56 @@ def validate_pattern(p: Pattern, model: TtsModel) -> list:
 # ---------------------------------------------------------------------------
 # MTL form
 
-@record(frozen=True)
+@record
 class MAtom:
     pred: EventPredicate
     state: bool = False  # True: piecewise-constant state signal; False: event
 
 
-@record(frozen=True)
+@record
 class MNot:
     f: "MtlFormula"
 
 
-@record(frozen=True)
+@record
 class MAnd:
     left: "MtlFormula"
     right: "MtlFormula"
 
 
-@record(frozen=True)
+@record
 class MImplies:
     left: "MtlFormula"
     right: "MtlFormula"
 
 
-@record(frozen=True)
+@record
 class MUntil:
     left: "MtlFormula"
     right: "MtlFormula"
     interval: Optional[TimeInterval] = None  # timed untils quantify strictly-future
 
 
-@record(frozen=True)
+@record
 class MWeakUntil:
     left: "MtlFormula"
     right: "MtlFormula"
 
 
-@record(frozen=True)
+@record
 class MAlways:
     f: "MtlFormula"
     interval: Optional[TimeInterval] = None
     strict: bool = False  # untimed only: quantify strictly after the anchor
 
 
-@record(frozen=True)
+@record
 class MEventually:
     f: "MtlFormula"
     interval: Optional[TimeInterval] = None
 
 
-@record(frozen=True)
+@record
 class MTrue:
     pass
 

@@ -26,7 +26,7 @@ from .model import (
 from .records import record
 
 
-@record(frozen=True)
+@record
 class Duration:
     value: Fraction
 
@@ -35,7 +35,7 @@ class TraceError(ValueError):
     """Malformed trace text."""
 
 
-@record(frozen=True)
+@record
 class TimedTrace:
     """A run: `timed` holds (time, Event) pairs in firing order, at
     non-decreasing absolute times, and `end` is the run's total duration,
@@ -85,15 +85,18 @@ ENDPOINT_BIAS = 0.25
 MAX_FIRINGS_AT_ONE_INSTANT = 10_000
 
 
-@record(slots=True)
 class _Pending:
     """Firing window of an enabled transition, in absolute time, in the
     ticks of the run that holds it."""
 
-    earliest: int
-    earliest_strict: bool
-    latest: Optional[int]
-    latest_strict: bool
+    __slots__ = ("earliest", "earliest_strict", "latest", "latest_strict")
+
+    def __init__(self, earliest: int, earliest_strict: bool, latest: Optional[int],
+                 latest_strict: bool):
+        self.earliest = earliest
+        self.earliest_strict = earliest_strict
+        self.latest = latest
+        self.latest_strict = latest_strict
 
     def double(self) -> None:
         """Rewrite the window in ticks half as long."""

@@ -60,7 +60,7 @@ def bound_add(a: Bound, b: Bound) -> Bound:
     return (a[0] + b[0], a[1] or b[1])
 
 
-@record(frozen=True)
+@record
 class Dbm:
     """Canonical difference-bound matrix; index 0 is the constant zero."""
 
@@ -112,16 +112,6 @@ def _add(a, b):
     return ((a & ~1) + (b & ~1)) | (a & b & 1)
 
 
-def scale_of(intervals) -> int:
-    """LCM of the denominators of every finite constant of the intervals."""
-    dens = [1]
-    for iv in intervals:
-        dens.append(iv.lower.value.denominator)
-        if not iv.upper.is_infinite:
-            dens.append(iv.upper.value.denominator)
-    return math.lcm(*dens)
-
-
 def _encode(value: Fraction, strict: bool, scale: int) -> int:
     scaled = value * scale
     if scaled.denominator != 1:
@@ -136,7 +126,7 @@ def _encode_interval(interval: TimeInterval, scale: int) -> tuple:
     return hi, _encode(-interval.lower.value, interval.lower.strict, scale)
 
 
-@record(frozen=True)
+@record
 class Domain:
     """Canonical firing domain with integer-encoded bounds; index 0 is zero."""
 

@@ -87,7 +87,6 @@ from ttscheck.patterns import (
     PresentFirstBeforeWithin,
     PresentLasting,
 )
-from ttscheck.records import _Factory
 from ttscheck.traces import (
     ENDPOINT_BIAS,
     MAX_FIRINGS_AT_ONE_INSTANT,
@@ -1047,7 +1046,7 @@ def parse_interval(text: str) -> TimeInterval:
 # Record methods compiled from a source of their own class
 
 
-def record_methods(cls, frozen: bool) -> dict:
+def record_methods(cls) -> dict:
     """name -> function of each method `records.record` generates for the
     undecorated class `cls`, compiled as one `exec` of a source that spells
     out the class's field names and defaults."""
@@ -1057,17 +1056,12 @@ def record_methods(cls, frozen: bool) -> dict:
     free = {"_object": object}  # what the methods read, as closure cells
     params, lines = ["self"], []
     for name in names:
-        value = name
         if name not in defaults:
             params.append(name)
         else:
-            free[f"_dflt_{name}"] = default = defaults[name]
+            free[f"_dflt_{name}"] = defaults[name]
             params.append(f"{name}=_dflt_{name}")
-            if isinstance(default, _Factory):
-                free[f"_make_{name}"] = default.make
-                value = f"_make_{name}() if {name} is _dflt_{name} else {name}"
-        lines.append(f"_object.__setattr__(self,{name!r},{value})" if frozen
-                     else f"self.{name}={value}")
+        lines.append(f"_object.__setattr__(self,{name!r},{name})")
     if hasattr(cls, "__post_init__"):
         lines.append("self.__post_init__()")
     this = "".join(f"self.{n}," for n in names)
@@ -1079,9 +1073,8 @@ def record_methods(cls, frozen: bool) -> dict:
                   " if other.__class__ is self.__class__:\n"
                   f"  return ({this})==({that})\n"
                   " return NotImplemented\n",
+        "__hash__": f"def __hash__(self):\n return hash(({this}))\n",
     }
-    if frozen:
-        source["__hash__"] = f"def __hash__(self):\n return hash(({this}))\n"
     made = [m for m in source if m not in own]
     ns = {"__name__": cls.__module__}
     exec(f"def __create__({','.join(free)}):\n"

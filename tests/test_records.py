@@ -1,10 +1,10 @@
-"""`ttscheck.records` against the standard library's `@dataclass`: for each
-combination of options the package uses, twin classes with the same body
-have the same `__init__` signature, repr, equality, hash and frozen,
-unhashable, factory and slots behaviour.  And every record class of the
-package takes its annotated fields, in order, as `__init__` parameters, and
-its methods, made from the template of its shape, are what a compile of
-its own source makes."""
+"""`ttscheck.records` against the standard library's frozen `@dataclass`:
+for each kind of class body the package uses, twin classes with the same
+body have the same `__init__` signature, repr, equality, hash and frozen
+behaviour.  And every record class of the package is decorated with a bare
+`@record`, takes its annotated fields, in order, as `__init__` parameters,
+and its methods, made from the template of its shape, are what a compile
+of its own source makes."""
 
 import __future__
 import ast
@@ -20,39 +20,39 @@ import pytest
 
 import reference
 import ttscheck
-from ttscheck import records
+from ttscheck import records, traces
 
 PACKAGE = pathlib.Path(ttscheck.__file__).parent
 
-# name -> (class body taking a `field` function, options, constructor args)
+# name -> (class body, constructor args)
 CASES = {}
 
 
-def case(*examples, frozen=False, slots=False):
+def case(*examples):
     def register(body):
-        CASES[body.__name__] = (body, {"frozen": frozen, "slots": slots}, examples)
+        CASES[body.__name__] = (body, examples)
         return body
     return register
 
 
-@case((1, Fraction(1, 2)), (1, Fraction(1, 2)), (2, Fraction(1, 2)), (-7, 3), frozen=True)
-def frozen_plain(field):
+@case((1, Fraction(1, 2)), (1, Fraction(1, 2)), (2, Fraction(1, 2)), (-7, 3))
+def frozen_plain():
     class Point:
         x: int
         y: Fraction
     return Point
 
 
-@case((), frozen=True)
-def frozen_empty(field):
+@case(())
+def frozen_empty():
     class Nothing:
         def __str__(self):
             return "nothing"
     return Nothing
 
 
-@case(("a",), ("a", True), ("a", False, 2), ("b", Fraction(3, 4), -1, (1, 2)), frozen=True)
-def frozen_defaults(field):
+@case(("a",), ("a", True), ("a", False, 2), ("b", Fraction(3, 4), -1, (1, 2)))
+def frozen_defaults():
     class Decl:
         name: str
         initial: object = False
@@ -61,27 +61,8 @@ def frozen_defaults(field):
     return Decl
 
 
-@case((1,), (1, [1]), (1, [], 5), (1, [], 5, {2: 3}))
-def factory(field):
-    class Graph:
-        model: object
-        nodes: list = field(default_factory=list)
-        initial: int = 0
-        succ: dict = field(default_factory=dict)
-    return Graph
-
-
-@case((), ({1: 2},), ({}, [3], "n"), frozen=True)
-def factories_out_of_name_order(field):
-    class Index:
-        succ: dict = field(default_factory=dict)
-        nodes: list = field(default_factory=list)
-        name: str = "index"
-    return Index
-
-
-@case(("t", {"P": 1, "Q": 0}), ("t", {"P": 1}), ("u", {}), frozen=True)
-def post_init(field):
+@case(("t", {"P": 1, "Q": 0}), ("t", {"P": 1}), ("u", {}))
+def post_init():
     class Event:
         transition: str
         marking: dict
@@ -92,8 +73,8 @@ def post_init(field):
     return Event
 
 
-@case((("x", 1),), (("x", 1),), (("y", 2),), frozen=True)
-def explicit_hash(field):
+@case((("x", 1),), (("x", 1),), (("y", 2),))
+def explicit_hash():
     class Atom:
         expr: tuple
 
@@ -102,46 +83,17 @@ def explicit_hash(field):
     return Atom
 
 
-@case((1, False, None, True), (1, False, None, True), (2, True, 7, False), slots=True)
-def slots(field):
-    class Pending:
-        earliest: int
-        earliest_strict: bool
-        latest: object
-        latest_strict: bool
-
-        def double(self):
-            self.earliest *= 2
-    return Pending
-
-
-@case(((1, 2), [0], [0], [[0]], [True]), ((), [], [], [], []))
-def plain(field):
-    class Automaton:
-        atoms: tuple
-        states: list
-        initial: list
-        succ: list
-        accepting: list
-
-        @property
-        def state_count(self):
-            return len(self.states)
-    return Automaton
-
-
 def twins(name: str) -> tuple:
-    """(dataclass, record) built from case `name`'s body."""
-    body, options, _ = CASES[name]
-    return (dataclasses.dataclass(body(dataclasses.field), **options),
-            records.record(body(records.field), **options))
+    """(frozen dataclass, record) built from case `name`'s body."""
+    body, _ = CASES[name]
+    return dataclasses.dataclass(body(), frozen=True), records.record(body())
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_signature_repr_and_equality_match_dataclass(name):
     d, r = twins(name)
     d_other, r_other = twins(name)  # same body and qualname, another class
-    examples = CASES[name][2]
+    examples = CASES[name][1]
     assert str(inspect.signature(r.__init__)) == str(inspect.signature(d.__init__))
     assert str(inspect.signature(r)) == str(inspect.signature(d))
     for a in examples:
@@ -164,10 +116,8 @@ def outcome(call) -> tuple:
 @pytest.mark.parametrize("name", CASES)
 def test_hash_matches_dataclass(name):
     d, r = twins(name)
-    for a in CASES[name][2]:
+    for a in CASES[name][1]:
         assert outcome(lambda: hash(r(*a))) == outcome(lambda: hash(d(*a)))
-    if not CASES[name][1]["frozen"]:
-        assert r.__hash__ is d.__hash__ is None
 
 
 def test_set_iteration_order_matches_dataclass():
@@ -177,10 +127,10 @@ def test_set_iteration_order_matches_dataclass():
         [repr(p) for p in {d(*v) for v in values}]
 
 
-@pytest.mark.parametrize("name", [n for n in CASES if CASES[n][1]["frozen"]])
+@pytest.mark.parametrize("name", CASES)
 def test_frozen_fields_cannot_be_assigned_or_deleted(name):
     d, r = twins(name)
-    a = CASES[name][2][0]
+    a = CASES[name][1][0]
     for target in [f.name for f in dataclasses.fields(d)] + ["other"]:
         messages = []
         for obj in (d(*a), r(*a)):
@@ -193,87 +143,71 @@ def test_frozen_fields_cannot_be_assigned_or_deleted(name):
         assert isinstance(assigned.value, records.FrozenInstanceError)
 
 
-def test_plain_record_fields_can_be_assigned():
-    _, r = twins("plain")
-    obj = r((1,), [], [], [], [])
-    obj.states = [(True,)]
-    assert obj.state_count == 1
-    assert obj == r((1,), [(True,)], [], [], [])
-
-
-def test_default_factory_gives_each_instance_a_fresh_object():
-    d, r = twins("factory")
-    first, second = r(1), r(1)
-    assert first.nodes == [] and first.succ == {}
-    assert first.nodes is not second.nodes and first.succ is not second.succ
-    given = [3]
-    assert r(1, given).nodes is given
-    assert "nodes" not in vars(r) and "nodes" not in vars(d)
-    assert r.initial == d.initial == 0
-
-
-def test_slots_record_has_no_instance_dict():
-    d, r = twins("slots")
-    obj = r(1, False, None, True)
-    assert r.__slots__ == d.__slots__ == ("earliest", "earliest_strict", "latest",
-                                         "latest_strict")
-    assert not hasattr(obj, "__dict__")
-    with pytest.raises(AttributeError):
-        obj.other = 1
-    obj.double()
-    assert obj == r(2, False, None, True)
-    assert r.__qualname__ == d.__qualname__
-
-
 @pytest.mark.parametrize("name", CASES)
 def test_records_hold_no_reference_cycles(name):
     _, r = twins(name)
     gc.collect()
     gc.disable()
     try:
-        for a in CASES[name][2]:
+        for a in CASES[name][1]:
             repr(r(*a))
         assert gc.collect() == 0
     finally:
         gc.enable()
 
 
-@pytest.mark.parametrize("frozen", [False, True])
-@pytest.mark.parametrize("default", ["value", "factory"])
-def test_non_default_field_after_default_raises_type_error_naming_it(frozen, default):
-    def body(field):
+def test_non_default_field_after_default_raises_type_error_naming_it():
+    def body():
         class Late:
             x: int
-            y: tuple = () if default == "value" else field(default_factory=tuple)
+            y: tuple = ()
             z: int
         return Late
-    for make, field in ((dataclasses.dataclass, dataclasses.field),
-                        (records.record, records.field)):
+    for make in (dataclasses.dataclass(frozen=True), records.record):
         with pytest.raises(TypeError) as raised:
-            make(body(field), frozen=frozen)
+            make(body())
         assert "'z'" in str(raised.value)
 
 
-def test_placeholder_ranks_sort_as_numbers():
-    for count in (0, 1, 9, 10, 11, 100, 101):
-        ranks = records._ranks(count)
-        assert len(set(ranks)) == count and sorted(ranks) == ranks
+def test_pending_window_is_a_plain_slotted_class():
+    """The simulator's firing window, which it narrows and rescales in
+    place, is no record: it compares by identity and holds its four
+    attributes in slots, with no instance dict."""
+    w = traces._Pending(1, False, None, True)
+    assert traces._Pending.__eq__ is object.__eq__
+    assert not hasattr(w, "__dict__")
+    with pytest.raises(AttributeError):
+        w.other = 1
+    w.double()
+    assert (w.earliest, w.earliest_strict, w.latest, w.latest_strict) == (2, False, None, True)
 
 
 def record_class_nodes() -> list:
-    """(module name, class definition, decorator options) of each class of
-    the package that a `record` decorator makes, read from the source."""
+    """(module name, class definition) of each class of the package that
+    the `record` decorator makes, read from the source."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        classes = [node for node in ast.parse(path.read_text(encoding="utf-8")).body
-                   if isinstance(node, ast.ClassDef)]
-        for node in classes:
-            for dec in node.decorator_list:
-                call = isinstance(dec, ast.Call)
-                if (dec.func if call else dec).id == "record":
-                    options = {k.arg: k.value.value for k in dec.keywords} if call else {}
-                    found.append((path.stem, node, options))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(dec, ast.Name) and dec.id == "record"
+                    for dec in node.decorator_list):
+                found.append((path.stem, node))
     return found
+
+
+def test_every_record_decorator_is_bare():
+    """`record` takes no option: each use of it in the package is a bare
+    `@record` on a top-level class, and it takes the class alone."""
+    found = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for dec in getattr(node, "decorator_list", ()):
+                named = dec.func if isinstance(dec, ast.Call) else dec
+                if isinstance(named, ast.Name) and named.id == "record":
+                    assert dec is named, (path.name, node.name)
+                    found += 1
+    assert found == len(record_class_nodes())
+    assert list(inspect.signature(records.record).parameters) == ["cls"]
 
 
 def fields_of(node: ast.ClassDef) -> list:
@@ -282,29 +216,22 @@ def fields_of(node: ast.ClassDef) -> list:
 
 def record_classes() -> list:
     """(module, class name, annotated field names) of each record class."""
-    return [(module, node.name, fields_of(node)) for module, node, _ in record_class_nodes()]
+    return [(module, node.name, fields_of(node)) for module, node in record_class_nodes()]
 
 
 def record_shapes() -> set:
     """The shapes of the package's record classes, read from the source:
     what the bytecode of their generated methods depends on besides field
-    names.  That is whether the record is frozen, its field count, the
-    positions of its `default_factory` fields in the order of their names,
-    whether it has `__post_init__`, and which of `__init__`, `__eq__` and
-    `__hash__` the decorator makes rather than the class body."""
+    names.  That is its field count, whether it has `__post_init__`, and
+    which of `__init__`, `__eq__` and `__hash__` the decorator makes rather
+    than the class body."""
     shapes = set()
-    for _, node, options in record_class_nodes():
-        frozen, fields = options.get("frozen", False), fields_of(node)
-        factories = sorted(item.target.id for item in node.body
-                           if isinstance(item, ast.AnnAssign) and isinstance(item.value, ast.Call)
-                           and item.value.func.id == "field")
+    for _, node in record_class_nodes():
         defined = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
         defined |= {t.id for item in node.body if isinstance(item, ast.Assign)
                     for t in item.targets}
-        made = tuple(m for m in ("__init__", "__eq__", "__hash__")[:3 if frozen else 2]
-                     if m not in defined)
-        shapes.add((frozen, len(fields), tuple(map(fields.index, factories)),
-                    "__post_init__" in defined, made))
+        made = tuple(m for m in ("__init__", "__eq__", "__hash__") if m not in defined)
+        shapes.add((len(fields_of(node)), "__post_init__" in defined, made))
     return shapes
 
 
@@ -331,10 +258,7 @@ def undecorated(module, node: ast.ClassDef):
 
 
 def same(a, b) -> bool:
-    """Equal values of one type; two `field(default_factory=f)` markers are
-    the same when their `f` is."""
-    if isinstance(a, records._Factory):
-        return isinstance(b, records._Factory) and a.make is b.make
+    """Equal values of one type."""
     return type(a) is type(b) and a == b
 
 
@@ -359,9 +283,9 @@ def compiled_alike(cls, expected: dict) -> int:
 
 @pytest.mark.parametrize("name", CASES)
 def test_record_methods_are_what_their_own_source_compiles_to(name):
-    body, options, _ = CASES[name]
-    expected = reference.record_methods(body(records.field), options["frozen"])
-    assert compiled_alike(records.record(body(records.field), **options), expected) >= 1
+    body, _ = CASES[name]
+    expected = reference.record_methods(body())
+    assert compiled_alike(records.record(body()), expected) >= 1
 
 
 def test_every_package_record_method_is_what_its_own_source_compiles_to():
@@ -369,10 +293,9 @@ def test_every_package_record_method_is_what_its_own_source_compiles_to():
     that a compile of the class's own source makes, as `records` did
     before it kept one template per shape."""
     compared = 0
-    for module_name, node, options in record_class_nodes():
+    for module_name, node in record_class_nodes():
         module = importlib.import_module(f"ttscheck.{module_name}")
-        expected = reference.record_methods(undecorated(module, node),
-                                            options.get("frozen", False))
+        expected = reference.record_methods(undecorated(module, node))
         compared += compiled_alike(getattr(module, node.name), expected)
     assert compared > 150
     assert len(record_shapes()) < len(record_class_nodes()) / 2
