@@ -284,7 +284,14 @@ class BuchiAutomaton:
 
 
 def ltl_to_buchi(f: LtlFormula) -> BuchiAutomaton:
-    """Self-consistent tableau over the closure of the NNF formula."""
+    """Self-consistent tableau over the closure of the NNF formula.
+
+    A consistent state s has successor t when every until/release slot x
+    satisfies its expansion law, `s[x]` equal to `right or (left and t[x])`
+    for an until and `right and (left or t[x])` for a release, read in s.
+    The laws read t only at its until/release slots, so each state's
+    requirement on t is worked out once, and the scan over all states in
+    index order compares only the slots the requirement leaves free."""
     g = nnf(f)
     cl = set(subformulas(g))
     atoms = formula_atoms(g)
@@ -313,15 +320,20 @@ def ltl_to_buchi(f: LtlFormula) -> BuchiAutomaton:
         if ok:
             raw_states.append(chosen)
 
-    def step_ok(s: dict, t: dict) -> bool:
+    def requirement(s: dict) -> Optional[list]:
+        """What s asks of a successor t: the (slot, value) pairs that t must
+        match on the until/release slots whose expansion `s` leaves free, or
+        None when s contradicts its own expansion and has no successor."""
+        need = []
         for x in temporals:
-            if isinstance(x, LUntil):
-                want = truth(x.right, s) or (truth(x.left, s) and t[x])
-            else:
-                want = truth(x.right, s) and (truth(x.left, s) or t[x])
-            if s[x] != want:
-                return False
-        return True
+            right = truth(x.right, s)
+            if right != truth(x.left, s) and right == isinstance(x, LRelease):
+                # an until whose left alone holds, or a release whose right
+                # alone holds, holds in s iff it holds in t
+                need.append((x, s[x]))
+            elif s[x] != right:  # else the law asks x to equal right
+                return None
+        return need
 
     untils = [x for x in temporals if isinstance(x, LUntil)]
     k = len(untils)
@@ -329,7 +341,9 @@ def ltl_to_buchi(f: LtlFormula) -> BuchiAutomaton:
     # degeneralized product with a cyclic acceptance counter
     base_succ: dict = {}
     for i, s in enumerate(raw_states):
-        base_succ[i] = [j for j, t in enumerate(raw_states) if step_ok(s, t)]
+        need = requirement(s)
+        base_succ[i] = [] if need is None else [
+            j for j, t in enumerate(raw_states) if all(t[x] == v for x, v in need)]
 
     def sat_acc(i: int, a: int) -> bool:
         u = untils[a]

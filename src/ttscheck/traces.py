@@ -84,6 +84,10 @@ ENDPOINT_BIAS = 0.25
 # of zero-delay transitions fires this often without letting time pass.
 MAX_FIRINGS_AT_ONE_INSTANT = 10_000
 
+# Events in one run before it is given up: a run holds every event it fires,
+# and a net whose delays are tiny against the horizon fires without end.
+MAX_RUN_EVENTS = 100_000
+
 
 class _Pending:
     """Firing window of an enabled transition, in absolute time, in the
@@ -159,8 +163,9 @@ def simulate(model: TtsModel, horizon: Fraction, seed: int,
 
     Random choices do not depend on `horizon` until the first firing past
     it, so a run to a smaller horizon is this run cut there (`truncate`).
-    More than `MAX_FIRINGS_AT_ONE_INSTANT` firings in a row at one instant
-    raise `ExplorationError`.
+    More than `MAX_FIRINGS_AT_ONE_INSTANT` firings in a row at one instant,
+    or more than `MAX_RUN_EVENTS` events in the run, raise
+    `ExplorationError`.
     """
     rng = random.Random(seed)
     horizon = Fraction(horizon)
@@ -232,6 +237,10 @@ def simulate(model: TtsModel, horizon: Fraction, seed: int,
             raise ExplorationError(
                 f"more than {MAX_FIRINGS_AT_ONE_INSTANT} firings at time "
                 f"{format_rational(Fraction(tau, scale))} without time passing")
+        if len(timed) == MAX_RUN_EVENTS:
+            raise ExplorationError(
+                f"run exceeds the budget of {MAX_RUN_EVENTS} events: {len(timed)} "
+                f"events fired by time {format_rational(Fraction(now, scale))}")
         state, gone, fresh, event = memo.step(model, state, name, pending)
         timed.append((tau, event))
         for n in gone:

@@ -23,8 +23,22 @@ Every path of the scratch directory the commands run in is printed as
 committed beside the outputs.
 
 `tests/test_golden_corpus.py` requires every output to stay byte-identical.
-To rewrite the corpus, which changes what that test expects, run from the
-repository root:
+
+`tests/golden/bench/seed<S>/<workload>/` holds the same for the benchmark's
+four workloads at seeds 1-3.  The inputs are made by
+`benchmarks/workloads.generate`, which is loaded from its file and left as
+it is, and each invocation is run as the benchmark runs it, in process:
+
+- `invocations.json`: each invocation's arguments, exit code and stderr;
+- `NN.stdout`: what invocation NN prints;
+- every trace it writes, under its own name;
+- `digests.json`: the sha256 of each `.ksg` and `.dot` export.
+
+`tests/test_golden_bench.py` compares seed 1 with this set; a CI step
+compares seeds 1-3.
+
+To rewrite the corpus and the benchmark set, which changes what those tests
+expect, run from the repository root:
 
     PYTHONPATH=src python tests/golden/regen.py
 """
@@ -32,6 +46,8 @@ repository root:
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import importlib.util
 import io
 import json
 import shutil
@@ -54,6 +70,10 @@ MODELS = {
     "airlock3": CORPUS / "airlock3" / "airlock3.tts",
 }
 INPUTS = {PATTERNS, "airlock3.tts"}
+
+BENCH = HERE / "bench"
+BENCH_SEEDS = (1, 2, 3)
+DIGESTED = (".ksg", ".dot")
 
 
 def _pattern_lines(name: str) -> list:
@@ -113,6 +133,45 @@ def render(name: str, workdir: Path) -> dict:
     return files
 
 
+def benchmark_workloads():
+    """`benchmarks/workloads.py`, loaded from its file."""
+    path = ROOT / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks itself up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def render_bench(workload: str, seed: int, workdir: Path) -> dict:
+    """Run every invocation of a benchmark workload at `seed` inside
+    `workdir`, as `benchmarks/run.py` runs one pass; return each output
+    file's name and text."""
+    from ttscheck import cli
+
+    outdir = workdir / "out"
+    invocations = benchmark_workloads().generate(workload, seed, workdir / "inputs", outdir)
+    files: dict = {}
+    runs = []
+    for k, inv in enumerate(invocations):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(inv.argv))
+        runs.append({"argv": [a.replace(str(workdir), TOKEN) for a in inv.argv],
+                     "exit": code,
+                     "stderr": err.getvalue().replace(str(workdir), TOKEN)})
+        files[f"{k:02d}.stdout"] = out.getvalue().replace(str(workdir), TOKEN)
+    files["invocations.json"] = json.dumps(runs, indent=2) + "\n"
+    digests = {}
+    for f in sorted(outdir.iterdir()) if outdir.exists() else ():
+        if f.suffix in DIGESTED:
+            digests[f.name] = hashlib.sha256(f.read_bytes()).hexdigest()
+        else:
+            files[f.name] = f.read_text(encoding="utf-8")
+    files["digests.json"] = json.dumps(digests, indent=2) + "\n"
+    return files
+
+
 def main() -> None:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     from conftest import n_door_airlock_tts
@@ -127,6 +186,16 @@ def main() -> None:
         with tempfile.TemporaryDirectory() as tmp:
             for fname, text in render(name, Path(tmp)).items():
                 (CORPUS / name / fname).write_text(text, encoding="utf-8")
+    if BENCH.exists():
+        shutil.rmtree(BENCH)
+    workloads = benchmark_workloads().WORKLOADS
+    for seed in BENCH_SEEDS:
+        for workload in workloads:
+            case = BENCH / f"seed{seed}" / workload
+            case.mkdir(parents=True)
+            with tempfile.TemporaryDirectory() as tmp:
+                for fname, text in render_bench(workload, seed, Path(tmp)).items():
+                    (case / fname).write_text(text, encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ one template per record shape (`record_methods`).
 No module under `src/ttscheck` imports this one.
 """
 
+import itertools
 import random
 import re
 from dataclasses import dataclass
@@ -57,6 +58,8 @@ from ttscheck.ltl import (
     graph_steps,
     ltl_to_buchi,
     nnf,
+    subformulas,
+    truth,
 )
 from ttscheck.model import (
     DEFAULT_INTERVAL,
@@ -127,6 +130,97 @@ def buchi_accepts(ba: BuchiAutomaton, stem: list, cycle: list) -> bool:
 
     initial = [(0, q) for q in ba.initial]
     return _nested_dfs(initial, product_succ, lambda node: ba.accepting[node[1]]) is not None
+
+
+def ref_ltl_to_buchi(f: LtlFormula) -> BuchiAutomaton:
+    """The tableau of `ltl.ltl_to_buchi` as it tested every pair of raw
+    states with `step_ok`, reading both states' slots on each call."""
+    g = nnf(f)
+    cl = set(subformulas(g))
+    atoms = formula_atoms(g)
+    temporals = tuple(sorted((x for x in cl if isinstance(x, (LUntil, LRelease))),
+                             key=str))
+    choices = atoms + temporals
+
+    # enumerate candidate states: an assignment to atoms and temporal formulas
+    raw_states: list = []
+    for bits in itertools.product((False, True), repeat=len(choices)):
+        chosen = dict(zip(choices, bits))
+        # local expansion constraints restrict untils/releases
+        ok = True
+        for t in temporals:
+            if isinstance(t, LUntil):
+                lv, rv = truth(t.left, chosen), truth(t.right, chosen)
+                if chosen[t] and not (rv or lv):
+                    ok = False
+                    break
+                if not chosen[t] and rv:
+                    ok = False
+                    break
+            elif chosen[t] and not truth(t.right, chosen):
+                ok = False
+                break
+        if ok:
+            raw_states.append(chosen)
+
+    def step_ok(s: dict, t: dict) -> bool:
+        for x in temporals:
+            if isinstance(x, LUntil):
+                want = truth(x.right, s) or (truth(x.left, s) and t[x])
+            else:
+                want = truth(x.right, s) and (truth(x.left, s) or t[x])
+            if s[x] != want:
+                return False
+        return True
+
+    untils = [x for x in temporals if isinstance(x, LUntil)]
+    k = len(untils)
+
+    # degeneralized product with a cyclic acceptance counter
+    base_succ: dict = {}
+    for i, s in enumerate(raw_states):
+        base_succ[i] = [j for j, t in enumerate(raw_states) if step_ok(s, t)]
+
+    def sat_acc(i: int, a: int) -> bool:
+        u = untils[a]
+        return (not raw_states[i][u]) or truth(u.right, raw_states[i])
+
+    states: list = []
+    index: dict = {}
+    succ: list = []
+    accepting: list = []
+
+    def intern(i: int, cnt: int) -> int:
+        idx = len(states)
+        index[(i, cnt)] = idx
+        states.append(tuple([raw_states[i][a] for a in atoms]))
+        succ.append([])
+        accepting.append(False)
+        return idx
+
+    initial = []
+    pendingq = []
+    for i, s in enumerate(raw_states):
+        if truth(g, s):
+            initial.append(intern(i, 0))
+            pendingq.append((i, 0))
+    while pendingq:
+        (i, cnt) = pendingq.pop()
+        idx = index[(i, cnt)]
+        if k == 0:
+            accepting[idx] = True
+            nxt_cnt = 0
+        else:
+            accepting[idx] = cnt == 0 and sat_acc(i, 0)
+            nxt_cnt = (cnt + 1) % k if sat_acc(i, cnt) else cnt
+        for j in base_succ[i]:
+            key = (j, nxt_cnt)
+            tgt = index.get(key)
+            if tgt is None:
+                tgt = intern(j, nxt_cnt)
+                pendingq.append(key)
+            succ[idx].append(tgt)
+    return BuchiAutomaton(atoms, states, initial, succ, accepting)
 
 
 def ref_check_buchi(g, f: LtlFormula) -> CheckResult:

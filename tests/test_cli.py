@@ -143,6 +143,25 @@ def test_zero_delay_cycle_exits_3(tmp_path, command):
         "exploration error: more than 10000 firings at time 0 without time passing"]
 
 
+@pytest.mark.parametrize("command", ["simulate", "xcheck"])
+def test_run_past_the_event_budget_exits_3(tmp_path, command):
+    # t fires every 1/(10^39+1): a run to any horizon would never end
+    from ttscheck.traces import MAX_RUN_EVENTS
+
+    period = f"1/{10**39 + 1}"
+    net = tmp_path / "fast.tts"
+    net.write_text(f"places P=1\ntrans t in [{period},{period}] consume {{P}} produce {{P}}\n")
+    pat = tmp_path / "fast.pat"
+    pat.write_text("present P lasting 2\n")
+    args = (command, str(net)) + ((str(pat), "--runs", "3") if command == "xcheck"
+                                  else ("--horizon", "1"))
+    r = run_cli(*args, "--seed", "0")
+    assert r.returncode == 3
+    assert r.stderr.splitlines() == [
+        f"exploration error: run exceeds the budget of {MAX_RUN_EVENTS} events: "
+        f"{MAX_RUN_EVENTS} events fired by time {MAX_RUN_EVENTS}/{10**39 + 1}"]
+
+
 @pytest.mark.parametrize("command", ["graph", "check", "simulate", "xcheck"])
 def test_capacity_overflow_exits_3_with_its_own_line(tmp_path, command):
     # T needs no token and produces into B, whose capacity is 1

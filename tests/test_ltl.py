@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ttscheck import classgraph as cg
@@ -28,6 +28,7 @@ from ttscheck.ltl import (
     nnf,
     run_lasso_program,
     solve_schedule,
+    subformulas,
     witness_to_trace,
 )
 from ttscheck.model import parse_tts
@@ -36,7 +37,8 @@ from ttscheck.oracle import Verdict, fott_holds
 from ttscheck.patterns import parse_pattern
 from ttscheck.traces import replay
 
-from reference import buchi_accepts, eval_on_lasso
+from conftest import xcheck_catalog
+from reference import buchi_accepts, eval_on_lasso, ref_ltl_to_buchi
 
 a, b = EventAtom(Name("a")), EventAtom(Name("b"))
 c = StateAtom(Name("c"))
@@ -288,6 +290,31 @@ def test_deep_until_chain_compiles_and_runs_without_recursion():
     assert run_lasso_program(program, [(True, False)] * 3, [(True, False)]) is False
     assert run_lasso_program(program, [(False, False)], [(False, True)]) is False
 
+
+# ---------------------------------------------------------------------------
+# the tableau against the pairwise construction it replaced
+
+def automaton_fields(ba) -> tuple:
+    return ba.atoms, ba.states, ba.initial, ba.succ, ba.accepting
+
+
+@settings(max_examples=300, deadline=None)
+@given(nnf_formulas())
+def test_tableau_equals_pairwise_reference_on_random_formulas(f):
+    assume(len(set(subformulas(nnf(f)))) <= 12)
+    assert automaton_fields(ltl_to_buchi(f)) == automaton_fields(ref_ltl_to_buchi(f))
+
+
+@pytest.mark.parametrize("model_name", ["airlock", "relay", "chain"])
+def test_tableau_equals_pairwise_reference_on_catalog_formulas(model_name, request):
+    # f and its negation, the automaton `check` builds, of every catalog
+    # pattern and of one `and` and one `=>` composite, as the corpus has them
+    model = request.getfixturevalue(model_name)
+    cat = xcheck_catalog(model_name)
+    for text in cat + [f"({cat[0]}) and ({cat[2]})", f"({cat[3]}) => ({cat[5]})"]:
+        f = compose(model, synthesize(parse_pattern(text))).formula
+        for g in (f, LNot(f)):
+            assert automaton_fields(ltl_to_buchi(g)) == automaton_fields(ref_ltl_to_buchi(g)), text
 
 def test_product_code_keeps_no_lasso_oracle_and_imports_no_reference():
     # the direct evaluator and the `eval_expr` dict reader live in the tests

@@ -92,6 +92,16 @@ def test_zero_delay_cycle_is_an_exploration_error():
         simulate(m, Fraction(5), seed=0)
 
 
+def test_a_run_may_hold_exactly_the_event_budget(monkeypatch):
+    # t fires at 1, 2, 3, ...: a run to horizon n holds n events
+    monkeypatch.setattr("ttscheck.traces.MAX_RUN_EVENTS", 10)
+    m = parse_tts("places P=1\ntrans t in [1,1] consume {P} produce {P}\n")
+    assert len(simulate(m, Fraction(10), seed=0).events) == 10
+    with pytest.raises(ExplorationError,
+                       match="^run exceeds the budget of 10 events: 10 events fired by time 10$"):
+        simulate(m, Fraction(11), seed=0)
+
+
 def test_seed_determinism(airlock):
     a = simulate(airlock, Fraction(50), 9)
     b = simulate(airlock, Fraction(50), 9)
