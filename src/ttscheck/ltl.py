@@ -43,23 +43,25 @@ class FF:
         return "false"
 
 
-def _cached_hash(atom, value: Expr) -> int:
-    """The record hash of a one-field atom, computed once: hashing an
-    expression walks its whole tree, and the tableau's raw states and the
-    safety scan's `truth` lookups are dicts keyed by atoms."""
-    h = atom.__dict__.get("_hash")
-    if h is None:
-        h = hash((value,))
-        object.__setattr__(atom, "_hash", h)
-    return h
+def _cached_hash(node) -> int:
+    """The record hash of a formula node, `hash` of its field tuple, computed
+    once and kept on the node, outside its fields.  The generated record
+    `__hash__` hashes the whole tree below the node on every call, and the
+    tableau's raw states, the closure set and the safety scan's `truth`
+    lookups are dicts and sets keyed by formulas and atoms."""
+    try:
+        return node._hash
+    except AttributeError:
+        h = hash(tuple(getattr(node, name) for name in node.__annotations__))
+        object.__setattr__(node, "_hash", h)
+        return h
 
 
 @record
 class EventAtom:
     pred: Expr
 
-    def __hash__(self):
-        return _cached_hash(self, self.pred)
+    __hash__ = _cached_hash
 
     def __str__(self):
         return f"ev({format_expr(self.pred)})"
@@ -69,8 +71,7 @@ class EventAtom:
 class StateAtom:
     expr: Expr
 
-    def __hash__(self):
-        return _cached_hash(self, self.expr)
+    __hash__ = _cached_hash
 
     def __str__(self):
         return f"st({format_expr(self.expr)})"
@@ -79,6 +80,8 @@ class StateAtom:
 @record
 class LNot:
     f: "LtlFormula"
+
+    __hash__ = _cached_hash
 
     def __str__(self):
         return f"!({self.f})"
@@ -89,6 +92,8 @@ class LAnd:
     left: "LtlFormula"
     right: "LtlFormula"
 
+    __hash__ = _cached_hash
+
     def __str__(self):
         return f"({self.left} & {self.right})"
 
@@ -97,6 +102,8 @@ class LAnd:
 class LOr:
     left: "LtlFormula"
     right: "LtlFormula"
+
+    __hash__ = _cached_hash
 
     def __str__(self):
         return f"({self.left} | {self.right})"
@@ -107,6 +114,8 @@ class LImplies:
     left: "LtlFormula"
     right: "LtlFormula"
 
+    __hash__ = _cached_hash
+
     def __str__(self):
         return f"({self.left} => {self.right})"
 
@@ -115,6 +124,8 @@ class LImplies:
 class LUntil:
     left: "LtlFormula"
     right: "LtlFormula"
+
+    __hash__ = _cached_hash
 
     def __str__(self):
         return f"({self.left} U {self.right})"
@@ -125,6 +136,8 @@ class LRelease:
     left: "LtlFormula"
     right: "LtlFormula"
 
+    __hash__ = _cached_hash
+
     def __str__(self):
         return f"({self.left} R {self.right})"
 
@@ -133,6 +146,8 @@ class LRelease:
 class LAlways:
     f: "LtlFormula"
 
+    __hash__ = _cached_hash
+
     def __str__(self):
         return f"[]({self.f})"
 
@@ -140,6 +155,8 @@ class LAlways:
 @record
 class LEventually:
     f: "LtlFormula"
+
+    __hash__ = _cached_hash
 
     def __str__(self):
         return f"<>({self.f})"

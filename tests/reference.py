@@ -13,8 +13,10 @@ time, a replay that tracks every transition's enabledness, and the
 character-scanning readers of `.tts` transition lines and `.pat` lines that
 the token-level ones replaced, the Fraction zones built on
 `zone.canonicalize` with the readers that decode a `zone.Domain` to them,
-and the per-class method source that `records` compiled before it compiled
-one template per record shape (`record_methods`).
+the per-class method source that `records` compiled before it compiled
+one template per record shape (`record_methods`), and the untimed language
+of a closed-bound net read off its runs at integer times
+(`integer_language`), which the class graph must give.
 No module under `src/ttscheck` imports this one.
 """
 
@@ -1175,3 +1177,89 @@ def record_methods(cls) -> dict:
          + "".join(f" {line}\n" for m in made for line in source[m].splitlines())
          + f" return [{','.join(made)}]\n", ns)
     return dict(zip(made, ns["__create__"](**free)))
+
+
+# ---------------------------------------------------------------------------
+# The untimed language of a closed-bound net, from runs at integer times
+
+
+class IntegerStatesExceeded(Exception):
+    """`integer_language` met more states at one depth than it may keep."""
+
+
+def integer_language(model: TtsModel, depth: int, grid: int,
+                     max_states: Optional[int] = None) -> set:
+    """Every firing sequence of at most `depth` transitions that a run of
+    `model` firing only at multiples of 1/`grid` takes, as tuples of
+    transition names.  Every bound must be closed and `grid` a multiple of
+    `model.time_scale`.  More than `max_states` (sequence, state) pairs at
+    one depth raise `IntegerStatesExceeded`.
+
+    A breadth-first search over integer-time states, with no zone code.  A
+    state holds the marking, the store, an integer clock per enabled
+    transition (ticks since its enabling, capped at its lower bound when its
+    upper bound is infinite, since a larger clock changes nothing) and the
+    higher-priority transitions that a firing at the current instant
+    preempted: each of them must fire strictly later.  The untimed step,
+    with the post-state's enabled set and the clocks it restarts, is
+    `model.step`'s.  The timing rules are `traces.simulate`'s: after a delay
+    of d ticks, which no clock may take past its upper bound, t fires when
+    its clock has reached its lower bound, it is not preempted (a delay of a
+    tick or more ends every preemption) and every enabled higher-priority
+    transition with a finite upper bound can still fire strictly later.
+    """
+    assert grid % model.time_scale == 0, (grid, model.time_scale)
+    factor = grid // model.time_scale
+    lo, hi = {}, {}
+    for name, (lower, lower_strict, upper, upper_strict) in model.ticks.items():
+        assert not lower_strict and (upper is None or not upper_strict), \
+            f"{name}: bounds must be closed"
+        lo[name] = lower * factor
+        hi[name] = None if upper is None else upper * factor
+    higher = {name: model.higher_than(name) for name in model.transitions}
+    steps = {}  # (marking, store, t) -> model.step's result, as tuples
+
+    def successors(marking, store, clocks, preempted):
+        """(t, state) for every firing after every delay."""
+        now = dict(clocks)
+        deadlines = [hi[u] - c for u, c in clocks if hi[u] is not None]
+        # past the first deadline time stops; with none, past the last lower
+        # bound every clock is capped and only a preemption can end
+        longest = min(deadlines) if deadlines else \
+            max([lo[u] - c for u, c in clocks] + [int(bool(preempted))])
+        for t, c in clocks:
+            first = max(lo[t] - c, int(t in preempted))
+            last = min([longest] + [hi[h] - now[h] - 1 for h in higher[t]
+                                    if h in now and hi[h] is not None])
+            if first > last:
+                continue
+            if (marking, store, t) not in steps:
+                m, s, after, fresh = step(model, dict(marking), dict(store), t, set(now))
+                steps[marking, store, t] = (tuple(m.items()), tuple(s.items()),
+                                            sorted(after), fresh)
+            m, s, after, fresh = steps[marking, store, t]
+            persistent = set(after) - fresh
+            held = frozenset(persistent.intersection(higher[t]))
+            if all(hi[u] is None for u in persistent):
+                # past this delay every clock is capped: later ones give the same state
+                last = min(last, max([first, 1] + [lo[u] - now[u] for u in persistent]))
+            for d in range(first, last + 1):
+                yield t, (m, s, tuple(
+                    (u, 0 if u in fresh else
+                     now[u] + d if hi[u] is not None else min(now[u] + d, lo[u]))
+                    for u in after), held | (preempted & persistent) if d == 0 else held)
+
+    marking, store = model.initial_marking(), model.initial_store()
+    start = (tuple(marking.items()), tuple(store.items()),
+             tuple((n, 0) for n in sorted(enabled(model, marking, store))), frozenset())
+    language = {()}
+    layer = {((), start)}
+    for k in range(depth):
+        nxt = set()
+        for seq, state in layer:
+            nxt.update((seq + (t,), after) for t, after in successors(*state))
+            if max_states is not None and len(nxt) > max_states:
+                raise IntegerStatesExceeded(f"over {max_states} states at depth {k + 1}")
+        language.update(seq for seq, _ in nxt)
+        layer = nxt
+    return language

@@ -1,4 +1,8 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -35,10 +39,11 @@ from ttscheck.model import parse_tts
 from ttscheck.observers import compose, synthesize
 from ttscheck.oracle import Verdict, fott_holds
 from ttscheck.patterns import parse_pattern
+from ttscheck.records import FrozenInstanceError
 from ttscheck.traces import replay
 
 from conftest import xcheck_catalog
-from reference import buchi_accepts, eval_on_lasso, ref_ltl_to_buchi
+from reference import buchi_accepts, eval_on_lasso, record_methods, ref_ltl_to_buchi
 
 a, b = EventAtom(Name("a")), EventAtom(Name("b"))
 c = StateAtom(Name("c"))
@@ -289,6 +294,142 @@ def test_deep_until_chain_compiles_and_runs_without_recursion():
     assert run_lasso_program(program, [(True, False)] * 3, [(False, True)]) is True
     assert run_lasso_program(program, [(True, False)] * 3, [(True, False)]) is False
     assert run_lasso_program(program, [(False, False)], [(False, True)]) is False
+
+
+# ---------------------------------------------------------------------------
+# every formula node hashes once
+
+FIELDED = (EventAtom, StateAtom, LNot, LAnd, LOr, LImplies, LUntil, LRelease,
+           LAlways, LEventually)
+
+
+def field_tuple(f) -> tuple:
+    return tuple(getattr(f, name) for name in type(f).__annotations__)
+
+
+def rebuilt(f):
+    """An equal formula made of fresh nodes, none of them hashed yet."""
+    if isinstance(f, (EventAtom, StateAtom)):
+        return type(f)(*field_tuple(f))
+    return type(f)(*map(rebuilt, field_tuple(f)))
+
+
+def generated_hash(cls):
+    """The `__hash__` that `records.record` generates for `cls`'s fields."""
+    plain = type(cls.__name__, (), {"__annotations__": dict(cls.__annotations__),
+                                    "__module__": cls.__module__})
+    return record_methods(plain)["__hash__"]
+
+
+def assert_record_hashes(f) -> set:
+    """Every node of `f` hashes as its record would, as an equal formula of
+    fresh nodes does; returns the classes seen."""
+    seen = set()
+    for g in subformulas(f):
+        if isinstance(g, FIELDED):
+            seen.add(type(g))
+            assert hash(g) == hash(field_tuple(g)) == generated_hash(type(g))(g), g
+            assert hash(rebuilt(g)) == hash(g), g
+    return seen
+
+
+def test_formulas_hash_as_their_records_would():
+    seen = set()
+    for f in FORMULAS:
+        seen |= assert_record_hashes(f)
+    assert seen == set(FIELDED)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nnf_formulas())
+def test_nnf_formulas_hash_as_their_records_would(f):
+    assert_record_hashes(f)
+
+
+def test_hash_cache_is_not_a_field():
+    leaf = a
+    for cls in FIELDED[2:]:
+        fields = (leaf, b)[:len(cls.__annotations__)]
+        f = cls(*fields)
+        hash(f)
+        fresh = cls(*map(rebuilt, fields))
+        assert f == fresh and hash(f) == hash(fresh)
+        assert f != cls(*(c,) * len(fields))
+        assert repr(f) == repr(fresh) == f"{cls.__name__}(" + ", ".join(
+            f"{n}={v!r}" for n, v in zip(cls.__annotations__, fields)) + ")"
+        assert "_hash" not in cls.__annotations__
+        for name in (*cls.__annotations__, "_hash"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(f, name, c)
+            with pytest.raises(FrozenInstanceError):
+                delattr(f, name)
+        assert {f: 1}[fresh] == 1
+        leaf = f
+
+
+def hashed_nodes(f) -> list:
+    """The first argument of every Python call that `hash(f)` makes."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_argcount:
+            calls.append(frame.f_locals[frame.f_code.co_varnames[0]])
+    sys.setprofile(profile)
+    try:
+        hash(f)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_second_hash_of_a_formula_hashes_none_of_its_subformulas():
+    for f in FORMULAS:
+        hash(f)
+        assert all(node is f for node in hashed_nodes(f)), f
+
+
+def test_deep_conjunction_hashes_without_recursion():
+    # a & (a & (... (a & b))), 5,000 deep, each level hashed as it is made
+    f = b
+    for _ in range(5000):
+        f = LAnd(a, f)
+        hash(f)
+    assert hash(f) == hash((a, f.right))
+    assert len(hashed_nodes(f)) == 1
+
+
+DETERMINISM_SCRIPT = """
+from conftest import MODELS, xcheck_catalog
+from ttscheck.ltl import LNot, ltl_to_buchi
+from ttscheck.model import load_tts
+from ttscheck.observers import compose, synthesize
+from ttscheck.patterns import parse_pattern
+for name in ("airlock", "relay", "chain"):
+    model = load_tts(MODELS / f"{name}.tts")
+    cat = xcheck_catalog(name)
+    for text in cat + [f"({cat[0]}) and ({cat[2]})", f"({cat[3]}) => ({cat[5]})"]:
+        f = compose(model, synthesize(parse_pattern(text))).formula
+        for g in (f, LNot(f)):
+            ba = ltl_to_buchi(g)
+            print(text, [str(x) for x in ba.atoms], ba.states, ba.initial, ba.succ,
+                  ba.accepting)
+"""
+
+
+def test_catalog_automata_do_not_depend_on_the_hash_seed():
+    # f and its negation of every catalog pattern and of one `and` and one
+    # `=>` composite per model, translated under two string hash seeds
+    tests = pathlib.Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-c", DETERMINISM_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") == 2 * 3 * (8 + 2)
 
 
 # ---------------------------------------------------------------------------
