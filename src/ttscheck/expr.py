@@ -7,8 +7,8 @@ comparisons (`=`, `!=`, `<`, `<=`, `>`, `>=`) and integer `+`/`-`.
 Actions are `;`-separated assignments, optionally guarded with
 `if <cond> then <assign>`.  An `&` or `|` chain is one n-ary `Chain` node,
 which every walker reads with one loop, so its length is not limited by
-recursion.  `eval_expr` walks an expression; `compile_expr` turns one into
-a closure that returns the same value.
+recursion.  `eval_expr` is the one evaluator: guards, actions, and the
+LTL atoms read off graph steps and replayed runs all go through it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .records import record
 
@@ -301,49 +301,6 @@ def eval_expr(e: Expr, marking: dict, store: dict,
     if isinstance(e, Binary):
         return _BINARY[e.op](eval_expr(e.left, marking, store, transition),
                              eval_expr(e.right, marking, store, transition))
-    raise AssertionError(f"unhandled expression node {e!r}")
-
-
-def compile_expr(e: Expr) -> Callable:
-    """A closure `f(marking, store, transition)` that returns
-    `eval_expr(e, marking, store, transition)`."""
-    if isinstance(e, Lit):
-        value = e.value
-        return lambda m, s, t: value
-    if isinstance(e, Name):
-        x = e.ident
-
-        def name(m, s, t):
-            if x in s:
-                return s[x]
-            if x in m:
-                return m[x] >= 1
-            return t == x
-        return name
-    if isinstance(e, Unary):
-        f = compile_expr(e.operand)
-        if e.op == "!":
-            return lambda m, s, t: not f(m, s, t)
-        return lambda m, s, t: -f(m, s, t)
-    if isinstance(e, Chain):
-        fs = tuple(compile_expr(x) for x in e.operands)
-        if e.op == "&":
-            def all_of(m, s, t):
-                for f in fs:
-                    if not f(m, s, t):
-                        return False
-                return True
-            return all_of
-
-        def any_of(m, s, t):
-            for f in fs:
-                if f(m, s, t):
-                    return True
-            return False
-        return any_of
-    if isinstance(e, Binary):
-        op, left, right = _BINARY[e.op], compile_expr(e.left), compile_expr(e.right)
-        return lambda m, s, t: op(left(m, s, t), right(m, s, t))
     raise AssertionError(f"unhandled expression node {e!r}")
 
 

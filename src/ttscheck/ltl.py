@@ -4,9 +4,9 @@ Atoms are either event predicates (read off an edge together with its target
 state) or state predicates (read off the edge's source class).  Maximal
 finite paths are extended by stuttering a deadlock self-loop, so every path
 induces an infinite word.  `run_letter` is the one atom reader: it reads a
-graph step or a step of a concrete run through compiled atom readers into a
-tuple in `formula_atoms` order, the order of the automaton's required
-letters, so instrumented replay reads its runs as this checker does, and
+graph step or a step of a concrete run with `eval_expr` into a tuple in
+`formula_atoms` order, the order of the automaton's required letters, so
+instrumented replay reads its runs as this checker does, and
 `run_lasso_program` evaluates a formula on a replayed run.  Formulas of
 shape `always <propositional>` are checked by plain reachability;
 everything else goes through a tableau translation of the negation to a
@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .classgraph import ClassGraph
-from .expr import Expr, compile_expr, format_expr
+from .expr import Expr, eval_expr, format_expr
 from .model import Event, TtsModel, enabled, fire, step
 from .records import record
 from .traces import TimedTrace
@@ -247,27 +247,19 @@ def truth(f: LtlFormula, chosen: dict) -> bool:
 STUTTER = None  # edge label of the virtual deadlock self-loop
 
 
-def atom_readers(atoms) -> tuple:
-    """Compiled readers of `atoms`, in their order: per atom, whether it is
-    an event atom, and its expression as a `compile_expr` closure."""
-    return tuple((True, compile_expr(a.pred)) if isinstance(a, EventAtom)
-                 else (False, compile_expr(a.expr)) for a in atoms)
-
-
-def run_letter(readers, marking, store, transition: Optional[str],
+def run_letter(atoms, marking, store, transition: Optional[str],
                post_marking, post_store) -> tuple:
-    """Atom assignment of one step of a run, as a tuple in the order of the
-    atoms that `readers` (`atom_readers`) was compiled from.
+    """Atom assignment of one step of a run, as a tuple in `atoms` order,
+    each atom read by `eval_expr`.
 
     State atoms read the step's source state; event atoms read the fired
     transition and its post-state.  `transition=None` is the stutter step,
     on which no event atom holds.
     """
-    if transition is None:
-        return tuple([False if event else bool(f(marking, store, None))
-                      for event, f in readers])
-    return tuple([bool(f(post_marking, post_store, transition)) if event
-                  else bool(f(marking, store, None)) for event, f in readers])
+    return tuple([transition is not None
+                  and bool(eval_expr(a.pred, post_marking, post_store, transition))
+                  if isinstance(a, EventAtom) else bool(eval_expr(a.expr, marking, store))
+                  for a in atoms])
 
 
 def graph_steps(g: ClassGraph, node: int):
@@ -625,13 +617,12 @@ def _check_safety(g: ClassGraph, body: LtlFormula) -> CheckResult:
     into a class is that class's breadth-first parent.
     """
     atoms = formula_atoms(body)
-    readers = atom_readers(atoms)
     parent: dict = {g.initial: None}  # class -> (parent class, label)
     for node in range(g.node_count):
         src = g.nodes[node]
         for (label, dst) in graph_steps(g, node):
             post = g.nodes[dst]
-            letter = run_letter(readers, src.marking, src.store, label, post.marking, post.store)
+            letter = run_letter(atoms, src.marking, src.store, label, post.marking, post.store)
             if not truth(body, dict(zip(atoms, letter))):
                 steps = [(node, label, dst)]
                 cur = node
@@ -648,7 +639,6 @@ def _check_safety(g: ClassGraph, body: LtlFormula) -> CheckResult:
 
 def _check_buchi(g: ClassGraph, f: LtlFormula) -> CheckResult:
     ba = ltl_to_buchi(LNot(f))
-    readers = atom_readers(ba.atoms)
     edge_cache: dict = {}
 
     def edges(node: int) -> list:
@@ -657,7 +647,7 @@ def _check_buchi(g: ClassGraph, f: LtlFormula) -> CheckResult:
         if out is None:
             src = g.nodes[node]
             out = edge_cache[node] = [
-                (label, dst, run_letter(readers, src.marking, src.store, label,
+                (label, dst, run_letter(ba.atoms, src.marking, src.store, label,
                                         g.nodes[dst].marking, g.nodes[dst].store))
                 for (label, dst) in graph_steps(g, node)]
         return out
@@ -890,14 +880,13 @@ MAX_EXTENSION_PATHS = 4000
 
 
 def find_decisive_extension(g: ClassGraph, model: TtsModel, cx: Counterexample,
-                            decide: Callable,
-                            max_depth: int = MAX_EXTENSION_DEPTH) -> Optional[TimedTrace]:
+                            decide: Callable) -> Optional[TimedTrace]:
     """Breadth-first search over run extensions until `decide` accepts one.
 
     `decide` receives each candidate trace; used to lengthen a violating run
     until a trace-level oracle can confirm the violation on the finite prefix.
-    The search adds at most `max_depth` steps (`MAX_EXTENSION_DEPTH` unless
-    given) and tries at most `MAX_EXTENSION_PATHS` candidates.
+    The search adds at most `MAX_EXTENSION_DEPTH` steps and tries at most
+    `MAX_EXTENSION_PATHS` candidates.
     """
     base = list(cx.stem) + list(cx.cycle)
 
@@ -914,7 +903,7 @@ def find_decisive_extension(g: ClassGraph, model: TtsModel, cx: Counterexample,
     tried = 0
     while queue and tried < MAX_EXTENSION_PATHS:
         steps = queue.popleft()
-        if len(steps) - len(base) >= max_depth:
+        if len(steps) - len(base) >= MAX_EXTENSION_DEPTH:
             continue
         last = steps[-1][2] if steps else g.initial
         for (label, dst) in graph_steps(g, last):

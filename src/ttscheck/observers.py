@@ -47,7 +47,6 @@ from .ltl import (
     LOr,
     LtlFormula,
     StateAtom,
-    atom_readers,
     children,
     formula_atoms,
     lasso_program,
@@ -131,14 +130,9 @@ class InstrumentedModel:
     @cached_property
     def atoms(self) -> tuple:
         """`ltl.formula_atoms` of the formula: the atoms of the automaton
-        `ltl_to_buchi` makes of its negation, in the same order."""
+        `ltl_to_buchi` makes of its negation, in the same order.  Replay's
+        letters are `run_letter` tuples of them."""
         return formula_atoms(self.formula)
-
-    @cached_property
-    def atom_readers(self) -> tuple:
-        """`ltl.atom_readers` of `atoms`: replay's letters are `run_letter`
-        tuples in that order."""
-        return atom_readers(self.atoms)
 
     @cached_property
     def lasso_program(self) -> tuple:
@@ -162,7 +156,7 @@ class InstrumentedModel:
         """Replay's `model.StepMemo`: the watchers tracked, firing a
         transition re-tests its `watcher_dependents`, and a step's payload
         is its `run_letter` tuple."""
-        return StepMemo(self.watcher_dependents, partial(run_letter, self.atom_readers))
+        return StepMemo(self.watcher_dependents, partial(run_letter, self.atoms))
 
     @cached_property
     def replay_start(self) -> tuple:
@@ -702,6 +696,6 @@ def replay_instrumented(inst: InstrumentedModel, trace: TimedTrace) -> TraceVerd
     # play out remaining watcher deadlines over an idle tail: decisive oracle
     # verdicts are stable under every continuation, including this one
     st.play_until(None)
-    final = run_letter(inst.atom_readers, st.marking, st.store, None, None, None)
+    final = run_letter(inst.atoms, st.marking, st.store, None, None, None)
     holds = run_lasso_program(inst.lasso_program, st.letters, [final])
     return TraceVerdict(Verdict.HOLDS if holds else Verdict.FAILS)

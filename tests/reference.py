@@ -6,7 +6,7 @@ letters and re-scanned graph steps for a lasso's labels
 (`ref_check_buchi`), the direct recursive evaluation of a
 formula on a lasso of dict letters (`eval_on_lasso`, which
 `ltl.run_lasso_program` replaced in replay), the `eval_expr` dict reader of
-a step's atoms (`eval_letter`, which the compiled `ltl.run_letter`
+a step's atoms (`eval_letter`, which the tuple reader `ltl.run_letter`
 replaced), the non-intrusiveness of an observer composition, the text form
 of an action list, the simulator and instrumented replay with `Fraction`
 time, a replay that tracks every transition's enabledness, and the

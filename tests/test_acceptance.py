@@ -12,6 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from ttscheck import classgraph as cg
+from ttscheck import ltl
 from ttscheck.expr import Name
 from ttscheck.ltl import (
     EventAtom,
@@ -74,7 +75,7 @@ def test_a1_airlock_safety(airlock):
 # ---------------------------------------------------------------------------
 # A2  Timing verdicts with exact counterexample extraction
 
-def test_a2_timing_verdicts(airlock):
+def test_a2_timing_verdicts(airlock, monkeypatch):
     ok = parse_pattern("present Ventil after (Open1 | Open2) within [0,10]")
     inst = compose(airlock, synthesize(ok))
     g = cg.build_graph(inst.model)
@@ -94,8 +95,9 @@ def test_a2_timing_verdicts(airlock):
         vents = [t for t, e in evs if e.transition == "Ventil"]
         return bool(opens and vents) and vents[0] - opens[0] == F(10)
 
+    monkeypatch.setattr(ltl, "MAX_EXTENSION_DEPTH", 16)
     tr = find_decisive_extension(g9, inst9.model, res.counterexample,
-                                 violating_with_delay_ten, max_depth=16)
+                                 violating_with_delay_ten)
     assert tr is not None, "no confirming counterexample trace found"
     report("A2 PASS: [0,10] passes; [0,9] fails with a confirmed "
            "counterexample whose trigger-to-witness delay is exactly 10")
@@ -253,7 +255,7 @@ def test_a5_non_intrusiveness(airlock):
 # ---------------------------------------------------------------------------
 # A6  Priority semantics
 
-def test_a6_priority_semantics(airlock):
+def test_a6_priority_semantics(airlock, monkeypatch):
     g = cg.build_graph(airlock)
     contention = [c for c in g.nodes
                   if c.marking.get("Idle") == 1 and c.store["req1"] and c.store["req2"]]
@@ -281,9 +283,10 @@ def test_a6_priority_semantics(airlock):
     g1 = cg.build_graph(inst1.model)
     res1 = check(g1, inst1.formula)
     assert not res1.passed
+    monkeypatch.setattr(ltl, "MAX_EXTENSION_DEPTH", 18)
     tr = find_decisive_extension(
         g1, inst1.model, res1.counterexample,
-        lambda t: fott_holds(door1, t).value is Verdict.FAILS, max_depth=18)
+        lambda t: fott_holds(door1, t).value is Verdict.FAILS)
     assert tr is not None, "door-1 starvation must be confirmable on a trace"
     # the oracle confirms on simulated runs as well: contention-heavy seeds
     starved = sum(

@@ -220,6 +220,21 @@ def test_long_chains_get_verdicts(tmp_path, command):
         assert entry["mismatches"] == 0 and entry["decisive"] > 0
 
 
+@pytest.mark.parametrize("command", ["check", "xcheck"])
+def test_deeply_negated_predicate_reads_as_the_bare_one(tmp_path, command):
+    # 600 nested `!` around a pattern predicate parse, and every step of
+    # the check and of the replays evaluates through them: the report is
+    # the bare predicate's, with the predicate's text in its place
+    deep = "!" * 600 + "Open1"
+    out = {}
+    for name, predicate in (("deep", deep), ("bare", "Open1")):
+        (tmp_path / name).mkdir()
+        r = run_cli(*deep_inputs(tmp_path / name, "x", predicate)[command])
+        assert (r.returncode, r.stderr) == (0, "")
+        out[name] = r.stdout
+    assert out["deep"] == out["bare"].replace("after Open1", f"after {deep}")
+
+
 @pytest.mark.parametrize("args", [
     ("simulate", "models/airlock.tts", "--horizon", "abc"),
     ("simulate", "models/airlock.tts", "--horizon", "-5"),

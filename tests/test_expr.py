@@ -12,7 +12,6 @@ from ttscheck.expr import (
     Lit,
     Name,
     Unary,
-    compile_expr,
     eval_expr,
     format_expr,
     free_names,
@@ -21,9 +20,7 @@ from ttscheck.expr import (
     tokenize,
 )
 
-from conftest import guarded_nets, n_door_airlock
 from reference import format_actions
-from ttscheck.model import parse_tts
 
 
 def test_parse_precedence():
@@ -145,7 +142,7 @@ def test_free_names():
 
 
 # ---------------------------------------------------------------------------
-# compile_expr against eval_expr
+# Random expressions and states
 
 PLACES, VARS, TRANSITIONS = ("P", "Q", "R"), ("b", "n"), ("t", "u")
 
@@ -179,18 +176,6 @@ def states(draw, places, variables, transitions):
     return marking, store, draw(st.sampled_from((None,) + tuple(transitions)))
 
 
-def assert_compiled_agrees(e, state):
-    want = eval_expr(e, *state)
-    got = compile_expr(e)(*state)
-    assert (got, type(got)) == (want, type(want)), (format_expr(e), state)
-
-
-@settings(max_examples=300, deadline=None)
-@given(expressions(PLACES + VARS + TRANSITIONS), states(PLACES, VARS, TRANSITIONS))
-def test_compiled_expressions_agree_with_eval_expr(e, state):
-    assert_compiled_agrees(e, state)
-
-
 @settings(max_examples=300, deadline=None)
 @given(expressions(PLACES + VARS + TRANSITIONS), states(PLACES, VARS, TRANSITIONS))
 def test_printing_is_stable_under_reparsing(e, state):
@@ -200,54 +185,15 @@ def test_printing_is_stable_under_reparsing(e, state):
     assert eval_expr(again, *state) == eval_expr(e, *state), text
 
 
-@settings(max_examples=80, deadline=None)
-@given(guarded_nets(), st.data())
-def test_compiled_guards_and_predicates_of_guarded_nets_agree_with_eval_expr(text, data):
-    model = parse_tts(text)
-    places, names = sorted(model.places), sorted(model.transitions)
-    exprs = [t.guard for t in model.transitions.values() if t.guard is not None]
-    exprs.append(data.draw(expressions(tuple(places + names))))  # an event predicate
-    for _ in range(5):
-        state = data.draw(states(places, (), names))
-        for e in exprs:
-            assert_compiled_agrees(e, state)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_compiled_guards_and_actions_of_the_models_agree_with_eval_expr(data):
-    # int comparisons, `+`/`-` and conditional actions over declared stores
-    relay = parse_tts("""
-places Src=1 Mid
-vars hot=false lvl:0..2=0
-trans Load in [1,3] consume {Src} produce {Mid} act {hot := true}
-trans Bump pre {hot & lvl < 2} in [0,2] read {Mid} act {lvl := lvl + 1}
-trans Decay pre {lvl > 0} in [2,2] act {if lvl >= 1 then lvl := lvl - 1}
-""")
-    for model in (relay, n_door_airlock(3)):
-        exprs = []
-        for t in model.transitions.values():
-            exprs += [t.guard] if t.guard is not None else []
-            exprs += [x for a in t.action for x in (a.expr, a.cond) if x is not None]
-        store = {v.name: data.draw(st.booleans() if v.kind == "bool" else
-                                   st.integers(v.lo, v.hi))
-                 for v in model.vars.values()}
-        marking, _, transition = data.draw(states(sorted(model.places), (),
-                                                  sorted(model.transitions)))
-        for e in exprs:
-            assert_compiled_agrees(e, (marking, store, transition))
-
-
 @pytest.mark.parametrize("op", ["|", "&"])
-def test_long_chains_compile_and_evaluate_without_recursion(op):
+def test_long_chains_parse_print_and_evaluate_without_recursion(op):
     n = 1500
     e = parse_expr(f" {op} ".join(f"x{i}" for i in range(n)))
     assert e == Chain(op, tuple(Name(f"x{i}") for i in range(n)))
     assert free_names(e) == {f"x{i}" for i in range(n)}
     assert format_expr(e) == f" {op} ".join(f"x{i}" for i in range(n))
-    f = compile_expr(e)
     # one operand differs from the rest: it decides the chain
     store = {f"x{i}": op == "&" for i in range(n)}
-    assert f({}, store, None) is eval_expr(e, {}, store) is (op == "&")
+    assert eval_expr(e, {}, store) is (op == "&")
     store["x1234"] = op != "&"
-    assert f({}, store, None) is eval_expr(e, {}, store) is (op != "&")
+    assert eval_expr(e, {}, store) is (op != "&")

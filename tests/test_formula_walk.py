@@ -30,7 +30,6 @@ from ttscheck.ltl import (
     LRelease,
     LUntil,
     StateAtom,
-    atom_readers,
     children,
     formula_atoms,
     graph_steps,
@@ -114,7 +113,6 @@ def ref_fast_path_target(f):
 def ref_check_safety(g, body) -> CheckResult:
     """Breadth-first reachability scan with its own queue and seen set."""
     atoms = tuple(sorted(ref_formula_atoms(body), key=str))
-    readers = atom_readers(atoms)
     parent: dict = {}
     seen = {g.initial}
     queue = deque([g.initial])
@@ -125,7 +123,7 @@ def ref_check_safety(g, body) -> CheckResult:
         src = g.nodes[node]
         for (label, dst) in graph_steps(g, node):
             post = g.nodes[dst]
-            a = dict(zip(atoms, run_letter(readers, src.marking, src.store, label,
+            a = dict(zip(atoms, run_letter(atoms, src.marking, src.store, label,
                                            post.marking, post.store)))
             if not ref_eval_propositional(body, a):
                 steps = [(node, label, dst)]

@@ -31,11 +31,12 @@ from ttscheck.ltl import (
     ltl_to_buchi,
     nnf,
     run_lasso_program,
+    run_letter,
     solve_schedule,
     subformulas,
     witness_to_trace,
 )
-from ttscheck.model import parse_tts
+from ttscheck.model import Event, parse_tts
 from ttscheck.observers import compose, synthesize
 from ttscheck.oracle import Verdict, fott_holds
 from ttscheck.patterns import parse_pattern
@@ -43,7 +44,9 @@ from ttscheck.records import FrozenInstanceError
 from ttscheck.traces import replay
 
 from conftest import xcheck_catalog
-from reference import buchi_accepts, eval_on_lasso, record_methods, ref_ltl_to_buchi
+from reference import (buchi_accepts, eval_letter, eval_on_lasso, record_methods,
+                       ref_ltl_to_buchi)
+from test_expr import PLACES, TRANSITIONS, VARS, expressions, states
 
 a, b = EventAtom(Name("a")), EventAtom(Name("b"))
 c = StateAtom(Name("c"))
@@ -294,6 +297,29 @@ def test_deep_until_chain_compiles_and_runs_without_recursion():
     assert run_lasso_program(program, [(True, False)] * 3, [(False, True)]) is True
     assert run_lasso_program(program, [(True, False)] * 3, [(True, False)]) is False
     assert run_lasso_program(program, [(False, False)], [(False, True)]) is False
+
+
+# ---------------------------------------------------------------------------
+# run_letter against the `eval_expr` dict reader
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), expressions(PLACES + VARS + TRANSITIONS)),
+                min_size=1, max_size=4),
+       states(PLACES, VARS, TRANSITIONS), states(PLACES, VARS, ()))
+def test_run_letter_agrees_with_eval_letter(specs, source, post):
+    # random event and state atoms on a fired step, or on the stutter step
+    # (no transition and no post-state), as replay's final letter reads it
+    atoms = tuple(EventAtom(e) if event else StateAtom(e) for event, e in specs)
+    marking, store, transition = source
+    if transition is None:
+        post_marking = post_store = event = None
+    else:
+        post_marking, post_store, _ = post
+        event = Event(transition, post_marking, post_store)
+    letter = run_letter(atoms, marking, store, transition, post_marking, post_store)
+    want = eval_letter(atoms, marking, store, event)
+    assert letter == tuple(want[x] for x in atoms)
+    assert all(type(v) is bool for v in letter)
 
 
 # ---------------------------------------------------------------------------
