@@ -84,13 +84,13 @@ def initial_class(model: TtsModel) -> StateClass:
 
 def firable(model: TtsModel, c: StateClass) -> set:
     """Transitions that can fire first from this class, priorities included."""
-    return {t for t in c.domain.names
-            if zone.firable(c.domain, t, model.higher_than(t))}
+    higher = model.higher
+    return {t for t in c.domain.names if zone.firable(c.domain, t, higher[t])}
 
 
 def successor(model: TtsModel, c: StateClass, t: str) -> StateClass:
     """Fire t from a class: constrain, shift persistent clocks, add fresh ones."""
-    higher = model.higher_than(t)
+    higher = model.higher[t]
     if t not in c.domain.names or not zone.firable(c.domain, t, higher):
         raise ExplorationError(f"transition {t!r} not firable from this class")
     new_marking, new_store, now_enabled, fresh = step(

@@ -359,8 +359,16 @@ def format_expr(e: Expr, parent_prec: int = 0) -> str:
 # ---------------------------------------------------------------------------
 # Rational literals shared by interval/trace parsers
 
+# `Fraction` also reads `+1`, `.5`, `1_0` and exponents, and takes seconds
+# over `1e10000000`: only the documented literals reach it
+_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+|\.\d+)?")
+
+
 def parse_rational(text: str) -> Fraction:
+    """`n`, `n/d` or `n.d`, after an optional `-`."""
     text = text.strip()
+    if _RATIONAL_RE.fullmatch(text) is None:
+        raise ExprError(f"bad rational literal {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -737,7 +737,7 @@ def _schedule_constraints(model: TtsModel, firing: list) -> list:
             cons.append((k, e, (up.value, up.strict)))
         if t in strict_after:
             cons.append((strict_after.pop(t), k, (Fraction(0), True)))
-        higher = set(model.higher_than(t))
+        higher = model.higher[t]
         for (u, eu) in enable_step.items():
             uiv = model.transitions[u].timing
             if not uiv.upper.is_infinite:

@@ -173,8 +173,9 @@ class Transition:
 @record
 class TtsModel:
     """A complete net.  Treated as immutable once validated: firing produces
-    fresh marking/store values.  The one part that changes is `step_memo`,
-    which `traces.simulate` fills without a lock, so a model can be shared
+    fresh marking/store values; `higher` is the one priority table that
+    every engine reads.  The one part that changes is `step_memo`, which
+    `traces.simulate` fills without a lock, so a model can be shared
     across threads as long as no two of them simulate it at once."""
 
     name: str
@@ -189,8 +190,13 @@ class TtsModel:
     def initial_store(self) -> Store:
         return {v.name: v.initial for v in self.vars.values()}
 
-    def higher_than(self, lower: str) -> tuple[str, ...]:
-        return tuple(h for (h, l) in self.priority if l == lower)
+    @cached_property
+    def higher(self) -> dict:
+        """Transition name -> the frozenset of transitions with priority over it."""
+        out: dict = {name: set() for name in self.transitions}
+        for h, lo in self.priority:
+            out[lo].add(h)
+        return {name: frozenset(hs) for name, hs in out.items()}
 
     @cached_property
     def time_scale(self) -> int:
@@ -242,7 +248,7 @@ class TtsModel:
     def step_memo(self) -> "StepMemo":
         """The simulator's `StepMemo`: every transition tracked, firing one
         re-tests its `dependents`, and a step's payload is its `Event`."""
-        return StepMemo(self.dependents, _step_event)
+        return StepMemo(self, frozenset(self.transitions), _step_event)
 
 
 @record
@@ -510,6 +516,11 @@ class StepMemo:
     store)`.  A miss calls `step` unchanged, and nothing is stored unless it
     returns, so a firing that `step` rejects raises again on every visit.
 
+    The engine tracks the transitions in `tracked`: `among` maps each one
+    to its `dependents` among them, which `step` re-tests, and `start`, the
+    start of every run, is the initial state's id and the tracked
+    transitions enabled there, sorted.
+
     A step's result depends only on the pre-state, the transition, `among`
     and `before`.  `among` is fixed per transition here, and an engine may
     use the memo only if the `before` it passes is the pre-state's enabled
@@ -517,14 +528,17 @@ class StepMemo:
     sufficient key.  The memo holds no reference to its model: each call
     passes it."""
 
-    __slots__ = ("among", "payload", "ids", "states", "steps")
+    __slots__ = ("among", "payload", "ids", "states", "steps", "start")
 
-    def __init__(self, among: dict, payload):
-        self.among = among  # transition -> the tracked transitions step re-tests
+    def __init__(self, model: TtsModel, tracked: frozenset, payload):
+        self.among = {n: deps & tracked for n, deps in model.dependents.items()}
         self.payload = payload
         self.ids: dict = {}  # state values -> state id
         self.states: list = []  # state id -> (marking, store)
         self.steps: dict = {}  # (state id, transition) -> step result
+        marking, store = model.initial_marking(), model.initial_store()
+        self.start = (self.intern(model, marking, store),
+                      tuple(sorted(enabled(model, marking, store, tracked))))
 
     def intern(self, model: TtsModel, marking: Marking, store: Store) -> int:
         key = (*map(marking.__getitem__, model.places), *map(store.__getitem__, model.vars))

@@ -32,7 +32,6 @@ from .model import (
     TtsModel,
     VarDecl,
     closed_interval,
-    enabled,
     matching_transitions,
     residual_predicate,
     validate_model,
@@ -69,7 +68,7 @@ from .patterns import (
     PresentLasting,
 )
 from .records import record
-from .traces import TimedTrace, _window
+from .traces import Run, TimedTrace
 
 
 class ObserverError(ValueError):
@@ -140,31 +139,10 @@ class InstrumentedModel:
         return lasso_program(nnf(self.formula), self.atoms)
 
     @cached_property
-    def priority_pairs(self) -> frozenset:
-        """The composed model's priority pairs (higher, lower)."""
-        return frozenset(self.model.priority)
-
-    @cached_property
-    def watcher_dependents(self) -> dict:
-        """Transition name -> the watchers whose enabledness firing it may
-        change (`TtsModel.dependents`)."""
-        return {n: deps & self.observer_transitions
-                for n, deps in self.model.dependents.items()}
-
-    @cached_property
     def step_memo(self) -> StepMemo:
-        """Replay's `model.StepMemo`: the watchers tracked, firing a
-        transition re-tests its `watcher_dependents`, and a step's payload
-        is its `run_letter` tuple."""
-        return StepMemo(self.watcher_dependents, partial(run_letter, self.atoms))
-
-    @cached_property
-    def replay_start(self) -> tuple:
-        """The initial state's id in `step_memo`, and the watchers enabled
-        in it, by name."""
-        m, s = self.model.initial_marking(), self.model.initial_store()
-        return (self.step_memo.intern(self.model, m, s),
-                tuple(sorted(enabled(self.model, m, s, self.observer_transitions))))
+        """Replay's `model.StepMemo`: the watchers tracked, and a step's
+        payload is its `run_letter` tuple."""
+        return StepMemo(self.model, self.observer_transitions, partial(run_letter, self.atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +526,7 @@ def _prio_side_names(side: PrioSide, frag: Fragment, matches: dict,
 MAX_WATCHER_FIRINGS = 10_000
 
 
-class _ReplayState:
+class _ReplayState(Run):
     """Discrete-event execution of the composed net with exogenous system
     events.  Each step is recorded as the letter the model checker reads
     off it: a `run_letter` tuple, in the order of the model's `atoms`.
@@ -560,67 +538,29 @@ class _ReplayState:
     watchers with priority over the event fire.  A watcher never fires while
     a higher-priority watcher is due at the same instant; ties go by name.
 
-    Observers are non-intrusive, so the only clocks replay follows are the
-    watchers': `watches` holds the enabled watchers' windows only, a firing
-    re-tests only the watchers it may change (`watcher_dependents`), and a
-    system event the composed net cannot fire still raises in `model.fire`.
-    Each step, with its letter, is read from the composed model's
-    `step_memo`: `state` is the current state's id there, and `watches` is
-    the pre-state's tracked enabled set that the memo relies on.
-
-    Times are ints, in ticks of 1/scale, an exact rescaling: `scale` starts
-    as a multiple of the model's `time_scale` and of every time of the
-    trace, and doubles, with every time held, whenever a midpoint falls
-    between two ticks.
+    Observers are non-intrusive, so replay follows only the watchers'
+    clocks, those the composed model's `step_memo` tracks, and a system
+    event the composed net cannot fire still raises in `model.fire`.
+    `until` is the next system event's tick.
     """
 
     def __init__(self, inst: InstrumentedModel, scale: int):
-        self.model = inst.model
-        self.memo = inst.step_memo
-        self.priority_pairs = inst.priority_pairs
-        self.state, live = inst.replay_start
-        self.scale = scale
-        self.factor = scale // self.model.time_scale  # ticks per model unit
-        self.now = 0
-        self.until: Optional[int] = None  # time of the next system event
-        self.watches: dict = {n: _window(self.model, n, 0, self.factor) for n in live}
+        super().__init__(inst.model, inst.step_memo, scale)
+        self.until: Optional[int] = None
         self.letters: list = []
 
-    @property
-    def marking(self) -> dict:
-        return self.memo.states[self.state][0]
-
-    @property
-    def store(self) -> dict:
-        return self.memo.states[self.state][1]
-
-    def ticks(self, t: Fraction) -> int:
-        """Time `t` of the trace in ticks."""
-        return t.numerator * (self.scale // t.denominator)
-
-    def _double(self):
-        """Halve the tick: rewrite every time held in twice as many ticks."""
-        self.scale *= 2
-        self.factor *= 2
-        self.now *= 2
+    def double(self):
+        super().double()
         if self.until is not None:
             self.until *= 2
-        for w in self.watches.values():
-            w.double()
 
     def _fire(self, name: str):
-        self.state, gone, fresh, letter = self.memo.step(
-            self.model, self.state, name, self.watches)
-        self.letters.append(letter)
-        for n in gone:
-            del self.watches[n]
-        for n in fresh:
-            self.watches[n] = _window(self.model, n, self.now, self.factor)
+        self.letters.append(self.fire(name)[1])
 
     def _ripe(self) -> Optional[str]:
         """An open-ended watcher whose firing window is open by now."""
-        for name in sorted(self.watches):
-            w = self.watches[name]
+        for name in sorted(self.windows):
+            w = self.windows[name]
             if w.latest is None and (w.earliest < self.now
                                      or (w.earliest == self.now and not w.earliest_strict)):
                 return name
@@ -634,26 +574,27 @@ class _ReplayState:
         if ripe is not None:
             return ripe
         t = self.until
-        d = min((w.latest for w in self.watches.values() if w.latest is not None),
+        d = min((w.latest for w in self.windows.values() if w.latest is not None),
                 default=None)
-        lows = [w.earliest for w in self.watches.values() if w.latest is None]
+        lows = [w.earliest for w in self.windows.values() if w.latest is None]
         if lows:
             # strictly past the lower bound, never past a deadline or `t`
             base = max(min(lows), self.now)
             cap = min(x for x in (base + 2 * self.scale, d, t) if x is not None)
             if base < cap:
                 if (base + cap) % 2:
-                    self._double()
+                    self.double()
                     base, cap = 2 * base, 2 * cap
                 self.now = (base + cap) // 2
                 return self._ripe()
         if d is None or (t is not None and d > t):
             return None
-        due = sorted(n for n, w in self.watches.items() if w.latest == d)
+        due = sorted(n for n, w in self.windows.items() if w.latest == d)
+        higher = self.model.higher
         for name in due:
-            if d == t and sys is not None and (name, sys) not in self.priority_pairs:
+            if d == t and sys is not None and name not in higher[sys]:
                 continue
-            if any((h, name) in self.priority_pairs for h in due):
+            if not higher[name].isdisjoint(due):
                 continue
             self.now = d
             return name

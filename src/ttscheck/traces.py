@@ -18,9 +18,9 @@ from .model import (
     Event,
     ExplorationError,
     Marking,
+    StepMemo,
     Store,
     TtsModel,
-    enabled,
     fire,
 )
 from .records import record
@@ -109,12 +109,58 @@ class _Pending:
             self.latest *= 2
 
 
-def _window(model: TtsModel, name: str, now: int, factor: int) -> _Pending:
-    """The window of `name` enabled at tick `now`, with `factor` ticks to a
-    1/time_scale unit of the model."""
-    lo, lo_strict, hi, hi_strict = model.ticks[name]
-    return _Pending(now + lo * factor, lo_strict,
-                    None if hi is None else now + hi * factor, hi_strict)
+class Run:
+    """A run in progress, what the simulator and instrumented replay share:
+    the current state's id in `memo`, a `StepMemo`, the instant `now` and
+    the tracked enabled transitions' `windows`, in the order they opened.
+    Times are ints, in ticks of 1/`scale`, an exact rescaling, with `factor`
+    ticks to a 1/time_scale unit of the model."""
+
+    def __init__(self, model: TtsModel, memo: StepMemo, scale: int):
+        self.model = model
+        self.memo = memo
+        self.scale = scale
+        self.factor = scale // model.time_scale
+        self.now = 0
+        self.state, live = memo.start
+        self.windows: dict = {n: self.window(n) for n in live}
+
+    @property
+    def marking(self) -> Marking:
+        return self.memo.states[self.state][0]
+
+    @property
+    def store(self) -> Store:
+        return self.memo.states[self.state][1]
+
+    def window(self, name: str) -> _Pending:
+        """The window of `name` enabled at `now`."""
+        lo, lo_strict, hi, hi_strict = self.model.ticks[name]
+        return _Pending(self.now + lo * self.factor, lo_strict,
+                        None if hi is None else self.now + hi * self.factor, hi_strict)
+
+    def double(self) -> None:
+        """Halve the tick: rewrite every time held in twice as many ticks."""
+        self.scale *= 2
+        self.factor *= 2
+        self.now *= 2
+        for w in self.windows.values():
+            w.double()
+
+    def fire(self, name: str) -> tuple:
+        """Fire `name` at `now`, closing the windows it disables and opening
+        those that restart; returns (restarting transitions, payload)."""
+        self.state, gone, fresh, payload = self.memo.step(
+            self.model, self.state, name, self.windows)
+        for n in gone:
+            del self.windows[n]
+        for n in fresh:
+            self.windows[n] = self.window(n)
+        return fresh, payload
+
+    def ticks(self, t: Fraction) -> int:
+        """Time `t`, whose denominator divides `scale`, in ticks."""
+        return t.numerator * (self.scale // t.denominator)
 
 
 def _sample_in(rng: random.Random, lo: int, lo_strict: bool, hi: int,
@@ -152,14 +198,12 @@ def simulate(model: TtsModel, horizon: Fraction, seed: int,
     has passed, and every strictly-higher-priority enabled transition can
     still fire strictly later than tau.
 
-    Times are ints, in ticks of 1/scale, an exact rescaling: the scale
-    starts at the LCM of the model's `time_scale`, `denominator` and the
-    horizon's denominator, and doubles, with every time the run holds,
-    whenever a midpoint falls between two ticks.
-
-    Each untimed step is read from the model's `step_memo`, so a step
-    taken in an earlier run, or earlier in this one, is not taken again,
-    and runs that take the same step share its `Event`.
+    The run is a `Run` through the model's `step_memo`, with every
+    transition tracked.  Its scale starts at the LCM of the model's
+    `time_scale`, `denominator` and the horizon's denominator, and doubles
+    whenever a midpoint falls between two ticks.  A step taken in an
+    earlier run, or earlier in this one, is not taken again, and runs that
+    take the same step share its `Event`.
 
     Random choices do not depend on `horizon` until the first firing past
     it, so a run to a smaller horizon is this run cut there (`truncate`).
@@ -169,53 +213,48 @@ def simulate(model: TtsModel, horizon: Fraction, seed: int,
     """
     rng = random.Random(seed)
     horizon = Fraction(horizon)
-    scale = math.lcm(model.time_scale, denominator, horizon.denominator)
-    factor = scale // model.time_scale  # ticks per 1/time_scale unit
-    grid = scale // denominator  # ticks per 1/denominator step
-    end = horizon.numerator * (scale // horizon.denominator)
-    higher = {n: model.higher_than(n) for n in model.transitions}
-    memo = model.step_memo
-    marking = model.initial_marking()
-    store = model.initial_store()
-    state = memo.intern(model, marking, store)
-    now = 0
-    pending: dict = {}
-    for name in sorted(enabled(model, marking, store)):
-        pending[name] = _window(model, name, now, factor)
+    run = Run(model, model.step_memo,
+              math.lcm(model.time_scale, denominator, horizon.denominator))
+    initial = run.marking, run.store
+    higher = model.higher
+    windows = run.windows
+    grid = run.scale // denominator  # ticks per 1/denominator step
+    end = run.ticks(horizon)
     timed: list = []  # (tick, Event)
     deadlocked = False
     at_instant = 0  # firings so far at time `now`
 
     while True:
-        if not pending:
+        if not windows:
             deadlocked = True
             break
+        now = run.now
         # global deadline: earliest latest-bound among enabled transitions
         deadline: Optional[int] = None
         deadline_strict = False
-        for w in pending.values():
+        for w in windows.values():
             if w.latest is None:
                 continue
             if deadline is None or w.latest < deadline or \
                     (w.latest == deadline and w.latest_strict and not deadline_strict):
                 deadline, deadline_strict = w.latest, w.latest_strict
         candidates = []
-        for name, w in pending.items():
+        for name, w in windows.items():
             lo, lo_s = w.earliest, w.earliest_strict
             if lo < now:
                 lo, lo_s = now, False
             hi, hi_s = deadline, deadline_strict
             for h in higher[name]:
-                hw = pending.get(h)
+                hw = windows.get(h)
                 if hw is None or hw.latest is None:
                     continue
                 # must leave room for h to fire strictly later
                 if hi is None or hw.latest < hi or (hw.latest == hi and not hi_s):
                     hi, hi_s = hw.latest, True
             if hi is None:
-                hi, hi_s = max(lo, now + scale), False  # open-ended: cap arbitrarily
+                hi, hi_s = max(lo, now + run.scale), False  # open-ended: cap arbitrarily
                 if lo == hi and lo_s:
-                    hi = lo + scale  # past a strict lower bound
+                    hi = lo + run.scale  # past a strict lower bound
             if lo > hi or (lo == hi and (lo_s or hi_s)):
                 continue
             candidates.append((name, lo, lo_s, hi, hi_s))
@@ -224,39 +263,34 @@ def simulate(model: TtsModel, horizon: Fraction, seed: int,
         name, lo, lo_s, hi, hi_s = candidates[rng.randrange(len(candidates))]
         tau = _sample_in(rng, lo, lo_s, hi, hi_s, grid)
         if tau is None:  # the midpoint lies between two ticks: halve the tick
-            scale, factor, grid, end, now = 2 * scale, 2 * factor, 2 * grid, 2 * end, 2 * now
-            for w in pending.values():
-                w.double()
+            run.double()
+            grid, end, now = 2 * grid, 2 * end, run.now
             timed = [(2 * t, e) for t, e in timed]
             tau = lo + hi
         if tau > end:
-            now = end
+            run.now = end
             break
         at_instant = at_instant + 1 if tau == now else 1
         if at_instant > MAX_FIRINGS_AT_ONE_INSTANT:
             raise ExplorationError(
                 f"more than {MAX_FIRINGS_AT_ONE_INSTANT} firings at time "
-                f"{format_rational(Fraction(tau, scale))} without time passing")
+                f"{format_rational(Fraction(tau, run.scale))} without time passing")
         if len(timed) == MAX_RUN_EVENTS:
             raise ExplorationError(
                 f"run exceeds the budget of {MAX_RUN_EVENTS} events: {len(timed)} "
-                f"events fired by time {format_rational(Fraction(now, scale))}")
-        state, gone, fresh, event = memo.step(model, state, name, pending)
+                f"events fired by time {format_rational(Fraction(now, run.scale))}")
+        run.now = tau
+        fresh, event = run.fire(name)
         timed.append((tau, event))
-        for n in gone:
-            del pending[n]
         # strict-later obligation for higher-priority competitors we preempted
         for h in higher[name]:
-            if h in pending and h not in fresh:
-                w = pending[h]
+            if h in windows and h not in fresh:
+                w = windows[h]
                 if w.earliest < tau or (w.earliest == tau and not w.earliest_strict):
                     w.earliest, w.earliest_strict = tau, True
-        for n in fresh:
-            pending[n] = _window(model, n, tau, factor)
-        now = tau
 
-    return TimedTrace(tuple((Fraction(t, scale), e) for t, e in timed), Fraction(now, scale),
-                      (marking, store), deadlocked)
+    return TimedTrace(tuple((Fraction(t, run.scale), e) for t, e in timed),
+                      Fraction(run.now, run.scale), initial, deadlocked)
 
 
 def truncate(trace: TimedTrace, horizon) -> TimedTrace:

@@ -37,7 +37,6 @@ from ttscheck.expr import (
     eval_expr,
     format_expr,
     format_rational,
-    parse_rational,
     tokenize,
 )
 from ttscheck.ltl import (
@@ -421,6 +420,11 @@ class FractionPending:
     latest_strict: bool
 
 
+def higher_by_scan(model: TtsModel, name: str) -> tuple:
+    """The transitions with priority over `name`, read off `model.priority`."""
+    return tuple(h for h, lower in model.priority if lower == name)
+
+
 def fraction_window(model: TtsModel, name: str, now: Fraction) -> FractionPending:
     iv = model.transitions[name].timing
     latest = None if iv.upper.is_infinite else now + iv.upper.value
@@ -500,7 +504,7 @@ def fraction_simulate(model: TtsModel, horizon: Fraction, seed: int,
             if lo < now:
                 lo, lo_s = now, False
             hi, hi_s = deadline, deadline_strict
-            for h in model.higher_than(name):
+            for h in higher_by_scan(model, name):
                 hw = pending.get(h)
                 if hw is None or hw.latest is None:
                     continue
@@ -530,7 +534,7 @@ def fraction_simulate(model: TtsModel, horizon: Fraction, seed: int,
         marking, store, now_enabled, fresh = step(model, marking, store, name, pending)
         timed.append((tau, Event(name, marking, store)))
         # strict-later obligation for higher-priority competitors we preempted
-        for h in model.higher_than(name):
+        for h in higher_by_scan(model, name):
             if h in now_enabled and h not in fresh:
                 w = pending[h]
                 if w.earliest < tau or (w.earliest == tau and not w.earliest_strict):
@@ -558,7 +562,7 @@ class FractionReplayState:
     a higher-priority watcher is due at the same instant; ties go by name.
 
     Observers are non-intrusive, so the only clocks replay follows are the
-    watchers': `watches` holds the enabled watchers' windows only, and a
+    watchers': `windows` holds the enabled watchers' windows only, and a
     system event the composed net cannot fire still raises in `model.fire`.
     """
 
@@ -570,25 +574,25 @@ class FractionReplayState:
         self.store = self.model.initial_store()
         self.now = Fraction(0)
         live = enabled(self.model, self.marking, self.store, self.obs_names)
-        self.watches: dict = {n: fraction_window(self.model, n, Fraction(0))
+        self.windows: dict = {n: fraction_window(self.model, n, Fraction(0))
                               for n in sorted(live)}
         self.letters: list = []
 
     def _fire(self, name: str):
         prev_m, prev_s = self.marking, self.store
         self.marking, self.store, live, fresh = step(
-            self.model, self.marking, self.store, name, self.watches, self.obs_names)
+            self.model, self.marking, self.store, name, self.windows, self.obs_names)
         self.letters.append(eval_letter(self.atoms, prev_m, prev_s,
                                         Event(name, self.marking, self.store)))
-        for gone in [n for n in self.watches if n not in live]:
-            del self.watches[gone]
+        for gone in [n for n in self.windows if n not in live]:
+            del self.windows[gone]
         for n in sorted(fresh):
-            self.watches[n] = fraction_window(self.model, n, self.now)
+            self.windows[n] = fraction_window(self.model, n, self.now)
 
     def _ripe(self) -> Optional[str]:
         """An open-ended watcher whose firing window is open by now."""
-        for name in sorted(self.watches):
-            w = self.watches[name]
+        for name in sorted(self.windows):
+            w = self.windows[name]
             if w.latest is None and (w.earliest < self.now
                                      or (w.earliest == self.now and not w.earliest_strict)):
                 return name
@@ -600,9 +604,9 @@ class FractionReplayState:
         ripe = self._ripe()
         if ripe is not None:
             return ripe
-        d = min((w.latest for w in self.watches.values() if w.latest is not None),
+        d = min((w.latest for w in self.windows.values() if w.latest is not None),
                 default=None)
-        lows = [w.earliest for w in self.watches.values() if w.latest is None]
+        lows = [w.earliest for w in self.windows.values() if w.latest is None]
         if lows:
             # strictly past the lower bound, never past a deadline or `t`
             base = max(min(lows), self.now)
@@ -612,11 +616,11 @@ class FractionReplayState:
                 return self._ripe()
         if d is None or (t is not None and d > t):
             return None
-        due = sorted(n for n, w in self.watches.items() if w.latest == d)
+        due = sorted(n for n, w in self.windows.items() if w.latest == d)
         for name in due:
             if d == t and sys is not None and (name, sys) not in self.model.priority:
                 continue
-            if any(h in due for h in self.model.higher_than(name)):
+            if any(h in due for h in higher_by_scan(self.model, name)):
                 continue
             self.now = d
             return name
@@ -676,10 +680,10 @@ class FullReplayState(FractionReplayState):
         self.marking = self.model.initial_marking()
         self.store = self.model.initial_store()
         self.enabled = enabled(self.model, self.marking, self.store)
-        self.watches = {}
+        self.windows = {}
         for name in sorted(self.enabled):
             if name in self.obs_names:
-                self.watches[name] = fraction_window(self.model, name, Fraction(0))
+                self.windows[name] = fraction_window(self.model, name, Fraction(0))
 
     def _fire(self, name: str):
         prev_m, prev_s = self.marking, self.store
@@ -687,11 +691,11 @@ class FullReplayState(FractionReplayState):
             self.model, self.marking, self.store, name, self.enabled)
         self.letters.append(eval_letter(self.atoms, prev_m, prev_s,
                                         Event(name, self.marking, self.store)))
-        for gone in [n for n in self.watches if n not in self.enabled]:
-            del self.watches[gone]
+        for gone in [n for n in self.windows if n not in self.enabled]:
+            del self.windows[gone]
         for n in sorted(fresh):
             if n in self.obs_names:
-                self.watches[n] = fraction_window(self.model, n, self.now)
+                self.windows[n] = fraction_window(self.model, n, self.now)
 
 
 # ---------------------------------------------------------------------------
@@ -730,6 +734,16 @@ def _parse_whole(text: str, what: str):
     return out
 
 
+def scanned_rational(text: str) -> Fraction:
+    """A rational as the scanning readers read one: whatever `Fraction`
+    accepts, signs and exponents included."""
+    text = text.strip()
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ExprError(f"bad rational literal {text!r}") from exc
+
+
 def parse_interval_text(text: str) -> TimeInterval:
     """The text-level interval reader: brackets, then `Fraction` on each side
     of the first comma."""
@@ -743,7 +757,7 @@ def parse_interval_text(text: str) -> TimeInterval:
         raise ModelError(f"bad interval {text!r}: missing comma")
     lo_text, hi_text = body.split(",", 1)
     try:
-        lo = parse_rational(lo_text)
+        lo = scanned_rational(lo_text)
     except ExprError as exc:
         raise ModelError(str(exc)) from exc
     hi_text = hi_text.strip()
@@ -753,7 +767,7 @@ def parse_interval_text(text: str) -> TimeInterval:
             raise ModelError(f"bad interval {text!r}: infinite upper bound must be open")
     else:
         try:
-            hi = parse_rational(hi_text)
+            hi = scanned_rational(hi_text)
         except ExprError as exc:
             raise ModelError(str(exc)) from exc
     iv = TimeInterval(TimeBound(lo, lower_strict), TimeBound(hi, upper_strict))
@@ -907,7 +921,7 @@ class _SpanPatternParser(_Parser):
         if tok.kind != "num":
             raise PatternError(f"expected a number at column {tok.pos + 1}")
         try:
-            return parse_rational(tok.text)
+            return scanned_rational(tok.text)
         except ExprError as exc:
             raise PatternError(f"{exc} at column {tok.pos + 1}") from exc
 
@@ -1216,7 +1230,7 @@ def integer_language(model: TtsModel, depth: int, grid: int,
             f"{name}: bounds must be closed"
         lo[name] = lower * factor
         hi[name] = None if upper is None else upper * factor
-    higher = {name: model.higher_than(name) for name in model.transitions}
+    higher = {name: higher_by_scan(model, name) for name in model.transitions}
     steps = {}  # (marking, store, t) -> model.step's result, as tuples
 
     def successors(marking, store, clocks, preempted):

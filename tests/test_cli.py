@@ -17,9 +17,9 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def run_cli(*args, cwd=ROOT):
+def run_cli(*args, cwd=ROOT, timeout=None):
     return subprocess.run([sys.executable, "-m", "ttscheck.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, timeout=timeout)
 
 
 def test_check_matches_golden_report():
@@ -278,6 +278,21 @@ def test_bad_trace_value_or_zero_denominator_is_input_error(tmp_path, args, text
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
+def test_exponent_constant_is_input_error_at_once(tmp_path, command):
+    # `Fraction` alone reads `1e10000000` too, and takes seconds over it
+    if command == "simulate":
+        args = ("simulate", "models/airlock.tts", "--horizon", "1e10000000")
+        message = "bad --horizon: bad rational literal '1e10000000'"
+    else:
+        path = tmp_path / "exp.trace"
+        path.write_text("@ 1e10000000\n")
+        args = ("oracle", "present Ventil after Open1 within [0,10]", str(path))
+        message = f"cannot load trace {path}: line 1: bad rational literal '1e10000000'"
+    r = run_cli(*args, timeout=30)
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("name", MISPLACED_ITEMS)

@@ -42,7 +42,7 @@ def ref_fire_window(model, d, t):
     if t not in d.names:
         return None
     ti = reference.index(d, t)
-    higher = model.higher_than(t)
+    higher = reference.higher_by_scan(model, t)
     items = [(ti, reference.index(d, u), (Fraction(0), u in higher)) for u in d.names if u != t]
     return reference.constrain_many(d, items)
 

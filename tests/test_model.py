@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import guarded_nets, n_door_airlock, xcheck_catalog
-from reference import parse_interval
+from reference import higher_by_scan, parse_interval
 from test_int_kernel import nets
 from ttscheck.expr import Lit, parse_actions, parse_expr
 from ttscheck.model import (
@@ -24,6 +24,8 @@ from ttscheck.model import (
     step,
     validate_model,
 )
+from ttscheck.observers import compose, synthesize
+from ttscheck.patterns import parse_pattern
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +116,26 @@ def test_priority_chain_longer_than_recursion_limit():
     cyclic = TtsModel("m", m.places, m.vars, m.transitions,
                       m.priority + (("T1500", "T0"),))
     assert [str(d) for d in validate_model(cyclic)] == ["T0: cyclic priority relation"]
+
+
+def scanned_higher(model) -> dict:
+    return {n: frozenset(higher_by_scan(model, n)) for n in model.transitions}
+
+
+def test_priority_table_is_a_scan_of_the_priority_pairs(airlock, relay, chain):
+    composed = compose(airlock, synthesize(parse_pattern(xcheck_catalog("airlock")[2])))
+    models = [airlock, relay, chain, composed.model, n_door_airlock(4),
+              parse_tts(_priority_chain(1500))]
+    for m in models:
+        assert m.higher == scanned_higher(m), m.name
+    assert composed.model.higher["Open1"] > airlock.higher["Open1"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(guarded_nets())
+def test_priority_table_is_a_scan_of_the_priority_pairs_on_guarded_nets(text):
+    m = parse_tts(text)
+    assert m.higher == scanned_higher(m)
 
 
 def test_section_keywords_split_at_any_whitespace():

@@ -34,7 +34,7 @@ from ttscheck.observers import (
 )
 from ttscheck.oracle import Verdict, fott_holds
 from ttscheck.patterns import parse_pattern, pattern_constants
-from ttscheck.traces import simulate
+from ttscheck.traces import Run, serialize_trace, simulate
 from ttscheck.expr import Name
 
 from conftest import guarded_nets, xcheck_catalog
@@ -45,6 +45,7 @@ from reference import (
     eval_on_lasso,
     format_actions,
     fraction_replay_instrumented,
+    higher_by_scan,
     non_intrusiveness_check,
 )
 
@@ -395,23 +396,23 @@ class RefReplayState(FullReplayState):
     Enabledness is tracked over every transition (`FullReplayState`)."""
 
     def due_observers(self) -> list:
-        return sorted(n for n, w in self.watches.items()
+        return sorted(n for n, w in self.windows.items()
                       if w.latest is not None and w.latest == self.now)
 
     def next_deadline(self):
-        ds = [w.latest for w in self.watches.values() if w.latest is not None]
+        ds = [w.latest for w in self.windows.values() if w.latest is not None]
         return min(ds) if ds else None
 
     def ripe_open_watcher(self):
-        for name in sorted(self.watches):
-            w = self.watches[name]
+        for name in sorted(self.windows):
+            w = self.windows[name]
             if w.latest is None and (w.earliest < self.now
                                      or (w.earliest == self.now and not w.earliest_strict)):
                 return name
         return None
 
     def next_open_lower(self):
-        lows = [w.earliest for w in self.watches.values() if w.latest is None]
+        lows = [w.earliest for w in self.windows.values() if w.latest is None]
         return min(lows) if lows else None
 
     def fire_due(self, before_sys) -> bool:
@@ -437,8 +438,8 @@ class RefReplayState(FullReplayState):
         self.fire_due(sys_name)
 
     def _blocked_by_higher(self, name: str) -> bool:
-        for h in self.model.higher_than(name):
-            w = self.watches.get(h)
+        for h in higher_by_scan(self.model, name):
+            w = self.windows.get(h)
             if w is not None and w.latest is not None and w.latest == self.now:
                 return True
         return False
@@ -498,15 +499,15 @@ def scheduling_cases(model) -> tuple:
 
 
 def rational_clock(state) -> tuple:
-    """A replay state's instant and its live watchers' windows, as rationals:
-    the int engine keeps ticks of 1/`scale`, the references `Fraction`s."""
+    """A run's instant and its live windows, as rationals: a `traces.Run`
+    keeps ticks of 1/`scale`, the reference replays `Fraction`s."""
     scale = getattr(state, "scale", 1)
 
     def at(x):
         return None if x is None else Fraction(x, scale)
 
     return at(state.now), {n: (at(w.earliest), w.earliest_strict, at(w.latest), w.latest_strict)
-                           for n, w in state.watches.items()}
+                           for n, w in state.windows.items()}
 
 
 def test_replay_scheduling_matches_reference(monkeypatch, airlock, relay, chain):
@@ -585,10 +586,10 @@ def logged_replay(inst, trace, reference=None) -> tuple:
 
 
 def assert_watcher_tracking_matches_full(inst, trace, where):
-    start = copy.deepcopy(inst.replay_start)
+    start = copy.deepcopy(inst.step_memo.start)
     got = logged_replay(inst, trace)[:3]
     assert got == logged_replay(inst, trace, FullReplayState)[:3], where
-    assert inst.replay_start == start, where  # shared by every replay, never changed
+    assert inst.step_memo.start == start, where  # shared by every replay, never changed
 
 
 def test_watcher_tracking_matches_full_enabledness_on_the_catalogs(airlock, relay, chain):
@@ -616,17 +617,63 @@ def test_int_replay_matches_fraction_replay_on_the_catalogs(airlock, relay, chai
             for seed in range(40, 70):
                 trace = simulate(model, h, seed)
                 for p, inst in zip(patterns, insts):
-                    start = copy.deepcopy(inst.replay_start)
+                    start = copy.deepcopy(inst.step_memo.start)
                     *got, state = logged_replay(inst, trace)
                     *ref, _ = logged_replay(inst, trace, FractionReplayState)
                     assert got == ref, (model.name, p, h, seed)
-                    assert inst.replay_start == start
+                    assert inst.step_memo.start == start
                     scale = math.lcm(inst.model.time_scale, trace.end.denominator,
                                      *(t.denominator for t, _ in trace.timed))
                     halved += state.scale > scale
                     compared += 1
     assert compared == 3 * 3 * 30 * 10
     assert halved > 0  # some midpoint fell between two ticks
+
+
+def run_along(model, trace, halve_after=None) -> list:
+    """A `traces.Run` of the simulator's memo firing the trace's events at
+    their times, its tick halved after firing number `halve_after`: its
+    clock at the start, then each firing's result and clock."""
+    run = Run(model, model.step_memo,
+              math.lcm(model.time_scale, *(t.denominator for t, _ in trace.timed)))
+    out = [rational_clock(run)]
+    for k, (t, ev) in enumerate(trace.timed):
+        run.now = run.ticks(t)
+        out.append((run.fire(ev.transition), rational_clock(run)))
+        if k == halve_after:
+            scale = run.scale
+            run.double()
+            assert (run.scale, rational_clock(run)) == (2 * scale, out[-1][1])
+    return out
+
+
+def test_halving_the_tick_after_any_firing_moves_no_time(monkeypatch, relay, chain):
+    # a run halves its tick only when a time falls between two ticks; doing
+    # so after any firing besides must leave its clock, as rationals, and
+    # every later firing as they were: along simulated runs, and in
+    # instrumented replay, whose `until` halves with the run
+    replays = []
+    for model in (relay, chain):
+        patterns, horizons = scheduling_cases(model)
+        insts = [compose(model, synthesize(p)) for p in patterns]
+        for seed in range(8):
+            trace = simulate(model, horizons[1], seed)
+            expected = run_along(model, trace)
+            assert len(expected) > 5
+            for k in range(len(trace.timed)):
+                assert run_along(model, trace, k) == expected, (model.name, seed, k)
+            replays.append((trace, insts, [logged_replay(i, trace)[:3] for i in insts]))
+    fire = Run.fire
+
+    def halving(run, name):
+        out = fire(run, name)
+        run.double()
+        return out
+
+    monkeypatch.setattr(Run, "fire", halving)
+    for trace, insts, logs in replays:
+        for inst, log in zip(insts, logs):
+            assert logged_replay(inst, trace)[:3] == log, inst.formula
 
 
 @settings(max_examples=60, deadline=None)

@@ -82,6 +82,29 @@ def test_the_order_a_memo_fills_in_does_not_change_runs_or_replays(name):
                                             expected.values())  # the memo was hit
 
 
+@pytest.mark.parametrize("name", ["airlock", "relay", "chain", "reversed"])
+def test_a_memo_starts_at_the_interned_initial_state_and_its_tracked_enabled_names(name):
+    # the simulator's memo tracks every transition, replay's the watchers;
+    # a `lasting` watcher over an initially marked place is enabled at once
+    if name == "reversed":  # declared against name order
+        model = parse_tts("places P=1 Q=1\ntrans b consume {P}\ntrans a consume {Q}")
+        patterns = ["absent b before a for duration 2"]
+    else:
+        model = load_tts(MODELS / f"{name}.tts")
+        patterns = xcheck_catalog(name)
+    marked = next(p for p, n in model.initial_marking().items() if n)
+    patterns = patterns + [f"present {marked} lasting 2"]
+    insts = [compose(model, synthesize(parse_pattern(p))) for p in patterns]
+    cases = [(model, model.step_memo, None)]
+    cases += [(i.model, i.step_memo, i.observer_transitions) for i in insts]
+    for m, memo, tracked in cases:
+        marking, store = m.initial_marking(), m.initial_store()
+        live = tuple(sorted(enabled(m, marking, store, tracked)))
+        assert memo.start == (memo.intern(m, marking, store), live)
+        assert memo.states[memo.start[0]] == (marking, store)
+    assert any(i.step_memo.start[1] for i in insts)
+
+
 LOOSE_PATTERNS = ("present t1 after t0 within [0,3]",
                   "t0 leadsto first t1 within [0,3]",
                   "absent t0 before t1 for duration 2")

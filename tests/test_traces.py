@@ -170,6 +170,19 @@ def test_malformed_duration_rejected():
         parse_trace("? what\n")
 
 
+@pytest.mark.parametrize("text", ["1e1", "1E1", "1/2e3", "+1", ".5", "1.", "1_0", "inf",
+                                  "- 1", "--1", "1/-2"])
+def test_durations_take_only_the_documented_rationals(text):
+    with pytest.raises(TraceError) as exc:
+        parse_trace(f"@ {text}\n")
+    assert str(exc.value) == f"line 1: bad rational literal {text!r}"
+
+
+def test_durations_read_whole_numbers_fractions_and_decimals():
+    assert [parse_trace(f"@ {t}\n").end for t in ("3", "3/4", "1.25", " 7 ")] == \
+        [3, Fraction(3, 4), Fraction(5, 4), 7]
+
+
 def test_negative_marking_rejected_negative_store_kept():
     for text in ("! t | m:{P=-1} | s:{}\n", "= m:{P=1, Q=-2}\n"):
         with pytest.raises(TraceError, match="line 1: negative marking"):
