@@ -37,7 +37,8 @@ from .patterns import (
     pattern_constants,
     validate_pattern,
 )
-from .traces import TraceError, parse_trace, serialize_trace, simulate, truncate
+from .traces import (TraceError, parse_trace, serialize_trace, simulate, simulate_ticked,
+                     truncate)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -260,7 +261,8 @@ def _xcheck(model, patterns, runs: int, base_seed: int, horizon, out) -> list:
     Each seed is simulated once, at the largest pattern horizon, and each
     pattern reads that run cut at its own horizon: the run a simulation to
     that horizon gives (`traces.truncate`), cut once per distinct horizon.
-    One run and its cuts are held at a time; only mismatching runs are kept."""
+    The run and its cuts keep their times in ticks for replay.  One run and
+    its cuts are held at a time; only mismatching runs are kept."""
     checks = []
     for p in patterns:
         h = horizon
@@ -269,18 +271,19 @@ def _xcheck(model, patterns, runs: int, base_seed: int, horizon, out) -> list:
         checks.append(_PatternXcheck(p, _instrument(model, p), Fraction(h)))
     if not checks:
         return []
-    horizons = {c.horizon for c in checks}
-    longest = max(horizons)
+    horizons = sorted({c.horizon for c in checks})
+    at = [horizons.index(c.horizon) for c in checks]  # each check's cut
     for i in range(runs):
-        run = simulate(model, longest, base_seed + i)
-        cuts = {h: truncate(run, h) for h in horizons}
-        for c in checks:
-            trace = cuts[c.horizon]
+        run = simulate_ticked(model, horizons[-1], base_seed + i)
+        cuts = [truncate(run, h) for h in horizons]
+        for c, k in zip(checks, at):
+            cut = cuts[k]
+            trace = cut.trace
             fv = fott_holds(c.pattern, trace)
             if fv.value is Verdict.INCONCLUSIVE:
                 c.inconclusive += 1
                 continue
-            rv = replay_instrumented(c.inst, trace)
+            rv = replay_instrumented(c.inst, cut)
             if rv.value is fv.value:
                 c.agreements += 1
             else:

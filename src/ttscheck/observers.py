@@ -68,7 +68,7 @@ from .patterns import (
     PresentLasting,
 )
 from .records import record
-from .traces import Run, TimedTrace
+from .traces import Run, TickedTrace, TimedTrace
 
 
 class ObserverError(ValueError):
@@ -570,10 +570,19 @@ class _ReplayState(Run):
         """The watcher that fires next before system event `sys` at time
         `until`, with the current instant moved to its firing; None if none
         does."""
+        t = self.until
+        if t is not None:
+            # `now` <= `t`, so no watcher is ripe, fired midway or due when
+            # every window's next instant is past `t`: its deadline, or an
+            # open-ended one's lower bound
+            for w in self.windows.values():
+                if (w.earliest if w.latest is None else w.latest) <= t:
+                    break
+            else:
+                return None
         ripe = self._ripe()
         if ripe is not None:
             return ripe
-        t = self.until
         d = min((w.latest for w in self.windows.values() if w.latest is not None),
                 default=None)
         lows = [w.earliest for w in self.windows.values() if w.latest is None]
@@ -616,24 +625,30 @@ class _ReplayState(Run):
             self.now = self.until
 
 
-def replay_instrumented(inst: InstrumentedModel, trace: TimedTrace) -> TraceVerdict:
+def replay_instrumented(inst: InstrumentedModel, trace) -> TraceVerdict:
     """Feed a recorded system trace through the instrumented model and read
     the observer formula on the composed run, as the model checker reads a
     path that ends in a deadlock: the final state stutters forever.  The
     formula is read by running the model's `lasso_program` on the run's
-    letters."""
-    scale = math.lcm(inst.model.time_scale, trace.end.denominator,
-                     *(t.denominator for t, _ in trace.timed))
-    st = _ReplayState(inst, scale)
-    for (t, ev) in trace.timed:
-        st.play_until(st.ticks(t), ev.transition)
+    letters.
+
+    `trace` is a `TickedTrace`, such as a simulated run or its cut, or a
+    `TimedTrace`, which is put in ticks first (`TickedTrace.of`).  Replay
+    counts in ticks of the LCM of the model's `time_scale`, the trace's
+    scale and the end's denominator, halved as the run needs."""
+    if isinstance(trace, TimedTrace):
+        trace = TickedTrace.of(trace)
+    base, end = trace.scale, trace.trace.end
+    st = _ReplayState(inst, math.lcm(inst.model.time_scale, base, end.denominator))
+    for tick, (_, ev) in zip(trace.ticks, trace.trace.timed):
+        st.play_until(tick * (st.scale // base), ev.transition)
         st._fire(ev.transition)
         # recorded post-state must agree on the system projection
         store = st.store
         for k, v in ev.store.items():
             if store.get(k) != v:
                 raise ExplorationError(f"replay diverged on variable {k!r}")
-    st.play_until(max(st.ticks(trace.end), st.now))
+    st.play_until(max(end.numerator * (st.scale // end.denominator), st.now))
     # play out remaining watcher deadlines over an idle tail: decisive oracle
     # verdicts are stable under every continuation, including this one
     st.play_until(None)

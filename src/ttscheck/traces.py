@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Optional
 
@@ -70,6 +71,24 @@ class TimedTrace:
     @property
     def events(self) -> tuple:
         return tuple(e for _, e in self.timed)
+
+
+@record
+class TickedTrace:
+    """A trace and its event times in ticks of 1/`scale`: `ticks[i]` is the
+    time of `trace.timed[i]`, times `scale`.  The end stays a rational only:
+    a run cut at a horizon ends between two ticks when the horizon does."""
+
+    trace: TimedTrace
+    ticks: tuple
+    scale: int
+
+    @staticmethod
+    def of(trace: TimedTrace) -> "TickedTrace":
+        """The trace in the ticks of the LCM of its times' denominators."""
+        scale = math.lcm(trace.end.denominator, *(t.denominator for t, _ in trace.timed))
+        return TickedTrace(trace, tuple(t.numerator * (scale // t.denominator)
+                                        for t, _ in trace.timed), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +177,6 @@ class Run:
             self.windows[n] = self.window(n)
         return fresh, payload
 
-    def ticks(self, t: Fraction) -> int:
-        """Time `t`, whose denominator divides `scale`, in ticks."""
-        return t.numerator * (self.scale // t.denominator)
-
 
 def _sample_in(rng: random.Random, lo: int, lo_strict: bool, hi: int,
                hi_strict: bool, grid: int) -> Optional[int]:
@@ -187,7 +202,15 @@ def _sample_in(rng: random.Random, lo: int, lo_strict: bool, hi: int,
 
 def simulate(model: TtsModel, horizon: Fraction, seed: int,
              denominator: int = 8) -> TimedTrace:
-    """Random timed run of the model up to `horizon` or deadlock.
+    """Random timed run of the model up to `horizon` or deadlock: the
+    trace of `simulate_ticked`."""
+    return simulate_ticked(model, horizon, seed, denominator).trace
+
+
+def simulate_ticked(model: TtsModel, horizon: Fraction, seed: int,
+                    denominator: int = 8) -> TickedTrace:
+    """Random timed run of the model up to `horizon` or deadlock, with its
+    event times in the run's own ticks.
 
     Delays favor a window's closed endpoints (see `ENDPOINT_BIAS`) and
     otherwise fall on the 1/denominator grid strictly inside the window, or
@@ -206,7 +229,8 @@ def simulate(model: TtsModel, horizon: Fraction, seed: int,
     take the same step share its `Event`.
 
     Random choices do not depend on `horizon` until the first firing past
-    it, so a run to a smaller horizon is this run cut there (`truncate`).
+    it, so a run to a smaller horizon is this run cut there (`truncate`),
+    in its trace and, as rationals, in its ticks.
     More than `MAX_FIRINGS_AT_ONE_INSTANT` firings in a row at one instant,
     or more than `MAX_RUN_EVENTS` events in the run, raise
     `ExplorationError`.
@@ -219,7 +243,7 @@ def simulate(model: TtsModel, horizon: Fraction, seed: int,
     higher = model.higher
     windows = run.windows
     grid = run.scale // denominator  # ticks per 1/denominator step
-    end = run.ticks(horizon)
+    end = horizon.numerator * (run.scale // horizon.denominator)
     timed: list = []  # (tick, Event)
     deadlocked = False
     at_instant = 0  # firings so far at time `now`
@@ -289,23 +313,29 @@ def simulate(model: TtsModel, horizon: Fraction, seed: int,
                 if w.earliest < tau or (w.earliest == tau and not w.earliest_strict):
                     w.earliest, w.earliest_strict = tau, True
 
-    return TimedTrace(tuple((Fraction(t, run.scale), e) for t, e in timed),
-                      Fraction(run.now, run.scale), initial, deadlocked)
+    scale = run.scale
+    trace = TimedTrace(tuple((Fraction(t, scale), e) for t, e in timed),
+                       Fraction(run.now, scale), initial, deadlocked)
+    return TickedTrace(trace, tuple(t for t, _ in timed), scale)
 
 
-def truncate(trace: TimedTrace, horizon) -> TimedTrace:
+def truncate(run: TickedTrace, horizon) -> TickedTrace:
     """The run cut at time `horizon`.
 
     A run that ends at or before `horizon` is returned unchanged.  A longer
     run keeps its events up to `horizon`, an event fired exactly at
     `horizon` included, ends at `horizon` and is not deadlocked.  For
-    h <= H, `truncate(simulate(m, H, s), h)` is `simulate(m, h, s)`.
+    h <= H, `truncate(simulate_ticked(m, H, s), h)` has the trace of
+    `simulate(m, h, s)`.  The events kept are those whose tick is at most
+    floor(horizon * scale), which is exact because ticks are ints.
     """
     horizon = Fraction(horizon)
+    trace = run.trace
     if trace.end <= horizon:
-        return trace
-    return TimedTrace(tuple(p for p in trace.timed if p[0] <= horizon), horizon,
-                      trace.initial, False)
+        return run
+    k = bisect_right(run.ticks, horizon.numerator * run.scale // horizon.denominator)
+    return TickedTrace(TimedTrace(trace.timed[:k], horizon, trace.initial, False),
+                       run.ticks[:k], run.scale)
 
 
 def replay(model: TtsModel, trace: TimedTrace) -> bool:  # api: benchmarks/verify.py

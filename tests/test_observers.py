@@ -34,7 +34,7 @@ from ttscheck.observers import (
 )
 from ttscheck.oracle import Verdict, fott_holds
 from ttscheck.patterns import parse_pattern, pattern_constants
-from ttscheck.traces import Run, serialize_trace, simulate
+from ttscheck.traces import Run, serialize_trace, simulate, simulate_ticked, truncate
 from ttscheck.expr import Name
 
 from conftest import guarded_nets, xcheck_catalog
@@ -630,6 +630,57 @@ def test_int_replay_matches_fraction_replay_on_the_catalogs(airlock, relay, chai
     assert halved > 0  # some midpoint fell between two ticks
 
 
+def test_replay_of_the_tick_cut_matches_fraction_replay_on_the_catalogs(
+        airlock, relay, chain):
+    # `xcheck`'s handoff: a run simulated in ticks to the longest horizon and
+    # cut at each pattern's own replays with the log, letters and verdict or
+    # error of the `Fraction` replay of the cut's trace
+    compared = 0
+    for model in (airlock, relay, chain):
+        patterns = [parse_pattern(t) for t in xcheck_catalog(model.name)]
+        insts = [compose(model, synthesize(p)) for p in patterns]
+        horizons = [3 * max([Fraction(1)] + pattern_constants(p)) for p in patterns]
+        for seed in range(200):
+            run = simulate_ticked(model, max(horizons), seed)
+            for p, inst, h in zip(patterns, insts, horizons):
+                cut = truncate(run, h)
+                assert logged_replay(inst, cut)[:3] == \
+                    logged_replay(inst, cut.trace, FractionReplayState)[:3], (model.name, p, seed)
+                compared += 1
+    assert compared == 3 * 8 * 200
+
+
+@settings(max_examples=100, deadline=None)
+@given(guarded_nets(), st.data())
+def test_replay_of_the_tick_cut_matches_fraction_replay_with_open_ended_watchers(text, data):
+    # a scoped `leadsto` with a closed upper bound has an open-ended Error
+    # window, which replay fires midway between its lower bound and the next
+    # deadline or system event
+    from ttscheck.model import parse_tts
+
+    model = parse_tts(text)
+    names = st.sampled_from(sorted(model.transitions))
+    a, b, r = data.draw(names), data.draw(names), data.draw(names)
+
+    def rationals(most):
+        return st.builds(Fraction, st.integers(0, most), st.integers(1, 3))
+
+    lo, width = data.draw(rationals(12)), data.draw(rationals(12))
+    h, longer = data.draw(rationals(60)), data.draw(rationals(30))
+    try:
+        run = simulate_ticked(model, h + longer, data.draw(st.integers(0, 1000)))
+    except ExplorationError:  # a zero-delay cycle
+        return
+    cut = truncate(run, h)
+    for scope in ("before", "after"):
+        p = parse_pattern(f"{a} leadsto first {b} within [{lo},{lo + width}] {scope} {r}")
+        inst = compose(model, synthesize(p))
+        assert any(inst.model.transitions[n].timing.upper.is_infinite
+                   for n in inst.observer_transitions)
+        assert logged_replay(inst, cut)[:3] == \
+            logged_replay(inst, cut.trace, FractionReplayState)[:3], p
+
+
 def run_along(model, trace, halve_after=None) -> list:
     """A `traces.Run` of the simulator's memo firing the trace's events at
     their times, its tick halved after firing number `halve_after`: its
@@ -638,7 +689,7 @@ def run_along(model, trace, halve_after=None) -> list:
               math.lcm(model.time_scale, *(t.denominator for t, _ in trace.timed)))
     out = [rational_clock(run)]
     for k, (t, ev) in enumerate(trace.timed):
-        run.now = run.ticks(t)
+        run.now = t.numerator * (run.scale // t.denominator)
         out.append((run.fire(ev.transition), rational_clock(run)))
         if k == halve_after:
             scale = run.scale

@@ -11,6 +11,7 @@ from ttscheck.model import Event, ExplorationError, load_tts, parse_tts
 from ttscheck.traces import (
     MAX_FIRINGS_AT_ONE_INSTANT,
     Duration,
+    TickedTrace,
     TimedTrace,
     TraceError,
     _fmt_marking,
@@ -19,6 +20,7 @@ from ttscheck.traces import (
     replay,
     serialize_trace,
     simulate,
+    simulate_ticked,
     truncate,
 )
 
@@ -217,18 +219,37 @@ def test_deadlock_marker_round_trip():
 # ---------------------------------------------------------------------------
 # truncation
 
+def cut(t: TimedTrace, horizon) -> TimedTrace:
+    """The trace of `truncate` on the trace put in ticks, after checking
+    that the cut's ticks are its times."""
+    c = truncate(TickedTrace.of(t), horizon)
+    assert [Fraction(k, c.scale) for k in c.ticks] == [u for u, _ in c.trace.timed]
+    return c.trace
+
+
+def test_ticked_trace_of_counts_in_the_lcm_of_the_denominators():
+    t = tr(Duration(Fraction(1, 2)), ev("a"), Duration(Fraction(1, 3)), ev("b"),
+           Duration(Fraction(1, 4)))
+    assert TickedTrace.of(t) == TickedTrace(t, (6, 10), 12)
+    assert TickedTrace.of(tr()) == TickedTrace(tr(), (), 1)
+
+
 def test_truncate_keeps_a_firing_at_the_horizon():
     t = tr(Duration(Fraction(2)), ev("a"), Duration(Fraction(3)), ev("b"), dl=True)
-    assert truncate(t, 2) == tr(Duration(Fraction(2)), ev("a"))
-    assert truncate(t, 4) == tr(Duration(Fraction(2)), ev("a"), Duration(Fraction(2)))
-    assert truncate(t, 1) == tr(Duration(Fraction(1)))
-    assert truncate(t, 0) == tr()
+    assert cut(t, 2) == tr(Duration(Fraction(2)), ev("a"))
+    assert cut(t, 4) == tr(Duration(Fraction(2)), ev("a"), Duration(Fraction(2)))
+    assert cut(t, 1) == tr(Duration(Fraction(1)))
+    assert cut(t, 0) == tr()
+    # at horizons between two ticks: past the event, and before it
+    assert cut(t, Fraction(9, 4)) == tr(Duration(Fraction(2)), ev("a"),
+                                        Duration(Fraction(1, 4)))
+    assert cut(t, Fraction(199, 100)) == tr(Duration(Fraction(199, 100)))
 
 
 def test_truncate_keeps_a_run_that_ends_by_the_horizon():
-    t = tr(Duration(Fraction(2)), ev("a"), dl=True)
-    assert truncate(t, 2) is t
-    assert truncate(t, 7) is t
+    run = TickedTrace.of(tr(Duration(Fraction(2)), ev("a"), dl=True))
+    assert truncate(run, 2) is run
+    assert truncate(run, 7) is run
 
 
 horizons = st.builds(Fraction, st.integers(0, 40), st.integers(1, 4))
@@ -252,10 +273,10 @@ def test_truncated_run_is_the_run_to_the_smaller_horizon(text, a, b, seed):
             simulate(model, H, seed)
         return
     try:
-        run = simulate(model, H, seed)
+        run = simulate_ticked(model, H, seed)
     except ExplorationError:
         return
-    assert truncate(run, h) == short
+    assert truncate(run, h).trace == short
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +377,6 @@ def test_trace_matches_the_item_walking_reference(items, initial, deadlocked, da
     horizon = data.draw(st.one_of(st.sampled_from(times + [now, now + Fraction(1, 2)]),
                                   horizons))
     cut_items, cut_deadlocked = ref_truncate(norm, deadlocked, horizon)
-    cut = truncate(t, horizon)
-    assert cut == TimedTrace.of(cut_items, initial, cut_deadlocked)
-    assert serialize_trace(cut) == ref_serialize_trace(cut_items, initial, cut_deadlocked)
+    c = cut(t, horizon)
+    assert c == TimedTrace.of(cut_items, initial, cut_deadlocked)
+    assert serialize_trace(c) == ref_serialize_trace(cut_items, initial, cut_deadlocked)

@@ -20,7 +20,7 @@ from ttscheck.model import load_tts
 from ttscheck.observers import compose, replay_instrumented, synthesize
 from ttscheck.oracle import Verdict, fott_holds
 from ttscheck.patterns import format_pattern, parse_pattern_file, pattern_constants
-from ttscheck.traces import serialize_trace, simulate
+from ttscheck.traces import serialize_trace, simulate, simulate_ticked, truncate
 
 RUNS = 25
 
@@ -139,3 +139,30 @@ def test_each_run_is_cut_once_per_distinct_horizon(tmp_path, capsys, monkeypatch
     horizons = {e["horizon"] for e in entries}
     assert 1 < len(horizons) < len(entries)
     assert sorted(map(format_rational, cuts)) == sorted(list(horizons) * 5)
+
+
+def rational_ticks(run) -> list:
+    return [Fraction(t, run.scale) for t in run.ticks]
+
+
+@pytest.mark.parametrize("name", ["airlock", "relay", "chain"])
+def test_tick_cut_is_the_run_to_each_catalog_horizon(name):
+    # `xcheck` simulates each seed once, in ticks, to the longest horizon; its
+    # cut at each pattern's horizon is the run simulated to that horizon, in
+    # trace and in ticks.  7/3 falls between two ticks of relay's runs.
+    model = load_tts(MODELS / f"{name}.tts")
+    horizons = sorted({3 * max([Fraction(1)] + pattern_constants(p))
+                       for p in parse_pattern_file("\n".join(xcheck_catalog(name)))})
+    if name == "relay":
+        horizons.append(Fraction(7, 3))
+    assert len(horizons) >= 4
+    cut_short = 0
+    for seed in range(200):
+        run = simulate_ticked(model, max(horizons), seed)
+        for h in horizons:
+            cut, own = truncate(run, h), simulate_ticked(model, h, seed)
+            assert cut.trace == own.trace == simulate(model, h, seed), (h, seed)
+            assert rational_ticks(cut) == rational_ticks(own) == \
+                [t for t, _ in own.trace.timed], (h, seed)
+            cut_short += cut is not run
+    assert cut_short > 0
