@@ -300,7 +300,8 @@ def ltl_to_buchi(f: LtlFormula) -> BuchiAutomaton:
     for an until and `right and (left or t[x])` for a release, read in s.
     The laws read t only at its until/release slots, so each state's
     requirement on t is worked out once, and the scan over all states in
-    index order compares only the slots the requirement leaves free."""
+    index order compares only the slots the requirement leaves free.  The
+    scan runs once per distinct requirement."""
     g = nnf(f)
     cl = set(subformulas(g))
     atoms = formula_atoms(g)
@@ -347,12 +348,21 @@ def ltl_to_buchi(f: LtlFormula) -> BuchiAutomaton:
     untils = [x for x in temporals if isinstance(x, LUntil)]
     k = len(untils)
 
-    # degeneralized product with a cyclic acceptance counter
+    # degeneralized product with a cyclic acceptance counter; a successor
+    # list depends only on the requirement, so states that ask the same of
+    # their successor share one list
     base_succ: dict = {}
+    shared: dict = {}
     for i, s in enumerate(raw_states):
         need = requirement(s)
-        base_succ[i] = [] if need is None else [
-            j for j, t in enumerate(raw_states) if all(t[x] == v for x, v in need)]
+        if need is None:
+            base_succ[i] = []
+            continue
+        key = tuple(need)
+        if key not in shared:
+            shared[key] = [j for j, t in enumerate(raw_states)
+                           if all(t[x] == v for x, v in need)]
+        base_succ[i] = shared[key]
 
     def sat_acc(i: int, a: int) -> bool:
         u = untils[a]

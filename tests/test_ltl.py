@@ -44,6 +44,7 @@ from ttscheck.records import FrozenInstanceError
 from ttscheck.traces import replay
 
 from conftest import xcheck_catalog
+from golden import regen
 from reference import (buchi_accepts, eval_letter, eval_on_lasso, record_methods,
                        ref_ltl_to_buchi)
 from test_expr import PLACES, TRANSITIONS, VARS, expressions, states
@@ -475,11 +476,16 @@ def test_tableau_equals_pairwise_reference_on_random_formulas(f):
 @pytest.mark.parametrize("model_name", ["airlock", "relay", "chain"])
 def test_tableau_equals_pairwise_reference_on_catalog_formulas(model_name, request):
     # f and its negation, the automaton `check` builds, of every catalog
-    # pattern and of one `and` and one `=>` composite, as the corpus has them
+    # pattern and of one `and` and one `=>` composite, as the corpus has them.
+    # On the 2-door airlock, also the benchmark's six composites, of up to
+    # 405 raw states that ask only 243 distinct things of their successors
     model = request.getfixturevalue(model_name)
     cat = xcheck_catalog(model_name)
-    for text in cat + [f"({cat[0]}) and ({cat[2]})", f"({cat[3]}) => ({cat[5]})"]:
-        f = compose(model, synthesize(parse_pattern(text))).formula
+    texts = cat + [f"({cat[0]}) and ({cat[2]})", f"({cat[3]}) => ({cat[5]})"]
+    if model_name == "airlock":
+        texts += list(regen.benchmark_workloads().COMPOSITE)
+    for text in texts:
+        f = compose(model, synthesize(parse_pattern(text), model)).formula
         for g in (f, LNot(f)):
             assert automaton_fields(ltl_to_buchi(g)) == automaton_fields(ref_ltl_to_buchi(g)), text
 

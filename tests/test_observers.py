@@ -34,7 +34,8 @@ from ttscheck.observers import (
 )
 from ttscheck.oracle import Verdict, fott_holds
 from ttscheck.patterns import parse_pattern, pattern_constants
-from ttscheck.traces import Run, serialize_trace, simulate, simulate_ticked, truncate
+from ttscheck.traces import (Run, parse_trace, serialize_trace, simulate, simulate_ticked,
+                             truncate)
 from ttscheck.expr import Name
 
 from conftest import guarded_nets, xcheck_catalog
@@ -801,6 +802,23 @@ def test_replay_composite_mixed_watcher_windows(chain):
             continue
         rv = replay_instrumented(inst, t)
         assert rv.value is fv.value, seed
+
+
+def test_replay_open_ended_error_waits_past_its_strict_bound():
+    # after R, the A at 0 starts the open-ended Error watcher, firable in
+    # ]2,oo[.  X at 2 brings the replay to exactly that strict bound, where
+    # Error must not fire, and B at 2 then answers A in time
+    from ttscheck.model import parse_tts
+
+    m = parse_tts("places P=1\n" + "".join(
+        f"trans {n} consume {{P}} produce {{P}}\n" for n in "RAXB"), name="loops")
+    p = parse_pattern("A leadsto first B within [0,2] after R")
+    t = parse_trace("= m:{P=1} | s:{}\n! R | m:{P=1} | s:{}\n! A | m:{P=1} | s:{}\n"
+                    "@ 2\n! X | m:{P=1} | s:{}\n! B | m:{P=1} | s:{}\n@ 5\n")
+    assert t.end == 7
+    assert fott_holds(p, t).value is Verdict.HOLDS
+    assert replay_instrumented(compose(m, synthesize(p, m)), t).value is Verdict.HOLDS
+
 
 
 def test_absence_vacuity_when_trigger_never_occurs():

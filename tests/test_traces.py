@@ -141,6 +141,21 @@ def test_priority_respected_in_simulation(airlock):
                 assert e.store["req2"] is False
 
 
+def test_preempted_higher_priority_transition_fires_strictly_later():
+    # Lo may fire only while Hi, which preempts it, can still fire strictly
+    # later; so a run that opens with Lo fires Hi after it, never with it
+    m = parse_tts("places A=1 B=1\ntrans Lo in [0,5] consume {A}\n"
+                  "trans Hi in [0,5] consume {B}\nprio Hi > Lo\n", name="lohi")
+    lo_first = 0
+    for seed in range(400):
+        t = simulate(m, Fraction(10), seed)
+        at = {e.transition: tt for tt, e in t.timed}
+        if t.timed[0][1].transition == "Lo":
+            lo_first += 1
+            assert at["Hi"] > at["Lo"], seed
+    assert lo_first > 0
+
+
 def test_replay_rejects_corrupted_trace(airlock):
     t = simulate(airlock, Fraction(20), 3)
     bad_timed = tuple(
