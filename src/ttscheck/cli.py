@@ -25,7 +25,7 @@ from pathlib import Path
 from . import classgraph as cg
 from .classgraph import ClassBudgetExceeded
 from .expr import ExprError, format_rational, parse_rational
-from .ltl import check, cycle_time_lower_bound, find_decisive_extension, witness_to_trace
+from .ltl import check, cycle_time_lower_bound, find_decisive_extension
 from .model import CapacityExceeded, ExplorationError, ModelError, load_tts
 from .observers import ObserverError, compose, replay_instrumented, synthesize
 from .oracle import Verdict, cross_check, fott_holds
@@ -139,8 +139,6 @@ def _check_one(model, pattern, args, index: int = 0):
         tr = find_decisive_extension(
             graph, inst.model, result.counterexample,
             lambda t: fott_holds(pattern, t).value is Verdict.FAILS)
-        if tr is None:
-            tr = witness_to_trace(inst.model, result.counterexample)
         trace_file = _write_out(args.out, f"counterexample_{index:03d}.trace",
                                 serialize_trace(tr))
         entry["counterexample_trace_file"] = str(trace_file)

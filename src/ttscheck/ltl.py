@@ -494,34 +494,24 @@ def _nested_dfs(initial, successors: Callable, is_accepting: Callable):
     `stem_nodes` runs from an initial node to an accepting seed;
     `cycle_nodes` runs from that seed back to itself (first == last == seed).
     Iterative blue/red scheme: the red search, started at the seed's
-    postorder, looks for a way back to the seed or onto the blue stack.
+    postorder, looks for a way onto the blue stack, the seed included.
+    Each search's stack is the path it is on, so the lasso is read off them.
     """
     visited: set = set()
     red: set = set()
-    parent: dict = {}
 
-    def red_search(seed, blue_set):
+    def red_search(seed, on_blue):
         stack = [(seed, iter(successors(seed)))]
-        local_parent: dict = {}
         while stack:
             node, it = stack[-1]
-            advanced = False
             for nxt in it:
-                if nxt == seed or nxt in blue_set:
-                    path = [nxt, node]
-                    cur = node
-                    while cur != seed:
-                        cur = local_parent[cur]
-                        path.append(cur)
-                    path.reverse()  # seed -> ... -> node -> hit
-                    return path
+                if nxt in on_blue:
+                    return [n for n, _ in stack] + [nxt]  # seed -> ... -> hit
                 if nxt not in red:
                     red.add(nxt)
-                    local_parent[nxt] = node
                     stack.append((nxt, iter(successors(nxt))))
-                    advanced = True
                     break
-            if not advanced:
+            else:
                 stack.pop()
         return None
 
@@ -530,42 +520,24 @@ def _nested_dfs(initial, successors: Callable, is_accepting: Callable):
             continue
         visited.add(init)
         stack = [(init, iter(successors(init)))]
-        blue_order = [init]
-        blue_set = {init}
+        on_blue = {init}
         while stack:
             node, it = stack[-1]
-            advanced = False
             for nxt in it:
                 if nxt not in visited:
                     visited.add(nxt)
-                    parent[nxt] = node
+                    on_blue.add(nxt)
                     stack.append((nxt, iter(successors(nxt))))
-                    blue_order.append(nxt)
-                    blue_set.add(nxt)
-                    advanced = True
                     break
-            if advanced:
-                continue
-            if is_accepting(node):
-                hit_path = red_search(node, blue_set)
-                if hit_path is not None:
-                    hit = hit_path[-1]
-                    if hit == node:
-                        cycle = hit_path  # seed -> ... -> seed directly
-                    else:
-                        # continue along the blue stack from the hit to seed
-                        pos = blue_order.index(hit)
-                        cycle = hit_path + blue_order[pos + 1:]
-                    stem = [node]
-                    cur = node
-                    while cur in parent:
-                        cur = parent[cur]
-                        stem.append(cur)
-                    stem.reverse()
-                    return stem, cycle
-            stack.pop()
-            blue_order.pop()
-            blue_set.discard(node)
+            else:
+                if is_accepting(node):
+                    hit_path = red_search(node, on_blue)
+                    if hit_path is not None:
+                        # go on along the blue stack from the hit to the seed
+                        stem = [n for n, _ in stack]
+                        return stem, hit_path + stem[stem.index(hit_path[-1]) + 1:]
+                stack.pop()
+                on_blue.discard(node)
     return None
 
 
@@ -890,13 +862,14 @@ MAX_EXTENSION_PATHS = 4000
 
 
 def find_decisive_extension(g: ClassGraph, model: TtsModel, cx: Counterexample,
-                            decide: Callable) -> Optional[TimedTrace]:
+                            decide: Callable) -> TimedTrace:
     """Breadth-first search over run extensions until `decide` accepts one.
 
     `decide` receives each candidate trace; used to lengthen a violating run
     until a trace-level oracle can confirm the violation on the finite prefix.
     The search adds at most `MAX_EXTENSION_DEPTH` steps and tries at most
-    `MAX_EXTENSION_PATHS` candidates.
+    `MAX_EXTENSION_PATHS` candidates; when none is accepted it returns the
+    counterexample's own witness, `witness_to_trace(model, cx)`.
     """
     base = list(cx.stem) + list(cx.cycle)
 
@@ -906,9 +879,9 @@ def find_decisive_extension(g: ClassGraph, model: TtsModel, cx: Counterexample,
         except ValueError:
             return None
 
-    t0 = mk_trace(base)
-    if t0 is not None and decide(t0):
-        return t0
+    own = witness_to_trace(model, cx)
+    if decide(own):
+        return own
     queue = deque([base])
     tried = 0
     while queue and tried < MAX_EXTENSION_PATHS:
@@ -924,4 +897,4 @@ def find_decisive_extension(g: ClassGraph, model: TtsModel, cx: Counterexample,
                 return tr
             if label is not STUTTER:
                 queue.append(cand)
-    return None
+    return own

@@ -1,8 +1,9 @@
 """Test-only references that the product code does not call.
 
 Each is an independent reading that a test compares the product against:
-Büchi membership of a lasso word, the product search as it read dict
-letters and re-scanned graph steps for a lasso's labels
+Büchi membership of a lasso word, the nested DFS as it read its lasso
+back along parent chains (`ref_nested_dfs`), the product search on it as
+it read dict letters and re-scanned graph steps for a lasso's labels
 (`ref_check_buchi`), the direct recursive evaluation of a
 formula on a lasso of dict letters (`eval_on_lasso`, which
 `ltl.run_lasso_program` replaced in replay), the `eval_expr` dict reader of
@@ -25,7 +26,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from ttscheck import classgraph as cg
 from ttscheck import zone
@@ -54,7 +55,6 @@ from ttscheck.ltl import (
     LtlFormula,
     LUntil,
     StateAtom,
-    _nested_dfs,
     formula_atoms,
     graph_steps,
     ltl_to_buchi,
@@ -98,6 +98,90 @@ from ttscheck.traces import (
 )
 
 
+def ref_nested_dfs(initial, successors: Callable, is_accepting: Callable):
+    """Return (stem_nodes, cycle_nodes) of an accepting lasso, or None.
+
+    `stem_nodes` runs from an initial node to an accepting seed;
+    `cycle_nodes` runs from that seed back to itself (first == last == seed).
+    Iterative blue/red scheme: the red search, started at the seed's
+    postorder, looks for a way back to the seed or onto the blue stack.
+    This is `ltl._nested_dfs` as it kept a parent map per search and a copy
+    of the blue stack, and read the lasso back along the parent chains;
+    the product reads it off its two stacks.
+    """
+    visited: set = set()
+    red: set = set()
+    parent: dict = {}
+
+    def red_search(seed, blue_set):
+        stack = [(seed, iter(successors(seed)))]
+        local_parent: dict = {}
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if nxt == seed or nxt in blue_set:
+                    path = [nxt, node]
+                    cur = node
+                    while cur != seed:
+                        cur = local_parent[cur]
+                        path.append(cur)
+                    path.reverse()  # seed -> ... -> node -> hit
+                    return path
+                if nxt not in red:
+                    red.add(nxt)
+                    local_parent[nxt] = node
+                    stack.append((nxt, iter(successors(nxt))))
+                    advanced = True
+                    break
+            if not advanced:
+                stack.pop()
+        return None
+
+    for init in initial:
+        if init in visited:
+            continue
+        visited.add(init)
+        stack = [(init, iter(successors(init)))]
+        blue_order = [init]
+        blue_set = {init}
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if nxt not in visited:
+                    visited.add(nxt)
+                    parent[nxt] = node
+                    stack.append((nxt, iter(successors(nxt))))
+                    blue_order.append(nxt)
+                    blue_set.add(nxt)
+                    advanced = True
+                    break
+            if advanced:
+                continue
+            if is_accepting(node):
+                hit_path = red_search(node, blue_set)
+                if hit_path is not None:
+                    hit = hit_path[-1]
+                    if hit == node:
+                        cycle = hit_path  # seed -> ... -> seed directly
+                    else:
+                        # continue along the blue stack from the hit to seed
+                        pos = blue_order.index(hit)
+                        cycle = hit_path + blue_order[pos + 1:]
+                    stem = [node]
+                    cur = node
+                    while cur in parent:
+                        cur = parent[cur]
+                        stem.append(cur)
+                    stem.reverse()
+                    return stem, cycle
+            stack.pop()
+            blue_order.pop()
+            blue_set.discard(node)
+    return None
+
+
 def buchi_accepts(ba: BuchiAutomaton, stem: list, cycle: list) -> bool:
     """Membership of an ultimately periodic word in the automaton language.
     A letter is a dict keyed by atoms, where a missing atom is false, or a
@@ -130,7 +214,7 @@ def buchi_accepts(ba: BuchiAutomaton, stem: list, cycle: list) -> bool:
         return out
 
     initial = [(0, q) for q in ba.initial]
-    return _nested_dfs(initial, product_succ, lambda node: ba.accepting[node[1]]) is not None
+    return ref_nested_dfs(initial, product_succ, lambda node: ba.accepting[node[1]]) is not None
 
 
 def ref_ltl_to_buchi(f: LtlFormula) -> BuchiAutomaton:
@@ -257,7 +341,7 @@ def ref_check_buchi(g, f: LtlFormula) -> CheckResult:
         return out
 
     initial = [(g.initial, q) for q in ba.initial]
-    hit = _nested_dfs(initial, successors, lambda prod: ba.accepting[prod[1]])
+    hit = ref_nested_dfs(initial, successors, lambda prod: ba.accepting[prod[1]])
     if hit is None:
         return CheckResult(True, None, len(succ_cache), False)
     stem_nodes, cycle_nodes = hit

@@ -98,7 +98,7 @@ def test_a2_timing_verdicts(airlock, monkeypatch):
     monkeypatch.setattr(ltl, "MAX_EXTENSION_DEPTH", 16)
     tr = find_decisive_extension(g9, inst9.model, res.counterexample,
                                  violating_with_delay_ten)
-    assert tr is not None, "no confirming counterexample trace found"
+    assert violating_with_delay_ten(tr), "no confirming counterexample trace found"
     report("A2 PASS: [0,10] passes; [0,9] fails with a confirmed "
            "counterexample whose trigger-to-witness delay is exactly 10")
 
@@ -287,7 +287,8 @@ def test_a6_priority_semantics(airlock, monkeypatch):
     tr = find_decisive_extension(
         g1, inst1.model, res1.counterexample,
         lambda t: fott_holds(door1, t).value is Verdict.FAILS)
-    assert tr is not None, "door-1 starvation must be confirmable on a trace"
+    assert fott_holds(door1, tr).value is Verdict.FAILS, \
+        "door-1 starvation must be confirmable on a trace"
     # the oracle confirms on simulated runs as well: contention-heavy seeds
     starved = sum(
         1 for seed in range(300)

@@ -489,6 +489,36 @@ def test_timings_cover_witness_extraction(tmp_path, monkeypatch):
     assert json.loads(out.getvalue())["verdicts"][0]["time_ms"] >= 300
 
 
+def test_undecided_check_writes_the_counterexamples_own_witness(tmp_path, monkeypatch):
+    """When the oracle decides no extension, `check --out` writes the
+    witness of the lasso itself, as one call of the extension search."""
+    import ttscheck.cli as cli
+    from ttscheck import classgraph as cg
+    from ttscheck.ltl import check, witness_to_trace
+    from ttscheck.model import load_tts
+    from ttscheck.observers import compose, synthesize
+    from ttscheck.oracle import TraceVerdict, Verdict
+    from ttscheck.patterns import parse_pattern
+    from ttscheck.traces import serialize_trace
+
+    text = "Button1 leadsto first Open1 within [0,10] before Shutdown"
+    inst = compose(load_tts(str(ROOT / "models/airlock.tts")), synthesize(parse_pattern(text)))
+    cx = check(cg.build_graph(inst.model), inst.formula).counterexample
+    assert cx.cycle
+    monkeypatch.setattr(cli, "fott_holds",
+                        lambda pattern, trace: TraceVerdict(Verdict.INCONCLUSIVE))
+    pat = tmp_path / "bad.pat"
+    pat.write_text(text + "\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["--out", str(tmp_path / "out"), "check",
+                         str(ROOT / "models/airlock.tts"), str(pat)])
+    assert code == 1
+    assert "Traceback" not in err.getvalue()
+    written = (tmp_path / "out" / "counterexample_000.trace").read_text(encoding="utf-8")
+    assert written == serialize_trace(witness_to_trace(inst.model, cx))
+
+
 # ---------------------------------------------------------------------------
 # The entry point on random nets with place guards
 

@@ -216,8 +216,20 @@ def test_witness_replays_and_violates(airlock):
     extended = find_decisive_extension(
         g, inst.model, res.counterexample,
         lambda t: fott_holds(p, t).value is Verdict.FAILS)
-    assert extended is not None
+    assert fott_holds(p, extended).value is Verdict.FAILS
     assert replay(inst.model, extended)
+
+
+def test_undecided_extension_search_returns_the_counterexamples_own_witness(airlock):
+    # no extension decides, so the search gives back what `check --out`
+    # then writes: the witness of the lasso itself
+    p = parse_pattern("Button1 leadsto first Open1 within [0,10] before Shutdown")
+    inst = compose(airlock, synthesize(p))
+    g = cg.build_graph(inst.model)
+    res = check(g, inst.formula)
+    assert res.counterexample.cycle
+    got = find_decisive_extension(g, inst.model, res.counterexample, lambda t: False)
+    assert got == witness_to_trace(inst.model, res.counterexample)
 
 
 def test_schedule_solver_on_punctual_chain():

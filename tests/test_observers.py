@@ -838,3 +838,46 @@ trans B pre {go} in [0,5] consume {P}
     assert check(g, inst.formula).passed
     error_edges = [e for e in g.edges if "Error" in e[1]]
     assert not error_edges
+
+
+# ---------------------------------------------------------------------------
+# One event that both answers a `leadsto` trigger and opens the next one
+# (ROADMAP item 30).  Each `t0` is answered 1 later, by the next `t0` or, on
+# the first net, by the `t1` that ends the run, so the pattern holds.  The
+# observer's hook E2 clears `foundA` and hook E1 sets it again in the same
+# firing, so its punctual `Error` watcher is never restarted and fires `d2`
+# after the first trigger, and `[](foundA => <>!foundA)` never sees `foundA`
+# false.
+
+ANSWER_AND_OPEN = (
+    ("places P0=1 K=7/7\ntrans t0 in [1,1] consume {P0, K} produce {P0}\n"
+     "trans t1 in [1,1] pre {!K} consume {P0}\n", "t0 leadsto first t0 | t1 within [0,5]"),
+    ("places P0=1\ntrans t0 in [1,1] consume {P0} produce {P0}\n",
+     "t0 leadsto first t0 within [0,oo["),
+)
+
+
+@pytest.mark.parametrize("net, text", ANSWER_AND_OPEN, ids=("retrigger", "self-loop"))
+def test_oracles_pass_runs_whose_events_answer_and_open_triggers(net, text):
+    from ttscheck.model import parse_tts
+    from ttscheck.oracle import mtl_holds
+    from ttscheck.patterns import to_mtl
+
+    model, p = parse_tts(net), parse_pattern(text)
+    bounded = not p.interval.upper.is_infinite
+    for seed in range(5):
+        run = simulate(model, Fraction(20), seed)
+        for verdict in (fott_holds(p, run), mtl_holds(to_mtl(p), run)):
+            # a run of the self-loop net always ends with a trigger pending
+            assert verdict.value is (Verdict.HOLDS if bounded else Verdict.INCONCLUSIVE)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 30: hooks E2 and E1 of one "
+                   "firing clear and set foundA again, so the observer never re-arms")
+@pytest.mark.parametrize("net, text", ANSWER_AND_OPEN, ids=("retrigger", "self-loop"))
+def test_check_passes_when_one_event_answers_and_opens_a_trigger(net, text):
+    from ttscheck.model import parse_tts
+
+    model, p = parse_tts(net), parse_pattern(text)
+    inst = compose(model, synthesize(p, model))
+    assert check(cg.build_graph(inst.model), inst.formula).passed

@@ -3,11 +3,16 @@
 `ltl._check_buchi` compares `run_letter` tuples with the automaton's
 required letters and keeps the label behind each product edge it takes;
 `reference.ref_check_buchi` reads dict letters with `eval_letter` and
-re-scans graph steps for a lasso's labels.  Replay records `run_letter`
-tuples in its model's `atoms` order, which must be the automaton's, so the
-automaton of a formula's negation reads replay's letters as they are.
+re-scans graph steps for a lasso's labels.  Under both, `ltl._nested_dfs`,
+which reads its lasso off its two search stacks, must do what
+`reference.ref_nested_dfs`, which read it back along parent chains, did:
+the same lasso, and the same calls in the same order.  Replay records
+`run_letter` tuples in its model's `atoms` order, which must be the
+automaton's, so the automaton of a formula's negation reads replay's
+letters as they are.
 """
 
+import random
 import re
 from fractions import Fraction
 
@@ -17,14 +22,14 @@ from hypothesis import strategies as st
 
 from ttscheck import classgraph as cg
 from ttscheck import observers
-from ttscheck.ltl import LNot, _check_buchi, ltl_to_buchi
+from ttscheck.ltl import LNot, _check_buchi, _nested_dfs, ltl_to_buchi
 from ttscheck.model import parse_tts
 from ttscheck.observers import compose, replay_instrumented, synthesize
 from ttscheck.patterns import parse_pattern, pattern_constants
 from ttscheck.traces import simulate
 
 from conftest import guarded_nets, n_door_airlock, xcheck_catalog
-from reference import buchi_accepts, ref_check_buchi
+from reference import buchi_accepts, ref_check_buchi, ref_nested_dfs
 
 MODELS = ("relay", "chain", "airlock3")
 
@@ -74,6 +79,43 @@ def test_product_search_agrees_with_reference_on_guarded_nets(text, data):
             assert_search_agrees(model, parse_pattern(p), max_classes=2_000)
         except cg.ClassBudgetExceeded:
             reject()
+
+
+def logged_search(search, initial, succ: dict, accepting: set) -> tuple:
+    """`search`'s result on a graph given as adjacency lists, and the
+    sequence of its `successors` and `is_accepting` calls."""
+    calls: list = []
+
+    def successors(node):
+        calls.append(("successors", node))
+        return succ[node]
+
+    def is_accepting(node):
+        calls.append(("is_accepting", node))
+        return node in accepting
+
+    return search(initial, successors, is_accepting), calls
+
+
+def test_nested_dfs_matches_parent_chain_reference_on_random_graphs():
+    rng = random.Random(1)
+    lassos = 0
+    for _ in range(20_000):
+        n = rng.randint(1, 9)
+        succ = {v: [rng.randrange(n) for _ in range(rng.randint(0, 3))] for v in range(n)}
+        accepting = {v for v in range(n) if rng.random() < 0.3}
+        initial = [rng.randrange(n) for _ in range(rng.randint(1, 3))]
+        got, got_calls = logged_search(_nested_dfs, initial, succ, accepting)
+        want, want_calls = logged_search(ref_nested_dfs, initial, succ, accepting)
+        assert (got, got_calls) == (want, want_calls), (succ, accepting, initial)
+        if got is not None:
+            stem, cycle = got
+            assert stem[0] in initial and stem[-1] == cycle[0] == cycle[-1]
+            assert stem[-1] in accepting and len(cycle) > 1
+            path = stem + cycle[1:]
+            assert all(b in succ[a] for a, b in zip(path, path[1:]))
+            lassos += 1
+    assert 5000 < lassos < 15000
 
 
 @pytest.mark.parametrize("name", MODELS)

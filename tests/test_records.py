@@ -299,3 +299,22 @@ def test_every_package_record_method_is_what_its_own_source_compiles_to():
         compared += compiled_alike(getattr(module, node.name), expected)
     assert compared > 150
     assert len(record_shapes()) < len(record_class_nodes()) / 2
+
+
+def test_profiles_count_each_record_class_apart():
+    """Record classes of one shape share a template, yet a profile, which
+    keys on a code object's (file, line, name), keeps one entry per class:
+    six `Lit` and ten `Name` constructions read as 6 and 10 calls."""
+    import cProfile
+    import pstats
+
+    from ttscheck.expr import Lit, Name
+
+    profile = cProfile.Profile()
+    profile.runcall(lambda: ([Lit(i) for i in range(6)], [Name(str(i)) for i in range(10)]))
+    calls = {key[0]: row[0] for key, row in pstats.Stats(profile).stats.items()
+             if key[2] == "__init__"}
+    assert calls == {"<record ttscheck.expr.Lit>": 6, "<record ttscheck.expr.Name>": 10}
+    for module, node in record_class_nodes():
+        cls = getattr(importlib.import_module(f"ttscheck.{module}"), node.name)
+        assert cls.__init__.__code__.co_filename == f"<record ttscheck.{module}.{node.name}>"
